@@ -20,6 +20,7 @@ from .criteria import (
     equal_pair_evidence,
     growth_profile,
     switch_generation_evidence,
+    switch_tuples,
 )
 from .errors import (
     AlgebraFileError,
@@ -27,7 +28,6 @@ from .errors import (
     GenpowError,
     PreconditionError,
 )
-from .criteria import switch_tuples
 from .subpower import closure, equal_pair_tuples
 from .witnesses import (
     cross_equality_witness,

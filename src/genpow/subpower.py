@@ -11,6 +11,7 @@ fixed point, independent of batching.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ DENSE_THRESHOLD = 1 << 26  # largest k**n realized as a dense membership array
 SPACE_BUDGET = 1 << 26  # largest k**n the enumerating constructors accept
 STEP_BUDGET = 10**9  # closure combination applications
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
-_CHUNK_CELLS = 1 << 21  # grid cells evaluated per vectorized batch
+_CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
 
 
 def encode_tuple(t: Sequence[int], k: int) -> int:
@@ -272,42 +273,44 @@ def _digit_matrix(encodings: np.ndarray, weights: np.ndarray, k: int) -> np.ndar
     return (encodings[:, None] // weights[None, :]) % k
 
 
+def _grid_batches(
+    digit_groups: list[np.ndarray], chunk_cells: int
+) -> Iterator[tuple[list[np.ndarray], int]]:
+    """Split the cartesian grid over the rows of the groups along its first
+    axis into batches of at most chunk_cells cells (at least one row each).
+
+    Yields each batch's groups with its cell count.
+    """
+    first, rest = digit_groups[0], digit_groups[1:]
+    tail = math.prod(g.shape[0] for g in rest)
+    if tail == 0:
+        return
+    rows_per = max(1, chunk_cells // tail)
+    for start in range(0, first.shape[0], rows_per):
+        head = first[start : start + rows_per]
+        yield [head, *rest], head.shape[0] * tail
+
+
 def _grid_results(
     table: np.ndarray,
     digit_groups: Sequence[np.ndarray],
     k: int,
     weights: np.ndarray,
-    chunk_cells: int,
-) -> Iterator[np.ndarray]:
+) -> np.ndarray:
     """Result encodings of applying one operation to every argument combo.
 
     digit_groups[i] has shape (size_i, n); the grid is the cartesian
-    product over rows of the groups, chunked along the first axis.
+    product over rows of the groups.
     """
-    s = len(digit_groups)
-    n = weights.size
-    sizes = [g.shape[0] for g in digit_groups]
-    tail = 1
-    for size in sizes[1:]:
-        tail *= size
-    rows_per = max(1, chunk_cells // max(tail, 1))
-    shapes = []
-    for i in range(s):
-        shape = [1] * s
-        shape[i] = -1
-        shapes.append(tuple(shape))
-    for start in range(0, sizes[0], rows_per):
-        head = digit_groups[0][start : start + rows_per]
-        result = None
-        for c in range(n):
-            index = None
-            for i in range(s):
-                column = head[:, c] if i == 0 else digit_groups[i][:, c]
-                column = column.reshape(shapes[i])
-                index = column if index is None else index * k + column
-            values = table[index] * weights[c]
-            result = values if result is None else result + values
-        yield result.ravel()
+    first, rest = digit_groups[0], digit_groups[1:]
+    result = None
+    for c in range(weights.size):
+        index = first[:, c]
+        for group in rest:
+            index = index[..., None] * k + group[:, c]
+        values = table[index] * weights[c]
+        result = values if result is None else result + values
+    return result.ravel()
 
 
 def _saturate(
@@ -329,6 +332,7 @@ def _saturate(
     weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
     tables = [np.asarray(op.table, dtype=np.int64) for op in algebra.operations]
     steps = 0
+    rounds = 0
     while new.size:
         old_digits = _digit_matrix(old, weights, k)
         new_digits = _digit_matrix(new, weights, k)
@@ -339,25 +343,28 @@ def _saturate(
             # the new frontier; all-old combos were covered in earlier
             # rounds.
             for pattern in range(1, 1 << s):
-                groups = []
-                cells = 1
-                for i in range(s):
-                    use_new = (pattern >> (s - 1 - i)) & 1
-                    g = new_digits if use_new else old_digits
-                    groups.append(g)
-                    cells *= g.shape[0]
-                if cells == 0:
-                    continue
-                steps += cells
-                if steps > step_budget:
-                    raise BudgetExceededError(
-                        f"closure exceeded the step budget of {step_budget} "
-                        "combination applications"
+                groups = [
+                    new_digits if (pattern >> (s - 1 - i)) & 1 else old_digits
+                    for i in range(s)
+                ]
+                for batch, cells in _grid_batches(groups, chunk_cells):
+                    # The closure is the least fixed point: a full set is final.
+                    if is_full(result):
+                        return result
+                    if steps + cells > step_budget:
+                        raise BudgetExceededError(
+                            f"closure exceeded the step budget of {step_budget:,} "
+                            f"combination applications (rounds completed: {rounds}, "
+                            f"tuples: {len(result):,} of {result.space:,}, "
+                            f"steps applied: {steps:,})"
+                        )
+                    steps += cells
+                    fresh = result.add_encodings_array(
+                        _grid_results(table, batch, k, weights)
                     )
-                for res in _grid_results(table, groups, k, weights, chunk_cells):
-                    fresh = result.add_encodings_array(res)
                     if fresh.size:
                         produced.append(fresh)
+        rounds += 1
         old = np.concatenate([old, new])
         old.sort()
         new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)

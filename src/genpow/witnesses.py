@@ -28,6 +28,8 @@ from .errors import (
 from .subpower import (
     SPACE_BUDGET,
     TupleSet,
+    _CHUNK_CELLS,
+    _grid_batches,
     _grid_results,
     closure,
     decode_tuple,
@@ -384,9 +386,8 @@ def subset_pair_relation(
             )
     ts = TupleSet(k, 2 * n, dense_threshold=dense_threshold)
     weights = np.power(k, np.arange(2 * n - 1, -1, -1), dtype=np.int64)
-    chunk = 1 << 21
-    for start in range(0, space, chunk):
-        enc = np.arange(start, min(start + chunk, space), dtype=np.int64)
+    for start in range(0, space, _CHUNK_CELLS):
+        enc = np.arange(start, min(start + _CHUNK_CELLS, space), dtype=np.int64)
         mask = np.zeros(enc.size, dtype=bool)
         for t in range(n):
             left = (enc // weights[2 * t]) % k
@@ -420,8 +421,8 @@ def preserves_relation(
     weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
     digits = (members[:, None] // weights[None, :]) % k
     table = np.asarray(op.table, dtype=np.int64)
-    for res in _grid_results(table, [digits] * s, k, weights, 1 << 21):
-        if not rel.contains_encodings(res).all():
+    for batch, _ in _grid_batches([digits] * s, _CHUNK_CELLS):
+        if not rel.contains_encodings(_grid_results(table, batch, k, weights)).all():
             return False
     return True
 
@@ -577,9 +578,10 @@ def find_blocker_bounded(
         for n in range(1, n_max + 1):
             seeds = TupleSet(k, n, dense_threshold=dense_threshold)
             weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
-            chunk = 1 << 21
-            for start in range(0, k**n, chunk):
-                enc = np.arange(start, min(start + chunk, k**n), dtype=np.int64)
+            for start in range(0, k**n, _CHUNK_CELLS):
+                enc = np.arange(
+                    start, min(start + _CHUNK_CELLS, k**n), dtype=np.int64
+                )
                 mask = np.zeros(enc.size, dtype=bool)
                 for c in range(n):
                     mask |= hits[(enc // weights[c]) % k]

@@ -113,6 +113,23 @@ def test_d_check_budget(run):
     assert err.startswith("genpow: budget exceeded:")
 
 
+def test_d_check_budget_met_by_early_exit(run):
+    # The closure is full after 57,600 of the 13.8 M cells in its first pattern.
+    rc, out, err = run("d-check", path("xor3"), "--m", 4, "--closure-budget", 200000)
+    assert (rc, err) == (0, "")
+    assert out == run("d-check", path("xor3"), "--m", 4)[1]
+
+
+def test_d_check_budget_on_proper_closure(run):
+    # egp3 closes the 45 seeds to 77 of 81 tuples in 77**2 = 5,929 cells.
+    rc, out, _ = run("d-check", path("egp3"), "--m", 2, "--closure-budget", 5929)
+    assert rc == 0
+    assert out.endswith("closure-count: 77\nspace: 81\nfull: no\n")
+    rc, out, err = run("d-check", path("egp3"), "--m", 2, "--closure-budget", 5928)
+    assert (rc, out) == (4, "")
+    assert "of 81," in err
+
+
 def test_switchable(run):
     rc, out, _ = run("switchable", path("xor3"), "--r", 1, "--n", 2)
     assert rc == 0

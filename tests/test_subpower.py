@@ -245,6 +245,32 @@ def test_closure_step_budget(xor3):
         closure(xor3, seeds, step_budget=10)
 
 
+def test_closure_stops_at_full_power(xor3):
+    # The first argument pattern alone is 240**3 = 13.8 M cells, but its
+    # first 57,600-cell row already fills A^8.
+    assert is_full(closure(xor3, equal_pair_tuples(2, 4), step_budget=200_000))
+
+
+# xor3 closes these seeds to their affine hull of 4 tuples in 64 cells:
+# 3**3 = 27 in round 0, then patterns of 9, 9, 3, 9, 3, 3, 1 in round 1.
+_HULL_SEEDS = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
+
+
+def test_closure_budget_on_proper_closure(xor3):
+    seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
+    assert len(closure(xor3, seeds, step_budget=64)) == 4
+    with pytest.raises(BudgetExceededError):
+        closure(xor3, seeds, step_budget=63)
+
+
+def test_closure_budget_error_reports_progress(xor3):
+    seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
+    with pytest.raises(BudgetExceededError) as info:
+        closure(xor3, seeds, step_budget=50)
+    # The fourth pattern of round 1 would bring 48 applied steps to 57.
+    assert "rounds completed: 1, tuples: 4 of 16, steps applied: 48" in str(info.value)
+
+
 def test_closure_does_not_mutate_seeds(xor3):
     seeds = TupleSet.from_tuples(2, 2, [(0, 1), (1, 0), (1, 1)])
     before = list(seeds.encodings())
