@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .algebra import Algebra, OperationTable, evaluate, first_non_idempotent
 from .errors import (
@@ -29,6 +31,7 @@ from .errors import (
 from .subpower import (
     SPACE_BUDGET,
     TupleSet,
+    check_space,
     closure,
     closure_extend,
     equal_pair_tuples,
@@ -223,7 +226,12 @@ def switch_tuples(
     budget: int | None = None,
     dense_threshold: int | None = None,
 ) -> TupleSet:
-    """All tuples of A^n with at most r switches, generated run by run."""
+    """All tuples of A^n with at most r switches.
+
+    Prefixes grow one coordinate at a time as encodings; a prefix with
+    more than r switches is dropped as soon as it has them.  Appending
+    digits in ascending order keeps the prefixes ascending.
+    """
     limit = SPACE_BUDGET if budget is None else budget
     total = count_switch_tuples(k, n, r)
     if total > limit:
@@ -231,22 +239,14 @@ def switch_tuples(
             f"{total} bounded-switch tuples exceed the budget {limit}"
         )
     ts = TupleSet(k, n, dense_threshold=dense_threshold)
-    for i in range(min(r, n - 1) + 1):
-        for boundaries in combinations(range(1, n), i):
-            cuts = (0,) + boundaries + (n,)
-            lengths = [cuts[p + 1] - cuts[p] for p in range(i + 1)]
-            for first in range(k):
-                stack = [(1, (first,) * lengths[0], first)]
-                while stack:
-                    run, prefix, prev = stack.pop()
-                    if run == i + 1:
-                        ts.add(prefix)
-                        continue
-                    for v in range(k - 1, -1, -1):
-                        if v != prev:
-                            stack.append(
-                                (run + 1, prefix + (v,) * lengths[run], v)
-                            )
+    prefixes = values = np.arange(k, dtype=np.int64)
+    switches = np.zeros(k, dtype=np.int64)
+    for _ in range(n - 1):
+        grown = (switches[:, None] + (prefixes[:, None] % k != values)).ravel()
+        keep = grown <= r
+        prefixes = (prefixes[:, None] * k + values).ravel()[keep]
+        switches = grown[keep]
+    ts.add_encodings_array(prefixes)
     return ts
 
 
@@ -459,10 +459,8 @@ def min_generating_size(
         raise PreconditionError(f"power must be >= 1, got {n}")
     if mode not in ("auto", "exact", "greedy"):
         raise PreconditionError(f"unknown search mode {mode!r}")
+    check_space(algebra.k, n, space_budget)
     space = algebra.k**n
-    limit = SPACE_BUDGET if space_budget is None else space_budget
-    if space > limit:
-        raise BudgetExceededError(f"k**n = {space} exceeds the budget {limit}")
     if not algebra.operations:
         # Closure is the identity, so every tuple must be a generator.
         ts = TupleSet.full(algebra.k, n)

@@ -10,9 +10,8 @@ fixed point, independent of batching.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,6 +106,25 @@ class TupleSet:
         return ts
 
     @classmethod
+    def from_mask(
+        cls,
+        k: int,
+        n: int,
+        predicate: Callable[[np.ndarray], np.ndarray],
+        *,
+        budget: int | None = None,
+        dense_threshold: int | None = None,
+    ) -> "TupleSet":
+        """The tuples of A^n that the predicate keeps.  It maps each
+        scan_space batch's (rows, n) digit matrix to a boolean row mask.
+        """
+        batches = scan_space(k, n, budget=budget)
+        ts = cls(k, n, dense_threshold=dense_threshold)
+        for encodings, digits in batches:
+            ts.add_encodings_array(encodings[predicate(digits)])
+        return ts
+
+    @classmethod
     def full(cls, k: int, n: int, *, dense_threshold: int | None = None) -> "TupleSet":
         ts = cls(k, n, dense_threshold=dense_threshold)
         if ts._dense is not None:
@@ -168,8 +186,12 @@ class TupleSet:
         return self._count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for e in self.encodings():
-            yield self.decode(int(e))
+        members = self.encodings()
+        weights = _weights(self.k, self.n)
+        rows = max(1, _CHUNK_CELLS // self.n)
+        for start in range(0, members.size, rows):
+            batch = _digit_matrix(members[start : start + rows], weights, self.k)
+            yield from map(tuple, batch.tolist())
 
     def encodings(self) -> np.ndarray:
         """All member encodings, ascending, as an int64 array."""
@@ -250,22 +272,46 @@ def equal_pair_tuples(
     """
     if k < 1 or m < 1:
         raise ValueError("need k >= 1 and m >= 1")
-    n = 2 * m
-    space = k**n
+    return TupleSet.from_mask(
+        k, 2 * m, lambda digits: (digits[:, 0::2] == digits[:, 1::2]).any(axis=1),
+        budget=budget, dense_threshold=dense_threshold,
+    )
+
+
+def _weights(k: int, n: int) -> np.ndarray:
+    """Place values of the n base-k digits, most significant first."""
+    return np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
+
+
+def check_space(k: int, n: int, budget: int | None = None) -> None:
+    """Refuse A^n when k**n exceeds the space budget (default SPACE_BUDGET)."""
     limit = SPACE_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceededError(f"k**(2m) = {space} exceeds the budget {limit}")
-    ts = TupleSet(k, n, dense_threshold=dense_threshold)
-    weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
-    for start in range(0, space, _CHUNK_CELLS):
-        enc = np.arange(start, min(start + _CHUNK_CELLS, space), dtype=np.int64)
-        mask = np.zeros(enc.size, dtype=bool)
-        for i in range(m):
-            left = (enc // weights[2 * i]) % k
-            right = (enc // weights[2 * i + 1]) % k
-            mask |= left == right
-        ts.add_encodings_array(enc[mask])
-    return ts
+    if k**n > limit:
+        raise BudgetExceededError(
+            f"tuple space k**n = {k}**{n} = {k**n} exceeds the space budget {limit}"
+        )
+
+
+def scan_space(
+    k: int, n: int, *, budget: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk A^n in ascending encoding order, in batches of at most
+    _CHUNK_CELLS digit cells.
+
+    Yields each batch's int64 encodings with their (rows, n) digit matrix.
+    A space above the budget is refused here, before any batch is made.
+    """
+    check_space(k, n, budget)
+    return _scan_batches(k, n)
+
+
+def _scan_batches(k: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    space = k**n
+    weights = _weights(k, n)
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, space, rows):
+        encodings = np.arange(start, min(start + rows, space), dtype=np.int64)
+        yield encodings, _digit_matrix(encodings, weights, k)
 
 
 def _digit_matrix(encodings: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -329,7 +375,7 @@ def _saturate(
     if not algebra.operations:
         return result
     k, n = result.k, result.n
-    weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
+    weights = _weights(k, n)
     tables = [np.asarray(op.table, dtype=np.int64) for op in algebra.operations]
     steps = 0
     rounds = 0

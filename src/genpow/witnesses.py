@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .algebra import Algebra, OperationTable, evaluate, first_non_idempotent
-from .criteria import SubsetPair, count_switches, projective_coordinate, switch_tuples
+from .criteria import SubsetPair, projective_coordinate, switch_tuples
 from .errors import (
     BudgetExceededError,
     GenpowError,
@@ -26,14 +26,17 @@ from .errors import (
     PreconditionError,
 )
 from .subpower import (
-    SPACE_BUDGET,
     TupleSet,
     _CHUNK_CELLS,
+    _digit_matrix,
     _grid_batches,
     _grid_results,
+    _weights,
+    check_space,
     closure,
     decode_tuple,
     is_full,
+    scan_space,
 )
 
 PRESERVATION_BUDGET = 10**7  # argument combinations per preservation scan
@@ -90,36 +93,31 @@ class NiceRelation:
     def contains(self, t: Sequence[int]) -> bool:
         return self.expand(t) in self.base
 
+    def contains_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Row mask of a (rows, m) digit matrix: which rows are members."""
+        wide = np.repeat(digits, self.block_lengths, axis=1)
+        return self.base.contains_encodings(wide @ _weights(self.k, self.base.n))
+
     def materialize(
         self, *, budget: int | None = None, dense_threshold: int | None = None
     ) -> TupleSet:
         """Flatten to an explicit TupleSet of arity m."""
-        space = self.k**self.m
-        limit = SPACE_BUDGET if budget is None else budget
-        if space > limit:
-            raise BudgetExceededError(
-                f"k**m = {space} exceeds the budget {limit}"
-            )
-        ts = TupleSet(self.k, self.m, dense_threshold=dense_threshold)
-        for e in range(space):
-            if self.contains(decode_tuple(e, self.k, self.m)):
-                ts.add_encoding(e)
-        return ts
+        return TupleSet.from_mask(
+            self.k, self.m, self.contains_digits,
+            budget=budget, dense_threshold=dense_threshold,
+        )
 
 
 def verify_nice(rel: NiceRelation, *, budget: int | None = None) -> bool:
     """Exhaustively check both clauses: the excluded tuple really is out,
     and every tuple with some adjacent equal pair really is in.
     """
-    space = rel.k**rel.m
-    limit = SPACE_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceededError(f"k**m = {space} exceeds the budget {limit}")
+    batches = scan_space(rel.k, rel.m, budget=budget)
     if rel.contains(rel.excluded):
         return False
-    for e in range(space):
-        t = decode_tuple(e, rel.k, rel.m)
-        if any(t[i] == t[i + 1] for i in range(rel.m - 1)) and not rel.contains(t):
+    for _, digits in batches:
+        adjacent = (digits[:, 1:] == digits[:, :-1]).any(axis=1)
+        if not rel.contains_digits(digits[adjacent]).all():
             return False
     return True
 
@@ -141,6 +139,8 @@ def nice_relation_from_nonswitchability(
     quotient with an adjacent equal pair expands to fewer switches than
     the minimum, so it lies in the closure: the quotient is nice.
     """
+    # Taken first so that an over-budget space is refused before the closure.
+    batches = scan_space(algebra.k, n, budget=space_budget)
     seeds = switch_tuples(
         algebra.k, n, r, budget=space_budget, dense_threshold=dense_threshold
     )
@@ -152,13 +152,16 @@ def nice_relation_from_nonswitchability(
         )
     best: Optional[tuple[int, ...]] = None
     best_switches = n
-    for e in range(closed.space):
-        if closed.has_encoding(e):
+    for encodings, digits in batches:
+        outside = digits[~closed.contains_encodings(encodings)]
+        if not outside.size:
             continue
-        t = decode_tuple(e, algebra.k, n)
-        s = count_switches(t)
-        if s < best_switches:
-            best, best_switches = t, s
+        switches = (outside[:, 1:] != outside[:, :-1]).sum(axis=1)
+        # argmin takes the first minimum, the least encoding in this batch;
+        # an earlier batch keeps a tie.
+        i = int(np.argmin(switches))
+        if switches[i] < best_switches:
+            best, best_switches = tuple(outside[i].tolist()), int(switches[i])
     assert best is not None
     blocks: list[int] = []
     values: list[int] = []
@@ -205,34 +208,20 @@ def evenize_nice(
     if m % 2 == 0:
         return rel
     u = rel.excluded
-    pq: Optional[tuple[int, int]] = None
-    for p in range(0, m, 2):
-        for q in range(p + 2, m, 2):
-            if u[p] == u[q]:
-                pq = (p, q)
-                break
-        if pq:
-            break
+    evens = range(0, m, 2)
+    pq = next(((p, q) for p in evens for q in evens if p < q and u[p] == u[q]), None)
     if pq is None:
         raise PreconditionError(
             f"excluded tuple repeats no value on even positions; arity {m} "
             f"is below the guaranteed threshold 2k = {2 * rel.k}"
         )
     p, q = pq
-    space = rel.k ** (m - 1)
-    limit = SPACE_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceededError(f"k**(m-1) = {space} exceeds the budget {limit}")
-
-    def widen(y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            y[q - 1] if t == p else (y[t] if t < p else y[t - 1]) for t in range(m)
-        )
-
-    base = TupleSet(rel.k, m - 1, dense_threshold=dense_threshold)
-    for e in range(space):
-        if rel.contains(widen(decode_tuple(e, rel.k, m - 1))):
-            base.add_encoding(e)
+    # Input position t reads this variable of the arity-(m-1) result.
+    source = [q - 1 if t == p else (t if t < p else t - 1) for t in range(m)]
+    base = TupleSet.from_mask(
+        rel.k, m - 1, lambda digits: rel.contains_digits(digits[:, source]),
+        budget=budget, dense_threshold=dense_threshold,
+    )
     dropped = tuple(u[t] for t in range(m) if t != p)
     return NiceRelation(
         k=rel.k, block_lengths=(1,) * (m - 1), base=base, excluded=dropped
@@ -309,9 +298,7 @@ def cross_equality_witness(
     assert top >= n * n, (top, n)
 
     arity = 2 * n + k
-    position_vars = [0] * m
-    for pos in range(m):
-        position_vars[pos] = 2 * n + u[pos]
+    position_vars = [2 * n + c for c in u]
     seen = 0
     for t, pr in enumerate(pairs):
         if pr != (a, b):
@@ -324,21 +311,16 @@ def cross_equality_witness(
         position_vars[2 * t + 1] = n + j
         seen += 1
 
-    space = k**arity
-    limit = SPACE_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceededError(
-            f"k**(2n+k) = {space} exceeds the budget {limit}"
-        )
+    batches = scan_space(k, arity, budget=budget)
     relation = TupleSet(k, arity, dense_threshold=dense_threshold)
     cross_violation = None
-    for e in range(space):
-        v = decode_tuple(e, k, arity)
-        member = rel.contains(tuple(v[position_vars[pos]] for pos in range(m)))
-        if member:
-            relation.add_encoding(e)
-        elif any(v[i] == v[n + j] for i in range(n) for j in range(n)):
-            cross_violation = v
+    for encodings, digits in batches:
+        member = rel.contains_digits(digits[:, position_vars])
+        relation.add_encodings_array(encodings[member])
+        crossing = (digits[:, :n, None] == digits[:, None, n : 2 * n]).any(axis=(1, 2))
+        missing = digits[crossing & ~member]
+        if missing.size and cross_violation is None:
+            cross_violation = tuple(missing[0].tolist())
     excluded = (a,) * n + (b,) * n + tuple(range(k))
     if excluded in relation:
         raise GenpowError(
@@ -373,28 +355,13 @@ def subset_pair_relation(
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    k = pair.k
-    space = k ** (2 * n)
-    limit = SPACE_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceededError(f"k**(2n) = {space} exceeds the budget {limit}")
-    rho = np.zeros((k, k), dtype=bool)
-    for x in range(k):
-        for y in range(k):
-            rho[x, y] = (pair.in_alpha(x) and pair.in_alpha(y)) or (
-                pair.in_beta(x) and pair.in_beta(y)
-            )
-    ts = TupleSet(k, 2 * n, dense_threshold=dense_threshold)
-    weights = np.power(k, np.arange(2 * n - 1, -1, -1), dtype=np.int64)
-    for start in range(0, space, _CHUNK_CELLS):
-        enc = np.arange(start, min(start + _CHUNK_CELLS, space), dtype=np.int64)
-        mask = np.zeros(enc.size, dtype=bool)
-        for t in range(n):
-            left = (enc // weights[2 * t]) % k
-            right = (enc // weights[2 * t + 1]) % k
-            mask |= rho[left, right]
-        ts.add_encodings_array(enc[mask])
-    return ts
+    alpha = np.array([pair.in_alpha(x) for x in range(pair.k)])
+    beta = np.array([pair.in_beta(x) for x in range(pair.k)])
+    rho = np.outer(alpha, alpha) | np.outer(beta, beta)
+    return TupleSet.from_mask(
+        pair.k, 2 * n, lambda digits: rho[digits[:, 0::2], digits[:, 1::2]].any(axis=1),
+        budget=budget, dense_threshold=dense_threshold,
+    )
 
 
 def preserves_relation(
@@ -418,8 +385,8 @@ def preserves_relation(
             f"{count}**{s} argument combinations exceed the budget {limit}"
         )
     k, n = rel.k, rel.n
-    weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
-    digits = (members[:, None] // weights[None, :]) % k
+    weights = _weights(k, n)
+    digits = _digit_matrix(members, weights, k)
     table = np.asarray(op.table, dtype=np.int64)
     for batch, _ in _grid_batches([digits] * s, _CHUNK_CELLS):
         if not rel.contains_encodings(_grid_results(table, batch, k, weights)).all():
@@ -566,26 +533,17 @@ def find_blocker_bounded(
         raise PreconditionError("base must be a proper subset of the universe")
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    limit = SPACE_BUDGET if space_budget is None else space_budget
-    if k**n_max > limit:
-        raise BudgetExceededError(
-            f"k**n_max = {k**n_max} exceeds the budget {limit}"
-        )
+    # The largest power is refused before any closure runs.
+    check_space(k, n_max, space_budget)
 
     def blocks(candidate: frozenset[int]) -> bool:
         hits = np.zeros(k, dtype=bool)
         hits[list(candidate)] = True
         for n in range(1, n_max + 1):
-            seeds = TupleSet(k, n, dense_threshold=dense_threshold)
-            weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
-            for start in range(0, k**n, _CHUNK_CELLS):
-                enc = np.arange(
-                    start, min(start + _CHUNK_CELLS, k**n), dtype=np.int64
-                )
-                mask = np.zeros(enc.size, dtype=bool)
-                for c in range(n):
-                    mask |= hits[(enc // weights[c]) % k]
-                seeds.add_encodings_array(enc[mask])
+            seeds = TupleSet.from_mask(
+                k, n, lambda digits: hits[digits].any(axis=1),
+                budget=space_budget, dense_threshold=dense_threshold,
+            )
             if is_full(closure(algebra, seeds, step_budget=step_budget)):
                 return False
         return True

@@ -103,3 +103,91 @@ def random_idempotent_binary(k, rng, name="f"):
     for a in range(k):
         table[a * k + a] = a
     return OperationTable(name=name, arity=2, k=k, table=tuple(table))
+
+
+def brute_subset_pair_relation(k, alpha, beta, n):
+    """Tuples of A^(2n) with some pair (2t, 2t+1) inside alpha or inside beta."""
+    alpha, beta = set(alpha), set(beta)
+
+    def rho(x, y):
+        return (x in alpha and y in alpha) or (x in beta and y in beta)
+
+    return {
+        t
+        for t in itertools.product(range(k), repeat=2 * n)
+        if any(rho(t[2 * i], t[2 * i + 1]) for i in range(n))
+    }
+
+
+def brute_block_members(k, block_lengths, base_members):
+    """Tuples c of A^m whose block expansion (c_i repeated block_lengths[i]
+    times) lies in base_members."""
+    out = set()
+    for c in itertools.product(range(k), repeat=len(block_lengths)):
+        wide = tuple(a for a, width in zip(c, block_lengths) for _ in range(width))
+        if wide in base_members:
+            out.add(c)
+    return out
+
+
+def brute_fewest_switch_outsider(k, n, members):
+    """Non-member of A^n with the fewest switches; ties go to the
+    lexicographically least, which is the least encoding."""
+    best = None
+    for t in itertools.product(range(k), repeat=n):
+        if t in members:
+            continue
+        if best is None or brute_switch_count(t) < brute_switch_count(best):
+            best = t
+    return best
+
+
+def brute_collapse_runs(t):
+    """(run lengths, run values) of a tuple."""
+    lengths, values = [], []
+    for a in t:
+        if values and values[-1] == a:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+            values.append(a)
+    return tuple(lengths), tuple(values)
+
+
+def brute_evenize(k, members, excluded):
+    """Odd-arity merge: the least even positions p < q with equal excluded
+    values; position p of the input reads variable q - 1 of the result."""
+    m = len(excluded)
+    p, q = next(
+        (p, q)
+        for p in range(0, m, 2)
+        for q in range(p + 2, m, 2)
+        if excluded[p] == excluded[q]
+    )
+    out = set()
+    for y in itertools.product(range(k), repeat=m - 1):
+        if y[:p] + (y[q - 1],) + y[p:] in members:
+            out.add(y)
+    return out, excluded[:p] + excluded[p + 1 :]
+
+
+def brute_cross_equality(k, n, members, excluded):
+    """Relation over (x_1..x_n, y_1..y_n, z_0..z_{k-1}) and its excluded
+    tuple, rebuilt from the most frequent (least on ties) adjacent pair of
+    the excluded tuple."""
+    m = len(excluded)
+    pairs = [(excluded[2 * t], excluded[2 * t + 1]) for t in range(m // 2)]
+    counts = {pr: pairs.count(pr) for pr in pairs}
+    top = max(counts.values())
+    a, b = min(pr for pr in counts if counts[pr] == top)
+    variable = [2 * n + u for u in excluded]
+    hits = [t for t, pr in enumerate(pairs) if pr == (a, b)]
+    for seen, t in enumerate(hits):
+        i, j = divmod(seen, n) if seen < n * n else (0, 0)
+        variable[2 * t], variable[2 * t + 1] = i, n + j
+    relation = {
+        v
+        for v in itertools.product(range(k), repeat=2 * n + k)
+        if tuple(v[x] for x in variable) in members
+    }
+    return relation, (a,) * n + (b,) * n + tuple(range(k))

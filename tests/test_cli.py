@@ -209,6 +209,39 @@ def test_witness_sigma_narrow_relation(run):
     assert "must exceed" in err
 
 
+@pytest.mark.parametrize("kind", ["nice", "sigma"])
+def test_witness_scan_over_space_budget_exits_fast(kind):
+    # 2^40 tuples exceed the space budget; the scan must refuse them, not
+    # walk them.  A subprocess with a timeout turns a hang into a failure.
+    proc = subprocess.run(
+        [sys.executable, "-m", "genpow", "witness", kind, str(path("min2")),
+         "--r", "1", "--n", "40"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("genpow: budget exceeded:")
+
+
+def test_witness_scan_under_space_budget(run):
+    rc, out, _ = run("witness", "nice", path("min2"), "--r", 1, "--n", 20)
+    assert rc == 0
+    assert out == (
+        "arity: 3\n"
+        "block-lengths: 1 18 1\n"
+        "excluded: 1 0 1\n"
+        "base-arity: 20\n"
+        "base-members: 211 of 1048576\n"
+        "nice: yes\n"
+    )
+    rc, out, err = run("witness", "sigma", path("min2"), "--r", 1, "--n", 20)
+    assert rc == 3
+    assert out == ""
+    assert "must exceed" in err
+
+
 def test_witness_counterexample(run):
     rc, out, _ = run(
         "witness", "counterexample", path("min2"),
