@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, first_non_idempotent, load_algebra
 from .criteria import (
-    EXACT_BUDGET,
     SubsetPair,
     decide_egp_idempotent,
     equal_pair_evidence,
@@ -28,7 +27,7 @@ from .errors import (
     GenpowError,
     PreconditionError,
 )
-from .subpower import closure, equal_pair_tuples
+from .subpower import LIMITS, Limits, closure, equal_pair_tuples
 from .witnesses import (
     cross_equality_witness,
     find_blocker_bounded,
@@ -60,6 +59,16 @@ def _element_list(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="genpow",
@@ -73,15 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     budgets = _Parser(add_help=False)
     budgets.add_argument(
         "--closure-budget",
-        type=int,
-        default=None,
+        dest="steps",
+        type=_budget,
+        default=LIMITS.steps,
         metavar="STEPS",
         help="abort closures after this many combination applications",
     )
     budgets.add_argument(
         "--exact-budget",
-        type=int,
-        default=EXACT_BUDGET,
+        dest="exact",
+        type=_budget,
+        default=LIMITS.exact,
         metavar="SIZE",
         help="largest k**n the exact minimum-size search accepts",
     )
@@ -166,7 +177,7 @@ def _pair_from_args(algebra: Algebra, args) -> SubsetPair:
     return SubsetPair.from_elements(algebra.k, args.alpha, args.beta)
 
 
-def _cmd_validate(args) -> list[str]:
+def _cmd_validate(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
     lines = [f"size: {algebra.k}", f"operations: {len(algebra.operations)}"]
     for op in algebra.operations:
@@ -181,45 +192,35 @@ def _cmd_validate(args) -> list[str]:
     return lines
 
 
-def _cmd_decide(args) -> list[str]:
+def _cmd_decide(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
     return decide_egp_idempotent(algebra).render()
 
 
-def _cmd_d_check(args) -> list[str]:
+def _cmd_d_check(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
-    evidence = equal_pair_evidence(algebra, args.m, step_budget=args.closure_budget)
-    return evidence.render()
+    return equal_pair_evidence(algebra, args.m, limits=limits).render()
 
 
-def _cmd_switchable(args) -> list[str]:
+def _cmd_switchable(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
-    evidence = switch_generation_evidence(
-        algebra, args.r, args.n, step_budget=args.closure_budget
-    )
-    return evidence.render()
+    return switch_generation_evidence(algebra, args.r, args.n, limits=limits).render()
 
 
-def _cmd_growth(args) -> list[str]:
+def _cmd_growth(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
-    profile = growth_profile(
-        algebra,
-        args.n_max,
-        mode=args.mode,
-        exact_budget=args.exact_budget,
-        step_budget=args.closure_budget,
-    )
+    profile = growth_profile(algebra, args.n_max, mode=args.mode, limits=limits)
     if profile.note:
         print(profile.note, file=sys.stderr)
     return profile.to_csv().splitlines()
 
 
-def _cmd_witness(args) -> list[str]:
+def _cmd_witness(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
     if args.kind == "nice":
         _require("witness nice", r=args.r, n=args.n)
         rel = nice_relation_from_nonswitchability(
-            algebra, args.r, args.n, step_budget=args.closure_budget
+            algebra, args.r, args.n, limits=limits
         )
         return [
             f"arity: {rel.m}",
@@ -227,14 +228,14 @@ def _cmd_witness(args) -> list[str]:
             "excluded: " + " ".join(str(a) for a in rel.excluded),
             f"base-arity: {rel.base.n}",
             f"base-members: {len(rel.base)} of {rel.base.space}",
-            f"nice: {'yes' if verify_nice(rel) else 'no'}",
+            f"nice: {'yes' if verify_nice(rel, limits=limits) else 'no'}",
         ]
     if args.kind == "sigma":
         _require("witness sigma", r=args.r, n=args.n)
         rel = nice_relation_from_nonswitchability(
-            algebra, args.r, args.n, step_budget=args.closure_budget
+            algebra, args.r, args.n, limits=limits
         )
-        witness = cross_equality_witness(rel, args.target, algebra.k)
+        witness = cross_equality_witness(rel, args.target, algebra.k, limits=limits)
         return witness.render()
     if args.kind == "counterexample":
         _require("witness counterexample", op=args.op, alpha=args.alpha, beta=args.beta)
@@ -243,11 +244,9 @@ def _cmd_witness(args) -> list[str]:
         except KeyError:
             raise PreconditionError(f"no operation named {args.op!r} in the file")
         pair = _pair_from_args(algebra, args)
-        return projectivity_counterexample(op, pair).render()
+        return projectivity_counterexample(op, pair, limits=limits).render()
     _require("witness blocker", base=args.base, n_max=args.n_max)
-    candidate = find_blocker_bounded(
-        algebra, args.base, args.n_max, step_budget=args.closure_budget
-    )
+    candidate = find_blocker_bounded(algebra, args.base, args.n_max, limits=limits)
     lines = [
         "base: {" + ", ".join(str(a) for a in sorted(set(args.base))) + "}",
         f"n-max: {args.n_max}",
@@ -259,19 +258,19 @@ def _cmd_witness(args) -> list[str]:
     return lines
 
 
-def _cmd_dump(args) -> list[str]:
+def _cmd_dump(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
     if args.kind == "d":
         _require("dump d", m=args.m)
-        ts = equal_pair_tuples(algebra.k, args.m)
+        ts = equal_pair_tuples(algebra.k, args.m, limits=limits)
     elif args.kind == "switch":
         _require("dump switch", r=args.r, n=args.n)
-        ts = switch_tuples(algebra.k, args.n, args.r)
+        ts = switch_tuples(algebra.k, args.n, args.r, limits=limits)
     else:
         _require("dump sigma", alpha=args.alpha, beta=args.beta, n=args.n)
-        ts = subset_pair_relation(_pair_from_args(algebra, args), args.n)
+        ts = subset_pair_relation(_pair_from_args(algebra, args), args.n, limits=limits)
     if args.closed:
-        ts = closure(algebra, ts, step_budget=args.closure_budget)
+        ts = closure(algebra, ts, limits=limits)
     return list(ts.lines())
 
 
@@ -290,7 +289,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for line in _HANDLERS[args.command](args):
+        # validate and decide take no budget flags and run on the defaults.
+        limits = Limits(
+            steps=getattr(args, "steps", LIMITS.steps),
+            exact=getattr(args, "exact", LIMITS.exact),
+        )
+        for line in _HANDLERS[args.command](args, limits):
             print(line)
         return 0
     except UsageError as exc:

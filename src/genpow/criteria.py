@@ -29,17 +29,14 @@ from .errors import (
     PreconditionError,
 )
 from .subpower import (
-    SPACE_BUDGET,
+    LIMITS,
+    Limits,
     TupleSet,
-    check_space,
     closure,
     closure_extend,
     equal_pair_tuples,
     is_full,
 )
-
-EXACT_BUDGET = 256  # largest k**n the exact minimum-size search accepts
-EXACT_NODE_BUDGET = 20_000  # search-tree nodes before the exact search gives up
 
 
 def _format_subset(mask: int) -> str:
@@ -218,27 +215,19 @@ def count_switch_tuples(k: int, n: int, r: int) -> int:
     )
 
 
-def switch_tuples(
-    k: int,
-    n: int,
-    r: int,
-    *,
-    budget: int | None = None,
-    dense_threshold: int | None = None,
-) -> TupleSet:
+def switch_tuples(k: int, n: int, r: int, *, limits: Limits = LIMITS) -> TupleSet:
     """All tuples of A^n with at most r switches.
 
     Prefixes grow one coordinate at a time as encodings; a prefix with
     more than r switches is dropped as soon as it has them.  Appending
     digits in ascending order keeps the prefixes ascending.
     """
-    limit = SPACE_BUDGET if budget is None else budget
-    total = count_switch_tuples(k, n, r)
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} bounded-switch tuples exceed the budget {limit}"
+    if k < 1 or n < 1 or r < 0:
+        raise PreconditionError(
+            f"need k >= 1, n >= 1, r >= 0, got k = {k}, n = {n}, r = {r}"
         )
-    ts = TupleSet(k, n, dense_threshold=dense_threshold)
+    limits.check_switch_tuples(count_switch_tuples(k, n, r))
+    ts = TupleSet(k, n, limits=limits)
     prefixes = values = np.arange(k, dtype=np.int64)
     switches = np.zeros(k, dtype=np.int64)
     for _ in range(n - 1):
@@ -277,15 +266,11 @@ def switch_generation_evidence(
     r: int,
     n: int,
     *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
-    dense_threshold: int | None = None,
+    limits: Limits = LIMITS,
 ) -> SwitchEvidence:
     """Close the at-most-r-switch tuples of A^n and record the outcome."""
-    seeds = switch_tuples(
-        algebra.k, n, r, budget=space_budget, dense_threshold=dense_threshold
-    )
-    closed = closure(algebra, seeds, step_budget=step_budget)
+    seeds = switch_tuples(algebra.k, n, r, limits=limits)
+    closed = closure(algebra, seeds, limits=limits)
     return SwitchEvidence(
         n=n,
         r=r,
@@ -301,13 +286,10 @@ def is_r_switchable_at(
     r: int,
     n: int,
     *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
+    limits: Limits = LIMITS,
 ) -> bool:
     """True iff the at-most-r-switch tuples generate all of A^n."""
-    return switch_generation_evidence(
-        algebra, r, n, space_budget=space_budget, step_budget=step_budget
-    ).full
+    return switch_generation_evidence(algebra, r, n, limits=limits).full
 
 
 @dataclass(frozen=True)
@@ -334,9 +316,7 @@ def equal_pair_evidence(
     algebra: Algebra,
     m: int,
     *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
-    dense_threshold: int | None = None,
+    limits: Limits = LIMITS,
 ) -> DGenEvidence:
     """Close the tuples of A^(2m) with some designated equal pair.
 
@@ -344,10 +324,8 @@ def equal_pair_evidence(
     non-full at every m at least k characterizes exponential growth, but
     a bounded scan can only ever support, not certify, that direction.
     """
-    seeds = equal_pair_tuples(
-        algebra.k, m, budget=space_budget, dense_threshold=dense_threshold
-    )
-    closed = closure(algebra, seeds, step_budget=step_budget)
+    seeds = equal_pair_tuples(algebra.k, m, limits=limits)
+    closed = closure(algebra, seeds, limits=limits)
     return DGenEvidence(
         m=m,
         seed_count=len(seeds),
@@ -357,17 +335,9 @@ def equal_pair_evidence(
     )
 
 
-def equal_pair_generates(
-    algebra: Algebra,
-    m: int,
-    *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
-) -> bool:
+def equal_pair_generates(algebra: Algebra, m: int, *, limits: Limits = LIMITS) -> bool:
     """True iff the designated-equal-pair tuples generate all of A^(2m)."""
-    return equal_pair_evidence(
-        algebra, m, space_budget=space_budget, step_budget=step_budget
-    ).full
+    return equal_pair_evidence(algebra, m, limits=limits).full
 
 
 # -- generating-set sizes ----------------------------------------------
@@ -386,9 +356,7 @@ class GeneratingSet:
     generators: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
-def _exact_minimum(
-    algebra: Algebra, n: int, step_budget: int | None, node_budget: int
-) -> tuple[int, ...]:
+def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
     space = algebra.k**n
     nodes = 0
 
@@ -405,33 +373,28 @@ def _exact_minimum(
                 # closure of what it already picked.
                 continue
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"exact search exceeded {node_budget} nodes at k**n = {space}"
-                )
-            grown = closure_extend(algebra, closed, [e], step_budget=step_budget)
+            limits.check_nodes(nodes, space)
+            grown = closure_extend(algebra, closed, [e], limits=limits)
             found = extend(chosen + [e], grown, target)
             if found is not None:
                 return found
         return None
 
     for target in range(1, space + 1):
-        found = extend([], TupleSet(algebra.k, n), target)
+        found = extend([], TupleSet(algebra.k, n, limits=limits), target)
         if found is not None:
             return tuple(found)
     raise AssertionError("the full space generates itself")
 
 
-def _greedy_upper_bound(
-    algebra: Algebra, n: int, step_budget: int | None
-) -> tuple[int, ...]:
+def _greedy_upper_bound(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
     space = algebra.k**n
-    closed = TupleSet(algebra.k, n)
+    closed = TupleSet(algebra.k, n, limits=limits)
     chosen: list[int] = []
     for e in range(space):
         if not closed.has_encoding(e):
             chosen.append(e)
-            closed = closure_extend(algebra, closed, [e], step_budget=step_budget)
+            closed = closure_extend(algebra, closed, [e], limits=limits)
             if is_full(closed):
                 break
     return tuple(chosen)
@@ -442,16 +405,13 @@ def min_generating_size(
     n: int,
     *,
     mode: str = "auto",
-    exact_budget: int = EXACT_BUDGET,
-    node_budget: int = EXACT_NODE_BUDGET,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
+    limits: Limits = LIMITS,
 ) -> GeneratingSet:
     """Smallest (mode "exact") or small (mode "greedy") generating set of A^n.
 
     The exact search is iterative-deepening over ascending encodings and
     returns the lexicographically least minimum set; it refuses spaces
-    larger than exact_budget and searches larger than node_budget (deep
+    larger than limits.exact and searches larger than limits.nodes (deep
     minimum sets make the tree explode well before the space cap does).
     Mode "auto" picks exact when affordable.
     """
@@ -459,22 +419,19 @@ def min_generating_size(
         raise PreconditionError(f"power must be >= 1, got {n}")
     if mode not in ("auto", "exact", "greedy"):
         raise PreconditionError(f"unknown search mode {mode!r}")
-    check_space(algebra.k, n, space_budget)
+    limits.check_space(algebra.k, n)
     space = algebra.k**n
     if not algebra.operations:
         # Closure is the identity, so every tuple must be a generator.
-        ts = TupleSet.full(algebra.k, n)
+        ts = TupleSet.full(algebra.k, n, limits=limits)
         return GeneratingSet(n=n, size=space, mode="exact", generators=tuple(ts))
     if mode == "auto":
-        mode = "exact" if space <= exact_budget else "greedy"
+        mode = "exact" if space <= limits.exact else "greedy"
     if mode == "exact":
-        if space > exact_budget:
-            raise BudgetExceededError(
-                f"k**n = {space} exceeds the exact-search budget {exact_budget}"
-            )
-        encodings = _exact_minimum(algebra, n, step_budget, node_budget)
+        limits.check_exact(space)
+        encodings = _exact_minimum(algebra, n, limits)
     else:
-        encodings = _greedy_upper_bound(algebra, n, step_budget)
+        encodings = _greedy_upper_bound(algebra, n, limits)
     probe = TupleSet(algebra.k, n)
     generators = tuple(probe.decode(e) for e in encodings)
     return GeneratingSet(n=n, size=len(encodings), mode=mode, generators=generators)
@@ -504,10 +461,7 @@ def growth_profile(
     n_max: int,
     *,
     mode: str = "exact",
-    exact_budget: int = EXACT_BUDGET,
-    node_budget: int = EXACT_NODE_BUDGET,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
+    limits: Limits = LIMITS,
 ) -> GrowthProfile:
     """Generating-set sizes of A^1 .. A^n_max, one row per power.
 
@@ -524,29 +478,15 @@ def growth_profile(
     note = None
     for n in range(1, n_max + 1):
         row_mode = mode
-        if mode == "exact" and algebra.k**n > exact_budget:
+        if mode == "exact" and algebra.k**n > limits.exact:
             row_mode = "greedy"
         gs = None
         try:
-            gs = min_generating_size(
-                algebra,
-                n,
-                mode=row_mode,
-                exact_budget=exact_budget,
-                node_budget=node_budget,
-                space_budget=space_budget,
-                step_budget=step_budget,
-            )
+            gs = min_generating_size(algebra, n, mode=row_mode, limits=limits)
         except BudgetExceededError:
             if row_mode == "exact":
                 try:
-                    gs = min_generating_size(
-                        algebra,
-                        n,
-                        mode="greedy",
-                        space_budget=space_budget,
-                        step_budget=step_budget,
-                    )
+                    gs = min_generating_size(algebra, n, mode="greedy", limits=limits)
                 except BudgetExceededError as exc:
                     note = f"rows from n = {n} omitted: {exc}"
                     break

@@ -11,18 +11,81 @@ fixed point, independent of batching.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .algebra import Algebra, OperationTable, evaluate
-from .errors import BudgetExceededError, UniverseMismatchError
+from .errors import BudgetExceededError, PreconditionError, UniverseMismatchError
 
-DENSE_THRESHOLD = 1 << 26  # largest k**n realized as a dense membership array
-SPACE_BUDGET = 1 << 26  # largest k**n the enumerating constructors accept
-STEP_BUDGET = 10**9  # closure combination applications
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
 _CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Every budget a bounded route stops at; each is enforced by one method.
+
+    A method that finds its budget exceeded raises BudgetExceededError.
+    """
+
+    space: int = 1 << 26  # largest k**n a scan or enumerating constructor accepts
+    steps: int = 10**9  # closure combination applications, per closure call
+    exact: int = 256  # largest k**n the exact minimum-size search accepts
+    nodes: int = 20_000  # search-tree nodes before the exact search gives up
+    combinations: int = 10**7  # argument combinations per preservation scan
+    dense: int = 1 << 26  # largest k**n realized as a dense membership array
+
+    def check_space(self, k: int, n: int) -> None:
+        if k**n > self.space:
+            raise BudgetExceededError(
+                f"tuple space k**n = {k}**{n} = {k**n} exceeds the space budget "
+                f"{self.space}"
+            )
+
+    def check_switch_tuples(self, total: int) -> None:
+        if total > self.space:
+            raise BudgetExceededError(
+                f"{total} bounded-switch tuples exceed the budget {self.space}"
+            )
+
+    def check_exact(self, space: int) -> None:
+        if space > self.exact:
+            raise BudgetExceededError(
+                f"k**n = {space} exceeds the exact-search budget {self.exact}"
+            )
+
+    def check_nodes(self, nodes: int, space: int) -> None:
+        if nodes > self.nodes:
+            raise BudgetExceededError(
+                f"exact search exceeded {self.nodes} nodes at k**n = {space}"
+            )
+
+    def check_combinations(self, count: int, arity: int) -> None:
+        if count**arity > self.combinations:
+            raise BudgetExceededError(
+                f"{count}**{arity} argument combinations exceed the budget "
+                f"{self.combinations}"
+            )
+
+    def charge_steps(
+        self, steps: int, cells: int, rounds: int, result: TupleSet
+    ) -> int:
+        """Steps applied once a batch of `cells` runs after `steps`; a closure
+        that cannot afford the batch is refused with how far it got.
+        """
+        if steps + cells > self.steps:
+            raise BudgetExceededError(
+                f"closure exceeded the step budget of {self.steps:,} "
+                f"combination applications (rounds completed: {rounds}, "
+                f"tuples: {len(result):,} of {result.space:,}, "
+                f"steps applied: {steps:,})"
+            )
+        return steps + cells
+
+
+LIMITS = Limits()
 
 
 def encode_tuple(t: Sequence[int], k: int) -> int:
@@ -43,13 +106,13 @@ class TupleSet:
     """A subset of A^n with integer-encoded members.
 
     Membership storage is dense (one byte per point of the whole space)
-    when k**n fits under the threshold, sparse (a set of encodings)
+    when k**n fits under limits.dense, sparse (a set of encodings)
     otherwise.  The two representations are observationally identical.
     """
 
     __slots__ = ("k", "n", "space", "_dense", "_sparse", "_count")
 
-    def __init__(self, k: int, n: int, *, dense_threshold: int | None = None):
+    def __init__(self, k: int, n: int, *, limits: Limits = LIMITS):
         if k < 1:
             raise ValueError(f"universe size must be >= 1, got {k}")
         if n < 1:
@@ -59,11 +122,10 @@ class TupleSet:
             raise BudgetExceededError(
                 f"tuple space k**n = {space} exceeds the representable limit"
             )
-        threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
         self.k = k
         self.n = n
         self.space = space
-        if space <= threshold:
+        if space <= limits.dense:
             self._dense: np.ndarray | None = np.zeros(space, dtype=bool)
             self._sparse: set[int] | None = None
         else:
@@ -74,8 +136,8 @@ class TupleSet:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def empty(cls, k: int, n: int, *, dense_threshold: int | None = None) -> "TupleSet":
-        return cls(k, n, dense_threshold=dense_threshold)
+    def empty(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
+        return cls(k, n, limits=limits)
 
     @classmethod
     def from_tuples(
@@ -84,9 +146,9 @@ class TupleSet:
         n: int,
         tuples: Iterable[Sequence[int]],
         *,
-        dense_threshold: int | None = None,
+        limits: Limits = LIMITS,
     ) -> "TupleSet":
-        ts = cls(k, n, dense_threshold=dense_threshold)
+        ts = cls(k, n, limits=limits)
         for t in tuples:
             ts.add(t)
         return ts
@@ -98,9 +160,9 @@ class TupleSet:
         n: int,
         encodings: Iterable[int],
         *,
-        dense_threshold: int | None = None,
+        limits: Limits = LIMITS,
     ) -> "TupleSet":
-        ts = cls(k, n, dense_threshold=dense_threshold)
+        ts = cls(k, n, limits=limits)
         for e in encodings:
             ts.add_encoding(int(e))
         return ts
@@ -112,21 +174,20 @@ class TupleSet:
         n: int,
         predicate: Callable[[np.ndarray], np.ndarray],
         *,
-        budget: int | None = None,
-        dense_threshold: int | None = None,
+        limits: Limits = LIMITS,
     ) -> "TupleSet":
         """The tuples of A^n that the predicate keeps.  It maps each
         scan_space batch's (rows, n) digit matrix to a boolean row mask.
         """
-        batches = scan_space(k, n, budget=budget)
-        ts = cls(k, n, dense_threshold=dense_threshold)
+        batches = scan_space(k, n, limits=limits)
+        ts = cls(k, n, limits=limits)
         for encodings, digits in batches:
             ts.add_encodings_array(encodings[predicate(digits)])
         return ts
 
     @classmethod
-    def full(cls, k: int, n: int, *, dense_threshold: int | None = None) -> "TupleSet":
-        ts = cls(k, n, dense_threshold=dense_threshold)
+    def full(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
+        ts = cls(k, n, limits=limits)
         if ts._dense is not None:
             ts._dense[:] = True
         else:
@@ -258,23 +319,17 @@ def apply_pointwise(op: OperationTable, rows: Sequence[Sequence[int]]) -> tuple[
     return tuple(evaluate(op, tuple(row[i] for row in rows)) for i in range(n))
 
 
-def equal_pair_tuples(
-    k: int,
-    m: int,
-    *,
-    budget: int | None = None,
-    dense_threshold: int | None = None,
-) -> TupleSet:
+def equal_pair_tuples(k: int, m: int, *, limits: Limits = LIMITS) -> TupleSet:
     """Tuples of length 2m where some designated pair (2i, 2i+1) is equal.
 
     The complement consists of tuples whose m designated pairs are all
     unequal, so the cardinality is k**(2m) - (k*k - k)**m.
     """
     if k < 1 or m < 1:
-        raise ValueError("need k >= 1 and m >= 1")
+        raise PreconditionError(f"need k >= 1 and m >= 1, got k = {k}, m = {m}")
     return TupleSet.from_mask(
         k, 2 * m, lambda digits: (digits[:, 0::2] == digits[:, 1::2]).any(axis=1),
-        budget=budget, dense_threshold=dense_threshold,
+        limits=limits,
     )
 
 
@@ -283,25 +338,16 @@ def _weights(k: int, n: int) -> np.ndarray:
     return np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
 
 
-def check_space(k: int, n: int, budget: int | None = None) -> None:
-    """Refuse A^n when k**n exceeds the space budget (default SPACE_BUDGET)."""
-    limit = SPACE_BUDGET if budget is None else budget
-    if k**n > limit:
-        raise BudgetExceededError(
-            f"tuple space k**n = {k}**{n} = {k**n} exceeds the space budget {limit}"
-        )
-
-
 def scan_space(
-    k: int, n: int, *, budget: int | None = None
+    k: int, n: int, *, limits: Limits = LIMITS
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Walk A^n in ascending encoding order, in batches of at most
     _CHUNK_CELLS digit cells.
 
     Yields each batch's int64 encodings with their (rows, n) digit matrix.
-    A space above the budget is refused here, before any batch is made.
+    A space above the space budget is refused here, before any batch is made.
     """
-    check_space(k, n, budget)
+    limits.check_space(k, n)
     return _scan_batches(k, n)
 
 
@@ -320,18 +366,28 @@ def _digit_matrix(encodings: np.ndarray, weights: np.ndarray, k: int) -> np.ndar
 
 
 def _grid_batches(
-    digit_groups: list[np.ndarray], chunk_cells: int
+    digit_groups: list[np.ndarray],
 ) -> Iterator[tuple[list[np.ndarray], int]]:
-    """Split the cartesian grid over the rows of the groups along its first
-    axis into batches of at most chunk_cells cells (at least one row each).
+    """Split the cartesian grid over the rows of the groups into batches of
+    at most _CHUNK_CELLS cells, in row-major order.
 
-    Yields each batch's groups with its cell count.
+    The first axis is cut into runs of rows.  When one row of it alone
+    exceeds the batch size, its rows are taken one at a time and the rest
+    of the grid is split the same way.  Yields each batch's groups with
+    its cell count.
     """
     first, rest = digit_groups[0], digit_groups[1:]
     tail = math.prod(g.shape[0] for g in rest)
     if tail == 0:
         return
-    rows_per = max(1, chunk_cells // tail)
+    if tail > _CHUNK_CELLS:
+        inner = list(_grid_batches(rest))
+        for i in range(first.shape[0]):
+            row = first[i : i + 1]
+            for batch, cells in inner:
+                yield [row, *batch], cells
+        return
+    rows_per = max(1, _CHUNK_CELLS // tail)
     for start in range(0, first.shape[0], rows_per):
         head = first[start : start + rows_per]
         yield [head, *rest], head.shape[0] * tail
@@ -364,8 +420,7 @@ def _saturate(
     result: TupleSet,
     old: np.ndarray,
     new: np.ndarray,
-    step_budget: int,
-    chunk_cells: int,
+    limits: Limits,
 ) -> TupleSet:
     """Drive (old | new) to the closure fixed point inside `result`.
 
@@ -393,18 +448,11 @@ def _saturate(
                     new_digits if (pattern >> (s - 1 - i)) & 1 else old_digits
                     for i in range(s)
                 ]
-                for batch, cells in _grid_batches(groups, chunk_cells):
+                for batch, cells in _grid_batches(groups):
                     # The closure is the least fixed point: a full set is final.
                     if is_full(result):
                         return result
-                    if steps + cells > step_budget:
-                        raise BudgetExceededError(
-                            f"closure exceeded the step budget of {step_budget:,} "
-                            f"combination applications (rounds completed: {rounds}, "
-                            f"tuples: {len(result):,} of {result.space:,}, "
-                            f"steps applied: {steps:,})"
-                        )
-                    steps += cells
+                    steps = limits.charge_steps(steps, cells, rounds, result)
                     fresh = result.add_encodings_array(
                         _grid_results(table, batch, k, weights)
                     )
@@ -417,13 +465,7 @@ def _saturate(
     return result
 
 
-def closure(
-    algebra: Algebra,
-    seeds: TupleSet,
-    *,
-    step_budget: int | None = None,
-    chunk_cells: int | None = None,
-) -> TupleSet:
+def closure(algebra: Algebra, seeds: TupleSet, *, limits: Limits = LIMITS) -> TupleSet:
     """Least superset of the seeds closed under every operation, applied
     coordinatewise.  The seeds are not modified; the result inherits their
     dense/sparse representation.
@@ -440,8 +482,7 @@ def closure(
         result,
         np.empty(0, np.int64),
         seeds.encodings(),
-        STEP_BUDGET if step_budget is None else step_budget,
-        _CHUNK_CELLS if chunk_cells is None else chunk_cells,
+        limits,
     )
 
 
@@ -450,8 +491,7 @@ def closure_extend(
     closed: TupleSet,
     extra_encodings: Iterable[int],
     *,
-    step_budget: int | None = None,
-    chunk_cells: int | None = None,
+    limits: Limits = LIMITS,
 ) -> TupleSet:
     """Closure of closed | extras, assuming `closed` is already closed.
 
@@ -467,6 +507,5 @@ def closure_extend(
         result,
         closed.encodings(),
         np.array(sorted(fresh), dtype=np.int64),
-        STEP_BUDGET if step_budget is None else step_budget,
-        _CHUNK_CELLS if chunk_cells is None else chunk_cells,
+        limits,
     )

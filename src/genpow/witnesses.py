@@ -20,26 +20,23 @@ import numpy as np
 from .algebra import Algebra, OperationTable, evaluate, first_non_idempotent
 from .criteria import SubsetPair, projective_coordinate, switch_tuples
 from .errors import (
-    BudgetExceededError,
     GenpowError,
     NotIdempotentError,
     PreconditionError,
 )
 from .subpower import (
+    LIMITS,
+    Limits,
     TupleSet,
-    _CHUNK_CELLS,
     _digit_matrix,
     _grid_batches,
     _grid_results,
     _weights,
-    check_space,
     closure,
     decode_tuple,
     is_full,
     scan_space,
 )
-
-PRESERVATION_BUDGET = 10**7  # argument combinations per preservation scan
 
 
 @dataclass(frozen=True)
@@ -98,21 +95,16 @@ class NiceRelation:
         wide = np.repeat(digits, self.block_lengths, axis=1)
         return self.base.contains_encodings(wide @ _weights(self.k, self.base.n))
 
-    def materialize(
-        self, *, budget: int | None = None, dense_threshold: int | None = None
-    ) -> TupleSet:
+    def materialize(self, *, limits: Limits = LIMITS) -> TupleSet:
         """Flatten to an explicit TupleSet of arity m."""
-        return TupleSet.from_mask(
-            self.k, self.m, self.contains_digits,
-            budget=budget, dense_threshold=dense_threshold,
-        )
+        return TupleSet.from_mask(self.k, self.m, self.contains_digits, limits=limits)
 
 
-def verify_nice(rel: NiceRelation, *, budget: int | None = None) -> bool:
+def verify_nice(rel: NiceRelation, *, limits: Limits = LIMITS) -> bool:
     """Exhaustively check both clauses: the excluded tuple really is out,
     and every tuple with some adjacent equal pair really is in.
     """
-    batches = scan_space(rel.k, rel.m, budget=budget)
+    batches = scan_space(rel.k, rel.m, limits=limits)
     if rel.contains(rel.excluded):
         return False
     for _, digits in batches:
@@ -127,9 +119,7 @@ def nice_relation_from_nonswitchability(
     r: int,
     n: int,
     *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
-    dense_threshold: int | None = None,
+    limits: Limits = LIMITS,
 ) -> NiceRelation:
     """Collapse a non-switchability witness into a nice relation.
 
@@ -140,11 +130,9 @@ def nice_relation_from_nonswitchability(
     the minimum, so it lies in the closure: the quotient is nice.
     """
     # Taken first so that an over-budget space is refused before the closure.
-    batches = scan_space(algebra.k, n, budget=space_budget)
-    seeds = switch_tuples(
-        algebra.k, n, r, budget=space_budget, dense_threshold=dense_threshold
-    )
-    closed = closure(algebra, seeds, step_budget=step_budget)
+    batches = scan_space(algebra.k, n, limits=limits)
+    seeds = switch_tuples(algebra.k, n, r, limits=limits)
+    closed = closure(algebra, seeds, limits=limits)
     if is_full(closed):
         raise PreconditionError(
             f"algebra generates its power from {r}-switch tuples at n = {n}; "
@@ -180,7 +168,7 @@ def nice_relation_from_nonswitchability(
         base=closed,
         excluded=tuple(values),
     )
-    if not verify_nice(rel, budget=space_budget):
+    if not verify_nice(rel, limits=limits):
         raise GenpowError(
             "internal error: collapsed non-switchability witness failed "
             "the niceness check"
@@ -188,12 +176,7 @@ def nice_relation_from_nonswitchability(
     return rel
 
 
-def evenize_nice(
-    rel: NiceRelation,
-    *,
-    budget: int | None = None,
-    dense_threshold: int | None = None,
-) -> NiceRelation:
+def evenize_nice(rel: NiceRelation, *, limits: Limits = LIMITS) -> NiceRelation:
     """Reduce an odd-arity relation to even arity by merging two variables.
 
     Even input is returned unchanged.  For odd arity, two positions of
@@ -220,7 +203,7 @@ def evenize_nice(
     source = [q - 1 if t == p else (t if t < p else t - 1) for t in range(m)]
     base = TupleSet.from_mask(
         rel.k, m - 1, lambda digits: rel.contains_digits(digits[:, source]),
-        budget=budget, dense_threshold=dense_threshold,
+        limits=limits,
     )
     dropped = tuple(u[t] for t in range(m) if t != p)
     return NiceRelation(
@@ -261,8 +244,7 @@ def cross_equality_witness(
     n: int,
     k: int,
     *,
-    budget: int | None = None,
-    dense_threshold: int | None = None,
+    limits: Limits = LIMITS,
 ) -> CrossEqualityWitness:
     """Build the arity-(2n+k) obstruction from a sufficiently wide nice
     relation.
@@ -286,7 +268,7 @@ def cross_equality_witness(
         raise PreconditionError(
             f"relation arity {m} must exceed 2*k^2*n^2 = {bound}"
         )
-    if not verify_nice(rel, budget=budget):
+    if not verify_nice(rel, limits=limits):
         raise PreconditionError("relation is not nice")
     u = rel.excluded
     pairs = [(u[2 * t], u[2 * t + 1]) for t in range(m // 2)]
@@ -311,8 +293,8 @@ def cross_equality_witness(
         position_vars[2 * t + 1] = n + j
         seen += 1
 
-    batches = scan_space(k, arity, budget=budget)
-    relation = TupleSet(k, arity, dense_threshold=dense_threshold)
+    batches = scan_space(k, arity, limits=limits)
+    relation = TupleSet(k, arity, limits=limits)
     cross_violation = None
     for encodings, digits in batches:
         member = rel.contains_digits(digits[:, position_vars])
@@ -344,11 +326,7 @@ def cross_equality_witness(
 
 
 def subset_pair_relation(
-    pair: SubsetPair,
-    n: int,
-    *,
-    budget: int | None = None,
-    dense_threshold: int | None = None,
+    pair: SubsetPair, n: int, *, limits: Limits = LIMITS
 ) -> TupleSet:
     """Tuples of A^(2n) where some designated pair (2t, 2t+1) lies in
     (alpha x alpha) | (beta x beta).
@@ -360,12 +338,12 @@ def subset_pair_relation(
     rho = np.outer(alpha, alpha) | np.outer(beta, beta)
     return TupleSet.from_mask(
         pair.k, 2 * n, lambda digits: rho[digits[:, 0::2], digits[:, 1::2]].any(axis=1),
-        budget=budget, dense_threshold=dense_threshold,
+        limits=limits,
     )
 
 
 def preserves_relation(
-    op: OperationTable, rel: TupleSet, *, budget: int | None = None
+    op: OperationTable, rel: TupleSet, *, limits: Limits = LIMITS
 ) -> bool:
     """Brute-force preservation: every arity-many choice of members maps
     to a member under coordinatewise application.
@@ -379,16 +357,12 @@ def preserves_relation(
     if count == 0:
         return True
     s = op.arity
-    limit = PRESERVATION_BUDGET if budget is None else budget
-    if count**s > limit:
-        raise BudgetExceededError(
-            f"{count}**{s} argument combinations exceed the budget {limit}"
-        )
+    limits.check_combinations(count, s)
     k, n = rel.k, rel.n
     weights = _weights(k, n)
     digits = _digit_matrix(members, weights, k)
     table = np.asarray(op.table, dtype=np.int64)
-    for batch, _ in _grid_batches([digits] * s, _CHUNK_CELLS):
+    for batch, _ in _grid_batches([digits] * s):
         if not rel.contains_encodings(_grid_results(table, batch, k, weights)).all():
             return False
     return True
@@ -427,7 +401,7 @@ def _format_elements(elements: Iterable[int]) -> str:
 
 
 def projectivity_counterexample(
-    op: OperationTable, pair: SubsetPair, *, budget: int | None = None
+    op: OperationTable, pair: SubsetPair, *, limits: Limits = LIMITS
 ) -> ProjectivityCounterexample:
     """Exhibit a subset-pair relation violation for a non-projective op.
 
@@ -475,7 +449,7 @@ def projectivity_counterexample(
         rows.append(args)
         rows.append((c_j,) * s)
     image = tuple(evaluate(op, row) for row in rows)
-    sigma = subset_pair_relation(pair, s, budget=budget)
+    sigma = subset_pair_relation(pair, s, limits=limits)
     for i in range(s):
         column = tuple(row[i] for row in rows)
         if column not in sigma:
@@ -507,9 +481,7 @@ def find_blocker_bounded(
     base: Sequence[int],
     n_max: int,
     *,
-    space_budget: int | None = None,
-    step_budget: int | None = None,
-    dense_threshold: int | None = None,
+    limits: Limits = LIMITS,
 ) -> Optional[tuple[int, ...]]:
     """Greedily grow a candidate blocking subset from `base`.
 
@@ -534,17 +506,16 @@ def find_blocker_bounded(
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     # The largest power is refused before any closure runs.
-    check_space(k, n_max, space_budget)
+    limits.check_space(k, n_max)
 
     def blocks(candidate: frozenset[int]) -> bool:
         hits = np.zeros(k, dtype=bool)
         hits[list(candidate)] = True
         for n in range(1, n_max + 1):
             seeds = TupleSet.from_mask(
-                k, n, lambda digits: hits[digits].any(axis=1),
-                budget=space_budget, dense_threshold=dense_threshold,
+                k, n, lambda digits: hits[digits].any(axis=1), limits=limits
             )
-            if is_full(closure(algebra, seeds, step_budget=step_budget)):
+            if is_full(closure(algebra, seeds, limits=limits)):
                 return False
         return True
 

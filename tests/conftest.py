@@ -3,7 +3,8 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from genpow import load_algebra
+import genpow.subpower
+from genpow import closure, load_algebra
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -43,6 +44,18 @@ def egp3():
 @pytest.fixture(scope="session")
 def non_idem():
     return load_algebra(corpus_path("non_idempotent"))
+
+
+@pytest.fixture
+def small_batch_closure(monkeypatch):
+    """closure() with the engine's grid batches cut to 64 cells."""
+
+    def run(algebra, seeds):
+        with monkeypatch.context() as patch:
+            patch.setattr(genpow.subpower, "_CHUNK_CELLS", 64)
+            return closure(algebra, seeds)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -243,7 +243,7 @@ def test_criterion_7_lower_bound_arithmetic(criterion):
     criterion(7, "generator lower bound exact, dominating, tight only at n=1", body)
 
 
-def test_criterion_8_cli_determinism(criterion, capsys, corpus):
+def test_criterion_8_cli_determinism(criterion, capsys, corpus, small_batch_closure):
     def body():
         files = [
             "projections_k2",
@@ -295,6 +295,6 @@ def test_criterion_8_cli_determinism(criterion, capsys, corpus):
             seeds = TupleSet.from_tuples(
                 alg.k, 3, [(a, a, (a + 1) % alg.k) for a in range(alg.k)]
             )
-            assert closure(alg, seeds) == closure(alg, seeds, chunk_cells=64)
+            assert closure(alg, seeds) == small_batch_closure(alg, seeds)
 
     criterion(8, "every CLI subcommand is byte-identical across repeat runs", body)

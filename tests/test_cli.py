@@ -130,6 +130,41 @@ def test_d_check_budget_on_proper_closure(run):
     assert "of 81," in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["d-check", "xor3", "--m", "0"],
+        ["switchable", "xor3", "--r", "-1", "--n", "3"],
+        ["switchable", "xor3", "--r", "1", "--n", "0"],
+        ["dump", "d", "xor3", "--m", "0"],
+        ["dump", "switch", "xor3", "--r", "-2", "--n", "3"],
+    ],
+    ids=["d-check-m0", "switchable-r-1", "switchable-n0", "dump-d-m0", "dump-switch-r-2"],
+)
+def test_out_of_range_sizes_exit_3(run, argv):
+    argv = [str(path(a)) if a == "xor3" else a for a in argv]
+    rc, out, err = run(*argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("genpow: precondition violated:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--closure-budget", "--exact-budget"])
+def test_negative_budget_is_a_usage_error(run, flag):
+    rc, out, err = run("growth", path("xor3"), "--n-max", 2, flag, -1)
+    assert (rc, out) == (1, "")
+    assert "budget must be >= 0" in err
+
+
+def test_zero_budgets_are_legal(run):
+    rc, out, _ = run("growth", path("xor3"), "--n-max", 2, "--exact-budget", 0)
+    assert rc == 0
+    assert out == "n,size,mode\n1,2,greedy\n2,3,greedy\n"
+    rc, out, err = run("d-check", path("xor3"), "--m", 1, "--closure-budget", 0)
+    assert (rc, out) == (4, "")
+    assert err.startswith("genpow: budget exceeded: closure exceeded the step budget of 0")
+
+
 def test_switchable(run):
     rc, out, _ = run("switchable", path("xor3"), "--r", 1, "--n", 2)
     assert rc == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from genpow import (
     Algebra,
     BudgetExceededError,
+    Limits,
     NotIdempotentError,
     OperationTable,
     PreconditionError,
@@ -245,7 +246,7 @@ def test_switch_tuples_against_enumeration(k, n, r):
 
 def test_switch_tuples_budget():
     with pytest.raises(BudgetExceededError):
-        switch_tuples(2, 10, 2, budget=50)
+        switch_tuples(2, 10, 2, limits=Limits(space=50))
 
 
 def test_switchability_examples(xor3, proj2):
@@ -343,7 +344,7 @@ def test_min_generating_size_rejections(xor3):
 
 def test_exact_search_node_budget(egp3):
     with pytest.raises(BudgetExceededError):
-        min_generating_size(egp3, 2, mode="exact", node_budget=5)
+        min_generating_size(egp3, 2, mode="exact", limits=Limits(nodes=5))
 
 
 # -- growth profiles ----------------------------------------------------
@@ -387,7 +388,7 @@ def test_growth_profile_greedy_mode(xor3):
 
 
 def test_growth_profile_node_budget_fallback(egp3):
-    profile = growth_profile(egp3, 3, node_budget=50)
+    profile = growth_profile(egp3, 3, limits=Limits(nodes=50))
     assert [row.mode for row in profile.rows] == ["exact", "greedy", "greedy"]
     assert profile.rows[0].size == 2
     assert profile.rows[1].size >= 4
@@ -395,7 +396,7 @@ def test_growth_profile_node_budget_fallback(egp3):
 
 
 def test_growth_profile_space_budget_note(xor3):
-    profile = growth_profile(xor3, 4, space_budget=8)
+    profile = growth_profile(xor3, 4, limits=Limits(space=8))
     assert [row.n for row in profile.rows] == [1, 2, 3]
     assert profile.note is not None
     assert profile.note.startswith("rows from n = 4 omitted")
@@ -417,6 +418,6 @@ def test_growth_sizes_nondecreasing(k, data):
     for a in range(k):
         table[a * k + a] = a
     alg = one_op(table, k=k)
-    profile = growth_profile(alg, 3, node_budget=2000)
+    profile = growth_profile(alg, 3, limits=Limits(nodes=2000))
     sizes = [row.size for row in profile.rows]
     assert sizes == sorted(sizes)

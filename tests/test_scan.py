@@ -13,7 +13,9 @@ import pytest
 
 import genpow.subpower
 from genpow import (
+    LIMITS,
     BudgetExceededError,
+    Limits,
     TupleSet,
     cross_equality_witness,
     equal_pair_tuples,
@@ -42,8 +44,8 @@ def small_batches(request, monkeypatch):
     monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", request.param)
 
 
-@pytest.fixture(params=[None, 0], ids=["dense", "sparse"])
-def threshold(request):
+@pytest.fixture(params=[LIMITS, Limits(dense=0)], ids=["dense", "sparse"])
+def limits(request):
     return request.param
 
 
@@ -58,21 +60,21 @@ def test_scan_walks_the_space_in_order():
 
 def test_scan_refuses_before_the_first_batch():
     with pytest.raises(BudgetExceededError):
-        scan_space(2, 5, budget=31)
+        scan_space(2, 5, limits=Limits(space=31))
     with pytest.raises(BudgetExceededError):
         scan_space(2, 40)
 
 
-def test_iteration_decodes_in_ascending_order(threshold):
+def test_iteration_decodes_in_ascending_order(limits):
     members = [(2, 0, 1), (0, 0, 0), (1, 2, 2), (0, 2, 1), (2, 2, 2)]
-    ts = TupleSet.from_tuples(3, 3, members, dense_threshold=threshold)
+    ts = TupleSet.from_tuples(3, 3, members, limits=limits)
     assert list(ts) == sorted(members)
     assert list(ts.lines()) == [" ".join(map(str, t)) for t in sorted(members)]
 
 
 @pytest.mark.parametrize("k,m", [(1, 2), (2, 1), (2, 3), (3, 2)])
-def test_equal_pair_tuples(threshold, k, m):
-    ts = equal_pair_tuples(k, m, dense_threshold=threshold)
+def test_equal_pair_tuples(limits, k, m):
+    ts = equal_pair_tuples(k, m, limits=limits)
     assert list(ts) == sorted(brute_equal_pair_tuples(k, m))
 
 
@@ -86,17 +88,17 @@ def test_equal_pair_tuples(threshold, k, m):
         (4, [0, 1, 3], [2, 3], 1),
     ],
 )
-def test_subset_pair_relation(threshold, k, alpha, beta, n):
+def test_subset_pair_relation(limits, k, alpha, beta, n):
     pair = SubsetPair.from_elements(k, alpha, beta)
-    ts = subset_pair_relation(pair, n, dense_threshold=threshold)
+    ts = subset_pair_relation(pair, n, limits=limits)
     assert list(ts) == sorted(brute_subset_pair_relation(k, alpha, beta, n))
 
 
 @pytest.mark.parametrize(
     "k,n,r", [(2, 1, 0), (2, 6, 0), (2, 6, 2), (2, 7, 6), (3, 4, 1), (3, 5, 3)]
 )
-def test_switch_tuples(threshold, k, n, r):
-    ts = switch_tuples(k, n, r, dense_threshold=threshold)
+def test_switch_tuples(limits, k, n, r):
+    ts = switch_tuples(k, n, r, limits=limits)
     assert list(ts) == sorted(brute_switch_tuples(k, n, r))
 
 
@@ -113,31 +115,31 @@ NICE_CASES = [
 
 
 @pytest.mark.parametrize("name,r,n", NICE_CASES)
-def test_nice_relation_pipeline(corpus, threshold, name, r, n):
+def test_nice_relation_pipeline(corpus, limits, name, r, n):
     algebra = corpus[name]
     k = algebra.k
     closed = brute_closure(algebra, brute_switch_tuples(k, n, r))
     blocks, values = brute_collapse_runs(brute_fewest_switch_outsider(k, n, closed))
 
-    rel = nice_relation_from_nonswitchability(algebra, r, n, dense_threshold=threshold)
+    rel = nice_relation_from_nonswitchability(algebra, r, n, limits=limits)
     assert set(rel.base) == closed
     assert (rel.block_lengths, rel.excluded) == (blocks, values)
 
     members = brute_block_members(k, blocks, closed)
-    assert list(rel.materialize(dense_threshold=threshold)) == sorted(members)
+    assert list(rel.materialize(limits=limits)) == sorted(members)
 
     if rel.m % 2:
-        even = evenize_nice(rel, dense_threshold=threshold)
+        even = evenize_nice(rel, limits=limits)
         expected, dropped = brute_evenize(k, members, rel.excluded)
         assert even.excluded == dropped
         assert list(even.base) == sorted(expected)
 
 
-def punctured(k, holes, threshold):
+def punctured(k, holes, limits):
     """All of A^m but the holes; the first hole is the excluded tuple."""
     m = len(holes[0])
     members = set(itertools.product(range(k), repeat=m)) - set(holes)
-    base = TupleSet.from_tuples(k, m, members, dense_threshold=threshold)
+    base = TupleSet.from_tuples(k, m, members, limits=limits)
     rel = NiceRelation(k=k, block_lengths=(1,) * m, base=base, excluded=holes[0])
     return rel, members
 
@@ -150,23 +152,23 @@ def punctured(k, holes, threshold):
         (3, [(1, 2, 0, 2, 1, 0, 1), (0, 1, 0, 1, 0, 1, 0)]),
     ],
 )
-def test_evenize_nice(threshold, k, holes):
-    rel, members = punctured(k, holes, threshold)
-    even = evenize_nice(rel, dense_threshold=threshold)
+def test_evenize_nice(limits, k, holes):
+    rel, members = punctured(k, holes, limits)
+    even = evenize_nice(rel, limits=limits)
     expected, dropped = brute_evenize(k, members, rel.excluded)
     assert even.excluded == dropped
     assert list(even.base) == sorted(expected)
 
 
 @pytest.mark.parametrize("source", ["pipeline", "punctured"])
-def test_cross_equality_relation(proj2, threshold, source):
+def test_cross_equality_relation(proj2, limits, source):
     if source == "pipeline":
-        rel = nice_relation_from_nonswitchability(proj2, 7, 10, dense_threshold=threshold)
+        rel = nice_relation_from_nonswitchability(proj2, 7, 10, limits=limits)
         members = brute_block_members(2, rel.block_lengths, set(rel.base))
     else:
         holes = [(0, 1) * 4 + (0,), (1, 0) * 4 + (1,)]
-        rel, members = punctured(2, holes, threshold)
-    witness = cross_equality_witness(rel, 1, 2, dense_threshold=threshold)
+        rel, members = punctured(2, holes, limits)
+    witness = cross_equality_witness(rel, 1, 2, limits=limits)
     expected, excluded = brute_cross_equality(2, 1, members, rel.excluded)
     assert witness.excluded == excluded
     assert list(witness.relation) == sorted(expected)

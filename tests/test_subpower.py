@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genpow.subpower
+
 from genpow import (
+    LIMITS,
     Algebra,
     BudgetExceededError,
+    Limits,
     OperationTable,
     TupleSet,
     UniverseMismatchError,
@@ -19,6 +23,7 @@ from genpow import (
     equal_pair_tuples,
     is_full,
 )
+from genpow.subpower import _grid_batches, _grid_results, _weights
 from tests.oracles import brute_closure, brute_equal_pair_tuples
 
 
@@ -41,9 +46,9 @@ def every_tuple(k, n):
     return list(itertools.product(range(k), repeat=n))
 
 
-@pytest.mark.parametrize("threshold", [None, 0])
-def test_tupleset_basics(threshold):
-    ts = TupleSet(2, 3, dense_threshold=threshold)
+@pytest.mark.parametrize("limits", [LIMITS, Limits(dense=0)], ids=["None", "0"])
+def test_tupleset_basics(limits):
+    ts = TupleSet(2, 3, limits=limits)
     assert len(ts) == 0
     assert ts.add((0, 1, 1))
     assert not ts.add((0, 1, 1))
@@ -57,7 +62,7 @@ def test_tupleset_basics(threshold):
 
 def test_dense_and_sparse_agree():
     dense = TupleSet(3, 2)
-    sparse = TupleSet(3, 2, dense_threshold=0)
+    sparse = TupleSet(3, 2, limits=Limits(dense=0))
     for t in [(0, 1), (2, 2), (1, 0), (0, 1)]:
         assert dense.add(t) == sparse.add(t)
     assert dense == sparse
@@ -131,7 +136,7 @@ def test_equal_pair_tuples_against_enumeration(k, m):
 
 def test_equal_pair_tuples_respects_budget():
     with pytest.raises(BudgetExceededError):
-        equal_pair_tuples(3, 5, budget=100)
+        equal_pair_tuples(3, 5, limits=Limits(space=100))
 
 
 def test_closure_of_projections_is_identity(proj2):
@@ -224,31 +229,57 @@ def test_closure_monotone(alg, a, b):
     assert all(big.has_encoding(int(e)) for e in small.encodings())
 
 
-def test_closure_chunk_size_independent(xor3, egp3):
+def test_closure_chunk_size_independent(xor3, egp3, small_batch_closure):
     seeds = equal_pair_tuples(2, 2)
     default = closure(xor3, seeds)
-    tiny = closure(xor3, seeds, chunk_cells=64)
+    tiny = small_batch_closure(xor3, seeds)
     assert default == tiny
     seeds3 = TupleSet.from_tuples(3, 2, [(0, 1), (1, 2), (2, 0)])
-    assert closure(egp3, seeds3) == closure(egp3, seeds3, chunk_cells=64)
+    assert closure(egp3, seeds3) == small_batch_closure(egp3, seeds3)
+
+
+def test_grid_batches_never_exceed_the_batch_size():
+    # The trailing 300 x 300 axes alone exceed 2^16 cells, so the first
+    # axis is taken one row at a time and the second is cut into runs.
+    groups = [np.zeros((300, 1), dtype=np.int64)] * 3
+    cells = [count for _, count in _grid_batches(groups)]
+    assert max(cells) <= genpow.subpower._CHUNK_CELLS
+    assert sum(cells) == 300**3
+
+
+@pytest.mark.parametrize("cells", [1, 5, 7, 64])
+def test_grid_batches_cover_the_grid_in_order(monkeypatch, cells):
+    monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(0)
+    groups = [rng.integers(0, 3, size=(rows, 2)) for rows in (4, 3, 5)]
+    table = rng.integers(0, 3, size=27)
+    weights = _weights(3, 2)
+    parts = []
+    for batch, count in _grid_batches(groups):
+        assert 1 <= count <= cells
+        parts.append(_grid_results(table, batch, 3, weights))
+        assert parts[-1].size == count
+    whole = _grid_results(table, groups, 3, weights)
+    assert np.concatenate(parts).tolist() == whole.tolist()
+    assert list(_grid_batches([groups[0], groups[1][:0], groups[2]])) == []
 
 
 def test_closure_dense_sparse_equivalent(egp3):
     dense = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)])
-    sparse = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)], dense_threshold=0)
+    sparse = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)], limits=Limits(dense=0))
     assert closure(egp3, dense) == closure(egp3, sparse)
 
 
 def test_closure_step_budget(xor3):
     seeds = TupleSet.from_tuples(2, 4, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)])
     with pytest.raises(BudgetExceededError):
-        closure(xor3, seeds, step_budget=10)
+        closure(xor3, seeds, limits=Limits(steps=10))
 
 
 def test_closure_stops_at_full_power(xor3):
     # The first argument pattern alone is 240**3 = 13.8 M cells, but its
     # first 57,600-cell row already fills A^8.
-    assert is_full(closure(xor3, equal_pair_tuples(2, 4), step_budget=200_000))
+    assert is_full(closure(xor3, equal_pair_tuples(2, 4), limits=Limits(steps=200_000)))
 
 
 # xor3 closes these seeds to their affine hull of 4 tuples in 64 cells:
@@ -258,15 +289,15 @@ _HULL_SEEDS = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
 
 def test_closure_budget_on_proper_closure(xor3):
     seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
-    assert len(closure(xor3, seeds, step_budget=64)) == 4
+    assert len(closure(xor3, seeds, limits=Limits(steps=64))) == 4
     with pytest.raises(BudgetExceededError):
-        closure(xor3, seeds, step_budget=63)
+        closure(xor3, seeds, limits=Limits(steps=63))
 
 
 def test_closure_budget_error_reports_progress(xor3):
     seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
     with pytest.raises(BudgetExceededError) as info:
-        closure(xor3, seeds, step_budget=50)
+        closure(xor3, seeds, limits=Limits(steps=50))
     # The fourth pattern of round 1 would bring 48 applied steps to 57.
     assert "rounds completed: 1, tuples: 4 of 16, steps applied: 48" in str(info.value)
 

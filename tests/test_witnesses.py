@@ -6,6 +6,7 @@ import pytest
 from genpow import (
     BudgetExceededError,
     GenpowError,
+    Limits,
     NotIdempotentError,
     OperationTable,
     PreconditionError,
@@ -74,7 +75,7 @@ def test_nice_relation_materialize():
     flat = rel.materialize()
     assert set(flat) == {(0, 1), (1, 0)}
     with pytest.raises(BudgetExceededError):
-        rel.materialize(budget=2)
+        rel.materialize(limits=Limits(space=2))
 
 
 def test_verify_nice_accepts_and_rejects():
@@ -268,7 +269,7 @@ def test_subset_pair_relation_complement_product():
 
 def test_subset_pair_relation_budget():
     with pytest.raises(BudgetExceededError):
-        subset_pair_relation(SubsetPair(2, 1, 2), 5, budget=100)
+        subset_pair_relation(SubsetPair(2, 1, 2), 5, limits=Limits(space=100))
 
 
 def test_preserves_relation_examples(min2, xor3):
@@ -307,7 +308,7 @@ def test_preserves_relation_rejections(min2):
     op = min2.operation("min")
     sigma2 = subset_pair_relation(SubsetPair(2, 1, 2), 2)
     with pytest.raises(BudgetExceededError):
-        preserves_relation(op, sigma2, budget=10)
+        preserves_relation(op, sigma2, limits=Limits(combinations=10))
     with pytest.raises(PreconditionError):
         preserves_relation(op, TupleSet.full(3, 1))
 
