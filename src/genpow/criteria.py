@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, evaluate, first_non_idempotent
+from .algebra import Algebra, OperationTable, first_non_idempotent
 from .errors import (
     BudgetExceededError,
     NotIdempotentError,
@@ -34,6 +34,7 @@ from .subpower import (
     TupleSet,
     closure,
     closure_extend,
+    decode_tuple,
     equal_pair_tuples,
     is_full,
 )
@@ -350,10 +351,19 @@ class GeneratingSet:
     mode "exact" means provably minimum; "greedy" is an upper bound.
     """
 
+    k: int
     n: int
-    size: int
     mode: str
-    generators: tuple[tuple[int, ...], ...] = field(repr=False)
+    # Ascending generator encodings; a range when every tuple is needed.
+    encodings: Sequence[int] = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.encodings)
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(decode_tuple(e, self.k, self.n) for e in self.encodings)
 
 
 def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
@@ -423,8 +433,7 @@ def min_generating_size(
     space = algebra.k**n
     if not algebra.operations:
         # Closure is the identity, so every tuple must be a generator.
-        ts = TupleSet.full(algebra.k, n, limits=limits)
-        return GeneratingSet(n=n, size=space, mode="exact", generators=tuple(ts))
+        return GeneratingSet(k=algebra.k, n=n, mode="exact", encodings=range(space))
     if mode == "auto":
         mode = "exact" if space <= limits.exact else "greedy"
     if mode == "exact":
@@ -432,9 +441,7 @@ def min_generating_size(
         encodings = _exact_minimum(algebra, n, limits)
     else:
         encodings = _greedy_upper_bound(algebra, n, limits)
-    probe = TupleSet(algebra.k, n)
-    generators = tuple(probe.decode(e) for e in encodings)
-    return GeneratingSet(n=n, size=len(encodings), mode=mode, generators=generators)
+    return GeneratingSet(k=algebra.k, n=n, mode=mode, encodings=encodings)
 
 
 @dataclass(frozen=True)

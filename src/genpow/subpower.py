@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -247,12 +248,17 @@ class TupleSet:
         return self._count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for digits in self._digit_batches():
+            yield from map(tuple, digits.tolist())
+
+    def _digit_batches(self) -> Iterator[np.ndarray]:
+        """Digit matrices of the members, ascending, in batches of at most
+        _CHUNK_CELLS digits."""
         members = self.encodings()
         weights = _weights(self.k, self.n)
         rows = max(1, _CHUNK_CELLS // self.n)
         for start in range(0, members.size, rows):
-            batch = _digit_matrix(members[start : start + rows], weights, self.k)
-            yield from map(tuple, batch.tolist())
+            yield _digit_matrix(members[start : start + rows], weights, self.k)
 
     def encodings(self) -> np.ndarray:
         """All member encodings, ascending, as an int64 array."""
@@ -270,13 +276,15 @@ class TupleSet:
         """Insert encodings in bulk; return the subset that was actually new."""
         if arr.size == 0:
             return arr
-        arr = np.unique(arr)
         if self._dense is not None:
+            # Most batches are all known already; dedupe only the rest.
             fresh = arr[~self._dense[arr]]
+            if fresh.size > 1:
+                fresh = np.unique(fresh)
             self._dense[fresh] = True
         else:
             sparse = self._sparse
-            fresh_list = [e for e in arr.tolist() if e not in sparse]
+            fresh_list = [e for e in np.unique(arr).tolist() if e not in sparse]
             sparse.update(fresh_list)
             fresh = np.array(fresh_list, dtype=np.int64)
         self._count += fresh.size
@@ -297,8 +305,9 @@ class TupleSet:
 
     def lines(self) -> Iterator[str]:
         """Export rows: base-k digits separated by spaces, ascending."""
-        for t in self:
-            yield " ".join(str(a) for a in t)
+        symbols = np.array([str(a) for a in range(self.k)], dtype=object)
+        for digits in self._digit_batches():
+            yield from map(" ".join, symbols[digits].tolist())
 
 
 def is_full(ts: TupleSet) -> bool:
@@ -394,25 +403,76 @@ def _grid_batches(
 
 
 def _grid_results(
-    table: np.ndarray,
-    digit_groups: Sequence[np.ndarray],
-    k: int,
-    weights: np.ndarray,
+    columns: Sequence[tuple[np.ndarray, int]],
+    groups: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Result encodings of applying one operation to every argument combo.
 
-    digit_groups[i] has shape (size_i, n); the grid is the cartesian
-    product over rows of the groups.
+    groups[i] has one row per argument tuple and one column per block,
+    most significant first; the grid is the cartesian product over rows of
+    the groups.  columns[c] = (table, base) evaluates block c: `base` is
+    the number of values a block-c entry takes (k**width) and `table` is
+    the operation on such blocks (see _power_table).  Block results are
+    joined in base `base`, so one gather is done per block.
     """
-    first, rest = digit_groups[0], digit_groups[1:]
+    first, rest = groups[0], groups[1:]
     result = None
-    for c in range(weights.size):
+    for c, (table, base) in enumerate(columns):
         index = first[:, c]
         for group in rest:
-            index = index[..., None] * k + group[:, c]
-        values = table[index] * weights[c]
-        result = values if result is None else result + values
+            index = index[..., None] * base + group[:, c]
+        if result is None:
+            result = table[index].astype(np.int64)
+        else:
+            result *= base
+            result += table[index]
     return result.ravel()
+
+
+@lru_cache(maxsize=64)
+def _power_table(op: OperationTable, width: int) -> np.ndarray:
+    """The operation applied coordinatewise to A^width, on encodings.
+
+    Indexed like op.table with base-k**width block encodings for
+    arguments; each entry is the encoding of the image.  Built by
+    _grid_results over the digit matrix of A^width, in the narrowest
+    unsigned dtype, and read-only since every caller shares it.
+    """
+    k = op.k
+    table = np.array(op.table, dtype=np.min_scalar_type(k - 1))
+    if width > 1:
+        digits = _digit_matrix(np.arange(k**width, dtype=np.int64), _weights(k, width), k)
+        images = _grid_results([(table, k)] * width, [digits] * op.arity)
+        table = images.astype(np.min_scalar_type(k**width - 1))
+    table.flags.writeable = False
+    return table
+
+
+def _block_columns(op: OperationTable, n: int) -> tuple[int, list[tuple[np.ndarray, int]]]:
+    """Block width b for evaluating op on A^n, with the _grid_results
+    column of each of the ceil(n/b) blocks, most significant first.
+
+    b is the widest width <= n whose power table, k**(b*arity) entries,
+    fits in one grid batch, and at least 1.  The top block holds the
+    n - (blocks-1)*b leftover coordinates and has its own narrower table:
+    padding it with zero coordinates would be wrong whenever
+    f(0, ..., 0) != 0.
+    """
+    k = op.k
+    b = 1
+    while b < n and k ** ((b + 1) * op.arity) <= _CHUNK_CELLS:
+        b += 1
+    blocks = -(-n // b)
+    widths = [n - (blocks - 1) * b] + [b] * (blocks - 1)
+    return b, [(_power_table(op, w), k**w) for w in widths]
+
+
+def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
+    """Shape (len(encodings), ceil(n/b)) matrix of base-k**b blocks,
+    most significant first.  With b = n the encoding is the only block."""
+    if b == n:
+        return encodings[:, None]
+    return _digit_matrix(encodings, _weights(k**b, -(-n // b)), k**b)
 
 
 def _saturate(
@@ -430,22 +490,24 @@ def _saturate(
     if not algebra.operations:
         return result
     k, n = result.k, result.n
-    weights = _weights(k, n)
-    tables = [np.asarray(op.table, dtype=np.int64) for op in algebra.operations]
+    layouts = [_block_columns(op, n) for op in algebra.operations]
     steps = 0
     rounds = 0
     while new.size:
-        old_digits = _digit_matrix(old, weights, k)
-        new_digits = _digit_matrix(new, weights, k)
+        splits = {
+            b: (_split_blocks(old, k, b, n), _split_blocks(new, k, b, n))
+            for b in {b for b, _ in layouts}
+        }
         produced: list[np.ndarray] = []
-        for op, table in zip(algebra.operations, tables):
+        for op, (b, columns) in zip(algebra.operations, layouts):
             s = op.arity
+            old_blocks, new_blocks = splits[b]
             # Every argument pattern that draws at least one tuple from
             # the new frontier; all-old combos were covered in earlier
             # rounds.
             for pattern in range(1, 1 << s):
                 groups = [
-                    new_digits if (pattern >> (s - 1 - i)) & 1 else old_digits
+                    new_blocks if (pattern >> (s - 1 - i)) & 1 else old_blocks
                     for i in range(s)
                 ]
                 for batch, cells in _grid_batches(groups):
@@ -453,9 +515,7 @@ def _saturate(
                     if is_full(result):
                         return result
                     steps = limits.charge_steps(steps, cells, rounds, result)
-                    fresh = result.add_encodings_array(
-                        _grid_results(table, batch, k, weights)
-                    )
+                    fresh = result.add_encodings_array(_grid_results(columns, batch))
                     if fresh.size:
                         produced.append(fresh)
         rounds += 1

@@ -28,9 +28,10 @@ from .subpower import (
     LIMITS,
     Limits,
     TupleSet,
-    _digit_matrix,
+    _block_columns,
     _grid_batches,
     _grid_results,
+    _split_blocks,
     _weights,
     closure,
     decode_tuple,
@@ -358,12 +359,10 @@ def preserves_relation(
         return True
     s = op.arity
     limits.check_combinations(count, s)
-    k, n = rel.k, rel.n
-    weights = _weights(k, n)
-    digits = _digit_matrix(members, weights, k)
-    table = np.asarray(op.table, dtype=np.int64)
-    for batch, _ in _grid_batches([digits] * s):
-        if not rel.contains_encodings(_grid_results(table, batch, k, weights)).all():
+    b, columns = _block_columns(op, rel.n)
+    blocks = _split_blocks(members, rel.k, b, rel.n)
+    for batch, _ in _grid_batches([blocks] * s):
+        if not rel.contains_encodings(_grid_results(columns, batch)).all():
             return False
     return True
 

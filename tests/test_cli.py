@@ -192,6 +192,22 @@ def test_growth_greedy(run):
     assert out == "n,size,mode\n1,2,greedy\n2,4,greedy\n"
 
 
+def test_growth_without_operations_does_not_list_every_tuple():
+    # Every tuple generates itself, so row n has size 2**n.  Listing the
+    # 2**21 tuples of the last row as Python tuples takes about 10 s and
+    # 0.5 GB; the timeout turns that into a failure.
+    proc = subprocess.run(
+        [sys.executable, "-m", "genpow", "growth", str(path("projections_k2")),
+         "--n-max", "21"],
+        capture_output=True,
+        text=True,
+        timeout=4,
+    )
+    assert proc.returncode == 0
+    rows = [f"{n},{2**n},exact" for n in range(1, 22)]
+    assert proc.stdout == "\n".join(["n,size,mode", *rows]) + "\n"
+
+
 def test_growth_rejects_bad_mode(run):
     rc, _, err = run("growth", path("min2"), "--n-max", 2, "--mode", "auto")
     assert rc == 1

@@ -92,6 +92,18 @@ def test_lines_sorted_lexicographically():
     assert list(ts.lines()) == ["0 0", "0 1", "1 0"]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 16])
+@pytest.mark.parametrize("limits", [LIMITS, Limits(dense=0)], ids=["dense", "sparse"])
+def test_lines_match_the_per_tuple_format(k, limits):
+    # From k = 11 on, elements 10, 11, ... print with two digits.
+    rng = np.random.default_rng(k)
+    encodings = rng.choice(k**3, size=min(k**3, 40), replace=False)
+    ts = TupleSet.from_encodings(k, 3, encodings.tolist(), limits=limits)
+    assert list(ts.lines()) == [" ".join(str(a) for a in t) for t in ts]
+    if k == 11:
+        assert list(TupleSet.from_tuples(11, 2, [(10, 3)]).lines()) == ["10 3"]
+
+
 def test_tupleset_rejects_out_of_range():
     ts = TupleSet(2, 2)
     with pytest.raises(ValueError):
@@ -115,6 +127,15 @@ def test_add_encodings_array_returns_fresh_only():
     fresh = ts.add_encodings_array(np.array([3, 5, 5, 7], dtype=np.int64))
     assert sorted(fresh.tolist()) == [5, 7]
     assert len(ts) == 4
+    # A batch that repeats fresh encodings, unsorted, on both backends.
+    for limits in (LIMITS, Limits(dense=0)):
+        ts = TupleSet.from_encodings(2, 3, [0, 3], limits=limits)
+        fresh = ts.add_encodings_array(np.array([6, 3, 1, 6, 0, 1, 6], dtype=np.int64))
+        assert fresh.tolist() == [1, 6]
+        assert ts.add_encodings_array(np.array([3, 6, 6], dtype=np.int64)).tolist() == []
+        assert ts.add_encodings_array(np.array([2], dtype=np.int64)).tolist() == [2]
+        assert ts.encodings().tolist() == [0, 1, 2, 3, 6]
+        assert len(ts) == 5
 
 
 def test_apply_pointwise():
@@ -257,9 +278,9 @@ def test_grid_batches_cover_the_grid_in_order(monkeypatch, cells):
     parts = []
     for batch, count in _grid_batches(groups):
         assert 1 <= count <= cells
-        parts.append(_grid_results(table, batch, 3, weights))
+        parts.append(_grid_results([(table, 3)] * weights.size, batch))
         assert parts[-1].size == count
-    whole = _grid_results(table, groups, 3, weights)
+    whole = _grid_results([(table, 3)] * weights.size, groups)
     assert np.concatenate(parts).tolist() == whole.tolist()
     assert list(_grid_batches([groups[0], groups[1][:0], groups[2]])) == []
 

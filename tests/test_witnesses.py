@@ -5,7 +5,6 @@ import pytest
 
 from genpow import (
     BudgetExceededError,
-    GenpowError,
     Limits,
     NotIdempotentError,
     OperationTable,
