@@ -45,8 +45,8 @@ def report(path: Path, m_extra: int, n_max: int) -> None:
             f" {'full' if ev.full else 'not full'}"
         )
     for n in range(2, n_max + 1):
-        rs = [r for r in range(n) if is_r_switchable_at(algebra, r, n)]
-        least = rs[0] if rs else "-"
+        # More switches give more seeds, so the first r that works is the least.
+        least = next((r for r in range(n) if is_r_switchable_at(algebra, r, n)), "-")
         print(f"   least r with switchability at n={n}: {least}")
 
 

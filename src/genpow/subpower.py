@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, evaluate
+from .algebra import Algebra, OperationTable
 from .errors import BudgetExceededError, PreconditionError, UniverseMismatchError
 
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
@@ -135,10 +135,6 @@ class TupleSet:
         self._count = 0
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def empty(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
-        return cls(k, n, limits=limits)
 
     @classmethod
     def from_tuples(
@@ -273,7 +269,8 @@ class TupleSet:
         return np.fromiter((e in sparse for e in arr.tolist()), dtype=bool, count=arr.size)
 
     def add_encodings_array(self, arr: np.ndarray) -> np.ndarray:
-        """Insert encodings in bulk; return the subset that was actually new."""
+        """Insert encodings in bulk; return the ones that were actually new,
+        ascending."""
         if arr.size == 0:
             return arr
         if self._dense is not None:
@@ -313,19 +310,6 @@ class TupleSet:
 def is_full(ts: TupleSet) -> bool:
     """True iff the set is all of A^n."""
     return len(ts) == ts.space
-
-
-def apply_pointwise(op: OperationTable, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Apply an operation coordinatewise to a stack of equal-length tuples."""
-    if len(rows) != op.arity:
-        raise ValueError(
-            f"operation {op.name!r} expects {op.arity} rows, got {len(rows)}"
-        )
-    n = len(rows[0])
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("rows must all have the same arity")
-    return tuple(evaluate(op, tuple(row[i] for row in rows)) for i in range(n))
 
 
 def equal_pair_tuples(k: int, m: int, *, limits: Limits = LIMITS) -> TupleSet:
@@ -475,6 +459,15 @@ def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
     return _digit_matrix(encodings, _weights(k**b, -(-n // b)), k**b)
 
 
+@lru_cache(maxsize=64)
+def _layouts(
+    operations: tuple[OperationTable, ...], n: int, chunk_cells: int
+) -> tuple[tuple[int, list[tuple[np.ndarray, int]]], ...]:
+    """_block_columns of each operation on A^n.  Keyed on the batch size
+    too, because the block width depends on it."""
+    return tuple(_block_columns(op, n) for op in operations)
+
+
 def _saturate(
     algebra: Algebra,
     result: TupleSet,
@@ -485,43 +478,69 @@ def _saturate(
     """Drive (old | new) to the closure fixed point inside `result`.
 
     `old` must already be closed as a standalone set; every member of
-    both arrays must already be present in `result`.
+    both arrays must already be present in `result`.  Both are ascending.
+
+    A round that fits one batch and the step budget is evaluated whole:
+    s grids per s-ary operation, one charge and one insertion.  Any other
+    round runs argument pattern by pattern in batches, charging and
+    inserting per batch, so a refusal says how far it got.  No batch of a
+    whole round could have been refused, and both ways insert the same
+    images, so the two agree on every result and every refusal.
     """
     if not algebra.operations:
         return result
     k, n = result.k, result.n
-    layouts = [_block_columns(op, n) for op in algebra.operations]
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    widths = {b for b, _ in layouts}
+    old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
     steps = 0
     rounds = 0
     while new.size:
-        splits = {
-            b: (_split_blocks(old, k, b, n), _split_blocks(new, k, b, n))
-            for b in {b for b, _ in layouts}
-        }
-        produced: list[np.ndarray] = []
-        for op, (b, columns) in zip(algebra.operations, layouts):
-            s = op.arity
-            old_blocks, new_blocks = splits[b]
-            # Every argument pattern that draws at least one tuple from
-            # the new frontier; all-old combos were covered in earlier
-            # rounds.
-            for pattern in range(1, 1 << s):
-                groups = [
-                    new_blocks if (pattern >> (s - 1 - i)) & 1 else old_blocks
-                    for i in range(s)
-                ]
-                for batch, cells in _grid_batches(groups):
-                    # The closure is the least fixed point: a full set is final.
-                    if is_full(result):
-                        return result
-                    steps = limits.charge_steps(steps, cells, rounds, result)
-                    fresh = result.add_encodings_array(_grid_results(columns, batch))
-                    if fresh.size:
-                        produced.append(fresh)
+        union = np.concatenate([old, new])
+        union.sort()
+        new_blocks = {b: _split_blocks(new, k, b, n) for b in widths}
+        union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
+        round_cells = sum(
+            union.size**op.arity - old.size**op.arity for op in algebra.operations
+        )
+        if round_cells <= _CHUNK_CELLS and steps + round_cells <= limits.steps:
+            # The closure is the least fixed point: a full set is final.
+            if is_full(result):
+                return result
+            steps = limits.charge_steps(steps, round_cells, rounds, result)
+            # Grid i draws argument i from the new frontier, the earlier
+            # ones from `old` and the later ones from `old | new`: together
+            # every combination that touches the frontier, each once.
+            images = []
+            for op, (b, columns) in zip(algebra.operations, layouts):
+                s = op.arity
+                for i in range(s if old.size else 1):
+                    groups = [old_blocks[b]] * i + [new_blocks[b]]
+                    groups += [union_blocks[b]] * (s - 1 - i)
+                    images.append(_grid_results(columns, groups))
+            new = result.add_encodings_array(np.concatenate(images))
+        else:
+            produced: list[np.ndarray] = []
+            for op, (b, columns) in zip(algebra.operations, layouts):
+                s = op.arity
+                # Every argument pattern that draws at least one tuple from
+                # the new frontier; all-old combos were covered in earlier
+                # rounds.
+                for pattern in range(1, 1 << s):
+                    groups = [
+                        new_blocks[b] if (pattern >> (s - 1 - i)) & 1 else old_blocks[b]
+                        for i in range(s)
+                    ]
+                    for batch, cells in _grid_batches(groups):
+                        if is_full(result):
+                            return result
+                        steps = limits.charge_steps(steps, cells, rounds, result)
+                        fresh = result.add_encodings_array(_grid_results(columns, batch))
+                        if fresh.size:
+                            produced.append(fresh)
+            new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
         rounds += 1
-        old = np.concatenate([old, new])
-        old.sort()
-        new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
+        old, old_blocks = union, union_blocks
     return result
 
 

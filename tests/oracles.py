@@ -5,6 +5,8 @@ scratch every pass, and shares no code with the package internals.
 """
 
 import itertools
+import math
+import random
 
 import numpy as np
 
@@ -37,6 +39,55 @@ def brute_closure(algebra, seeds):
                     current.add(image)
                     changed = True
     return frozenset(current)
+
+
+def per_pattern_charges(algebra, seeds, old=()):
+    """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
+    with the step-budget charges the per-pattern loop makes on the way.
+
+    Each round runs, for every operation in order, the argument patterns
+    1 .. 2**s - 1 in order: bit s-1-i of a pattern takes argument i from the
+    round's new tuples, a clear bit from the tuples known before the round.
+    Before each pattern the loop stops if the set is the whole space;
+    otherwise it charges the pattern's cell count, then inserts its images.
+    Returns the closed set and the charges as (steps applied before, cells,
+    rounds completed, tuples before).
+    """
+    current = set(old) | set(seeds)
+    if not current:
+        return frozenset(), []
+    width = len(next(iter(current)))
+    space = algebra.k**width
+    old = set(old)
+    new = current - old
+    steps = rounds = 0
+    charges = []
+    while new:
+        old_rows, new_rows = sorted(old), sorted(new)
+        produced = set()
+        for op in algebra.operations:
+            s = op.arity
+            for pattern in range(1, 2**s):
+                if len(current) == space:
+                    return frozenset(current), charges
+                groups = [
+                    new_rows if (pattern >> (s - 1 - i)) & 1 else old_rows
+                    for i in range(s)
+                ]
+                cells = math.prod(len(group) for group in groups)
+                charges.append((steps, cells, rounds, len(current)))
+                steps += cells
+                for args in itertools.product(*groups):
+                    image = tuple(
+                        apply_op(op, [row[i] for row in args]) for i in range(width)
+                    )
+                    if image not in current:
+                        current.add(image)
+                        produced.add(image)
+        rounds += 1
+        old |= new
+        new = produced
+    return frozenset(current), charges
 
 
 def brute_equal_pair_tuples(k, m):
@@ -103,6 +154,14 @@ def random_idempotent_binary(k, rng, name="f"):
     for a in range(k):
         table[a * k + a] = a
     return OperationTable(name=name, arity=2, k=k, table=tuple(table))
+
+
+def random_op(k, arity, seed):
+    """A seeded random table with f(0, ..., 0) != 0."""
+    rng = random.Random(seed)
+    table = [rng.randrange(k) for _ in range(k**arity)]
+    table[0] = rng.randrange(1, k)
+    return OperationTable(name=f"f{seed}", arity=arity, k=k, table=tuple(table))
 
 
 def brute_subset_pair_relation(k, alpha, beta, n):

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import genpow.subpower
-from genpow import Algebra, OperationTable, TupleSet, closure, preserves_relation
+from genpow import Algebra, TupleSet, closure, preserves_relation
 from genpow.subpower import _block_columns, _grid_results, _split_blocks
-from tests.oracles import apply_op, brute_closure, brute_preserves
+from tests.oracles import apply_op, brute_closure, brute_preserves, random_op
 
 DEFAULT_CELLS = genpow.subpower._CHUNK_CELLS
 
@@ -32,13 +32,6 @@ CASES = [(2, 2, 9), (2, 2, 11), (2, 3, 7), (2, 3, 11), (3, 2, 7), (3, 3, 4)]
 def cells(request, monkeypatch):
     monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", request.param)
     return request.param
-
-
-def random_op(k, arity, seed):
-    rng = random.Random(seed)
-    table = [rng.randrange(k) for _ in range(k**arity)]
-    table[0] = rng.randrange(1, k)  # f(0, ..., 0) != 0
-    return OperationTable(name=f"f{seed}", arity=arity, k=k, table=tuple(table))
 
 
 def random_tuples(k, n, count, seed):

@@ -1,4 +1,5 @@
-"""A guard that every imported name is used, in the package and its tests."""
+"""A guard that every imported name is used, in the package, its tests and
+its scripts."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import genpow
 
 SRC = pathlib.Path(genpow.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -37,7 +39,8 @@ def test_guard_finds_an_unused_import():
 def test_no_unused_imports():
     unused = [
         f"{path.parent.name}/{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for folder in (SRC, TESTS, SCRIPTS)
+        for path in sorted(folder.glob("*.py"))
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []

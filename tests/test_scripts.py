@@ -1,0 +1,44 @@
+"""One smoke test per script in scripts/, run as a subprocess on small
+arguments."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import genpow
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = pathlib.Path(genpow.__file__).resolve().parent.parent
+
+
+def run(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_growth_survey_prints_the_growth_rows():
+    survey = run(ROOT / "scripts" / "growth_survey.py", "algebras/min2.json", "--n-max", 3)
+    growth = run("-m", "genpow", "growth", "algebras/min2.json", "--n-max", 3)
+    assert survey.returncode == growth.returncode == 0
+    assert survey.stdout == "# min2.json\n" + growth.stdout
+
+
+def test_dichotomy_report_prints_its_verdict():
+    proc = run(
+        ROOT / "scripts" / "dichotomy_report.py",
+        "algebras/xor3.json", "--m-extra", 0, "--n-max", 3,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "== xor3.json: k=2, operations: xor3/3"
+    assert "   verdict: PGP" in lines
+    assert lines[-1] == "   least r with switchability at n=3: 1"

@@ -15,7 +15,6 @@ from genpow import (
     OperationTable,
     TupleSet,
     UniverseMismatchError,
-    apply_pointwise,
     closure,
     closure_extend,
     decode_tuple,
@@ -138,15 +137,6 @@ def test_add_encodings_array_returns_fresh_only():
         assert len(ts) == 5
 
 
-def test_apply_pointwise():
-    minop = OperationTable(name="min", arity=2, k=2, table=(0, 0, 0, 1))
-    assert apply_pointwise(minop, [(1, 1, 0), (1, 0, 1)]) == (1, 0, 0)
-    with pytest.raises(ValueError):
-        apply_pointwise(minop, [(1, 1)])
-    with pytest.raises(ValueError):
-        apply_pointwise(minop, [(1, 1), (1,)])
-
-
 @pytest.mark.parametrize("k,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_equal_pair_tuples_against_enumeration(k, m):
     ts = equal_pair_tuples(k, m)
@@ -180,7 +170,7 @@ def test_closure_universe_mismatch(xor3):
 
 
 def test_closure_empty_seeds(xor3):
-    assert len(closure(xor3, TupleSet.empty(2, 2))) == 0
+    assert len(closure(xor3, TupleSet(2, 2))) == 0
 
 
 def test_closure_matches_brute_force_on_corpus(corpus):
