@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .subpower import (
+    _CHUNK_CELLS,
     LIMITS,
     Limits,
     TupleSet,
@@ -94,6 +94,16 @@ class SubsetPair:
     def describe(self) -> str:
         return f"alpha={_format_subset(self.alpha)} beta={_format_subset(self.beta)}"
 
+    def relation_size(self, m: int) -> int:
+        """|R_m|, the tuples of A^(2m) with some designated pair (2i, 2i+1)
+        in alpha x alpha or beta x beta: k**(2m) - (k**2 - |rho|)**m, where
+        |rho| = |alpha|**2 + |beta|**2 - |alpha & beta|**2.
+        """
+        a, b, both = (
+            bin(mask).count("1") for mask in (self.alpha, self.beta, self.alpha & self.beta)
+        )
+        return self.k ** (2 * m) - (self.k**2 - a * a - b * b + both * both) ** m
+
 
 def iter_subset_pairs(k: int) -> Iterator[SubsetPair]:
     """All unordered covering pairs of proper subsets, masks ascending.
@@ -101,38 +111,85 @@ def iter_subset_pairs(k: int) -> Iterator[SubsetPair]:
     The projectivity condition is symmetric in the two subsets, so each
     pair appears once, with the smaller mask first.
     """
+    for alpha, beta in _subset_pair_chunks(k):
+        for a, b in zip(alpha.tolist(), beta.tolist()):
+            yield SubsetPair(k, a, b)
+
+
+def _subset_pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every covering pair of proper subsets of {0..k-1} as int64
+    (alpha, beta) mask arrays, alpha < beta, in mask order, in chunks
+    drawn from at most _CHUNK_CELLS candidate cells each.
+
+    beta covers the complement of alpha, so beta = ~alpha + d for a
+    proper submask d of alpha, and beta ascends with d.  The candidates
+    are the cells (alpha, d) with d < alpha, about 4**k / 2 of them,
+    taken in row-major order: several alpha rows per chunk when a row
+    fits, else one row in runs of columns.
+    """
+    if k > 62:
+        raise PreconditionError(
+            f"the covering-pair scan holds subsets as 64-bit masks, so it needs "
+            f"k <= 62, got k = {k}"
+        )
     full = (1 << k) - 1
-    for a in range(1, full):
-        for b in range(a + 1, full):
-            if a | b == full:
-                yield SubsetPair(k, a, b)
+    width = min(1 << k, _CHUNK_CELLS)
+    rows = _CHUNK_CELLS // width
+    for start in range(1, full, rows):
+        alpha = np.arange(start, min(start + rows, full), dtype=np.int64)[:, None]
+        top = int(alpha[-1, 0])
+        for column in range(0, top, width):
+            d = np.arange(column, min(column + width, top), dtype=np.int64)
+            beta = (full ^ alpha) | d
+            keep = ((d & ~alpha) == 0) & (d != alpha) & (beta > alpha)
+            row, col = np.nonzero(keep)
+            yield alpha[row, 0], beta[row, col]
+
+
+def _image_masks(op: OperationTable) -> np.ndarray:
+    """Shape (arity, k): entry [j, x] is the bitmask of the values op takes
+    on the argument tuples whose j-th argument is x."""
+    s = op.arity
+    bits = np.left_shift(1, np.array(op.table, dtype=np.int64)).reshape((op.k,) * s)
+    return np.stack([
+        np.bitwise_or.reduce(bits, axis=tuple(i for i in range(s) if i != j))
+        for j in range(s)
+    ])
+
+
+def _projective_coordinates(
+    op: OperationTable, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """Least 1-based projective coordinate of op for each pair
+    (alpha[p], beta[p]) of int64 masks, 0 where there is none.
+
+    Coordinate j fails for a pair iff some x in alpha has an image mask
+    F_j(x) not inside alpha, or some x in beta one not inside beta.
+    """
+    images = _image_masks(op)[:, None, :]
+    shifts = np.arange(op.k, dtype=np.int64)
+    fails = np.zeros((op.arity, alpha.size), dtype=bool)
+    for side in (alpha, beta):
+        member = ((side[:, None] >> shifts) & 1).astype(bool)
+        fails |= (member & ((images & ~side[:, None]) != 0)).any(axis=2)
+    works = ~fails
+    return np.where(works.any(axis=0), works.argmax(axis=0) + 1, 0)
 
 
 def projective_coordinate(op: OperationTable, pair: SubsetPair) -> Optional[int]:
     """1-based coordinate witnessing projectivity for the pair, or None.
 
     Coordinate j works when for every argument tuple, args[j] in alpha
-    forces the result into alpha, and likewise for beta.
+    forces the result into alpha, and likewise for beta.  The least such
+    j is returned.
     """
     if op.k != pair.k:
         raise PreconditionError(
             f"operation universe {op.k} != subset pair universe {pair.k}"
         )
-    k, s = op.k, op.arity
-    candidates = list(range(s))
-    for index, args in enumerate(product(range(k), repeat=s)):
-        value = op.table[index]
-        v_alpha = pair.in_alpha(value)
-        v_beta = pair.in_beta(value)
-        candidates = [
-            j
-            for j in candidates
-            if (v_alpha or not pair.in_alpha(args[j]))
-            and (v_beta or not pair.in_beta(args[j]))
-        ]
-        if not candidates:
-            return None
-    return candidates[0] + 1
+    masks = (np.array([mask], dtype=np.int64) for mask in (pair.alpha, pair.beta))
+    j = int(_projective_coordinates(op, *masks)[0])
+    return j or None
 
 
 @dataclass(frozen=True)
@@ -162,6 +219,42 @@ class EgpDecision:
         return lines
 
 
+def _projectivity_scan(algebra: Algebra) -> EgpDecision:
+    """The first pair of iter_subset_pairs for which every operation is
+    projective, with each operation's least projective coordinate and the
+    number of pairs scanned up to and including it; with no such pair,
+    the number of pairs.
+
+    Vectorized over a chunk of pairs at a time; the scan stops at the
+    first chunk that holds such a pair.  Idempotence is not assumed.
+    """
+    checked = 0
+    for alpha, beta in _subset_pair_chunks(algebra.k):
+        alive = np.arange(alpha.size)
+        columns: list[np.ndarray] = []
+        for op in algebra.operations:
+            coords = _projective_coordinates(op, alpha[alive], beta[alive])
+            found = coords > 0
+            alive = alive[found]
+            columns = [column[found] for column in columns] + [coords[found]]
+            if not alive.size:
+                break
+        if alive.size:
+            i = int(alive[0])
+            return EgpDecision(
+                k=algebra.k,
+                egp=True,
+                pair=SubsetPair(algebra.k, int(alpha[i]), int(beta[i])),
+                coordinates=tuple(
+                    (op.name, int(column[0]))
+                    for op, column in zip(algebra.operations, columns)
+                ),
+                pairs_checked=checked + i + 1,
+            )
+        checked += alpha.size
+    return EgpDecision(k=algebra.k, egp=False, pair=None, pairs_checked=checked)
+
+
 def decide_egp_idempotent(algebra: Algebra) -> EgpDecision:
     """Exact growth dichotomy for an idempotent algebra.
 
@@ -175,24 +268,7 @@ def decide_egp_idempotent(algebra: Algebra) -> EgpDecision:
     if witness is not None:
         op, a, v = witness
         raise NotIdempotentError(op.name, op.arity, a, v)
-    checked = 0
-    for pair in iter_subset_pairs(algebra.k):
-        checked += 1
-        coords = []
-        for op in algebra.operations:
-            j = projective_coordinate(op, pair)
-            if j is None:
-                break
-            coords.append((op.name, j))
-        else:
-            return EgpDecision(
-                k=algebra.k,
-                egp=True,
-                pair=pair,
-                coordinates=tuple(coords),
-                pairs_checked=checked,
-            )
-    return EgpDecision(k=algebra.k, egp=False, pair=None, pairs_checked=checked)
+    return _projectivity_scan(algebra)
 
 
 # -- switch-based generation ------------------------------------------
@@ -313,6 +389,29 @@ class DGenEvidence:
         ]
 
 
+def _equal_pair_ceiling(
+    algebra: Algebra, seeds: TupleSet, m: int, limits: Limits
+) -> int:
+    """Size of a closed superset of the equal-pair seeds of A^(2m): |R_m| of
+    the first covering pair every operation is projective for, else k**(2m).
+
+    R_m holds every seed, since alpha and beta cover A.  An operation
+    projective at j maps R_m into itself: the designated pair that puts
+    its j-th argument in R_m lies in alpha x alpha (or beta x beta), and
+    so does that pair of the image.  Idempotence is not needed.
+
+    The pair scan walks about 4**k candidate cells.  It runs only when
+    that many fit the space budget and the closure's first round has at
+    least as many cells, so it costs at most a share of the closure it
+    can shorten.
+    """
+    first_round = sum(len(seeds) ** op.arity for op in algebra.operations)
+    if 4**algebra.k > min(first_round, limits.space):
+        return seeds.space
+    pair = _projectivity_scan(algebra).pair
+    return seeds.space if pair is None else pair.relation_size(m)
+
+
 def equal_pair_evidence(
     algebra: Algebra,
     m: int,
@@ -324,9 +423,12 @@ def equal_pair_evidence(
     Fullness at some m at least k is polynomial-growth evidence; staying
     non-full at every m at least k characterizes exponential growth, but
     a bounded scan can only ever support, not certify, that direction.
+    The closure stops once it is full or holds |R_m| tuples for the first
+    all-projective covering pair (see _equal_pair_ceiling).
     """
     seeds = equal_pair_tuples(algebra.k, m, limits=limits)
-    closed = closure(algebra, seeds, limits=limits)
+    ceiling = _equal_pair_ceiling(algebra, seeds, m, limits)
+    closed = closure(algebra, seeds, limits=limits, ceiling=ceiling)
     return DGenEvidence(
         m=m,
         seed_count=len(seeds),

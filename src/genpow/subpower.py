@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -474,11 +474,16 @@ def _saturate(
     old: np.ndarray,
     new: np.ndarray,
     limits: Limits,
+    ceiling: int,
 ) -> TupleSet:
     """Drive (old | new) to the closure fixed point inside `result`.
 
     `old` must already be closed as a standalone set; every member of
     both arrays must already be present in `result`.  Both are ascending.
+    `ceiling` is the size of a closed superset of them (k**n, the full
+    power, unless the caller knows a smaller one).  The closure is the
+    least fixed point, so once the result holds `ceiling` tuples it is
+    that superset, and final; the check comes before each charge.
 
     A round that fits one batch and the step budget is evaluated whole:
     s grids per s-ary operation, one charge and one insertion.  Any other
@@ -504,8 +509,7 @@ def _saturate(
             union.size**op.arity - old.size**op.arity for op in algebra.operations
         )
         if round_cells <= _CHUNK_CELLS and steps + round_cells <= limits.steps:
-            # The closure is the least fixed point: a full set is final.
-            if is_full(result):
+            if len(result) == ceiling:
                 return result
             steps = limits.charge_steps(steps, round_cells, rounds, result)
             # Grid i draws argument i from the new frontier, the earlier
@@ -532,7 +536,7 @@ def _saturate(
                         for i in range(s)
                     ]
                     for batch, cells in _grid_batches(groups):
-                        if is_full(result):
+                        if len(result) == ceiling:
                             return result
                         steps = limits.charge_steps(steps, cells, rounds, result)
                         fresh = result.add_encodings_array(_grid_results(columns, batch))
@@ -544,10 +548,20 @@ def _saturate(
     return result
 
 
-def closure(algebra: Algebra, seeds: TupleSet, *, limits: Limits = LIMITS) -> TupleSet:
+def closure(
+    algebra: Algebra,
+    seeds: TupleSet,
+    *,
+    limits: Limits = LIMITS,
+    ceiling: Optional[int] = None,
+) -> TupleSet:
     """Least superset of the seeds closed under every operation, applied
     coordinatewise.  The seeds are not modified; the result inherits their
     dense/sparse representation.
+
+    `ceiling` is the size of a closed superset of the seeds known in
+    advance, k**n by default; the closure stops as soon as it holds that
+    many tuples.
     """
     if algebra.k != seeds.k:
         raise UniverseMismatchError(
@@ -562,6 +576,7 @@ def closure(algebra: Algebra, seeds: TupleSet, *, limits: Limits = LIMITS) -> Tu
         np.empty(0, np.int64),
         seeds.encodings(),
         limits,
+        seeds.space if ceiling is None else ceiling,
     )
 
 
@@ -587,4 +602,5 @@ def closure_extend(
         closed.encodings(),
         np.array(sorted(fresh), dtype=np.int64),
         limits,
+        result.space,
     )

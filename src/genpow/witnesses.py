@@ -466,9 +466,13 @@ def projectivity_counterexample(
 
 
 def egp_lower_bound(n: int, k: int) -> Fraction:
-    """Exact generator-count lower bound C(2n, n) / 2^k for the
-    exponential side, as a rational.  Dominates 2^(n-k), with equality
+    """The rational C(2n, n) / 2^k.  Dominates 2^(n-k), with equality
     exactly at n = 1.
+
+    It is not a lower bound on the size of generating sets of A^n for
+    EGP algebras: egp_lower_bound(4, 2) = 35/2, yet every algebra with
+    k = 2 has A^4 generated by its 16 tuples, the projections_k2 corpus
+    member (EGP) with none fewer.  Which power it bounds is open.
     """
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")

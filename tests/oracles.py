@@ -41,23 +41,40 @@ def brute_closure(algebra, seeds):
     return frozenset(current)
 
 
-def per_pattern_charges(algebra, seeds, old=()):
+def grid_runs(sizes, batch):
+    """Cell counts of the runs a row-major grid with these axis sizes is
+    cut into when no run may exceed `batch` cells: runs of whole rows of
+    the first axis, or, when one such row alone is larger, each of its
+    rows cut the same way in turn."""
+    first, rest = sizes[0], sizes[1:]
+    tail = math.prod(rest)
+    if first == 0 or tail == 0:
+        return []
+    if tail > batch:
+        return grid_runs(rest, batch) * first
+    per = max(1, batch // tail)
+    return [min(per, first - start) * tail for start in range(0, first, per)]
+
+
+def per_pattern_charges(algebra, seeds, old=(), stop=None, batch=None):
     """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
     with the step-budget charges the per-pattern loop makes on the way.
 
     Each round runs, for every operation in order, the argument patterns
     1 .. 2**s - 1 in order: bit s-1-i of a pattern takes argument i from the
     round's new tuples, a clear bit from the tuples known before the round.
-    Before each pattern the loop stops if the set is the whole space;
-    otherwise it charges the pattern's cell count, then inserts its images.
-    Returns the closed set and the charges as (steps applied before, cells,
-    rounds completed, tuples before).
+    A pattern is one charge, or with `batch` the grid_runs of its grid.
+    Before each charge the loop stops if the set holds `stop` tuples (the
+    whole space by default); otherwise it charges the cell count, then
+    inserts those cells' images.  Returns the set and the charges as
+    (steps applied before, cells, rounds completed, tuples before).
     """
     current = set(old) | set(seeds)
     if not current:
         return frozenset(), []
     width = len(next(iter(current)))
-    space = algebra.k**width
+    if stop is None:
+        stop = algebra.k**width
     old = set(old)
     new = current - old
     steps = rounds = 0
@@ -68,26 +85,106 @@ def per_pattern_charges(algebra, seeds, old=()):
         for op in algebra.operations:
             s = op.arity
             for pattern in range(1, 2**s):
-                if len(current) == space:
-                    return frozenset(current), charges
                 groups = [
                     new_rows if (pattern >> (s - 1 - i)) & 1 else old_rows
                     for i in range(s)
                 ]
-                cells = math.prod(len(group) for group in groups)
-                charges.append((steps, cells, rounds, len(current)))
-                steps += cells
-                for args in itertools.product(*groups):
-                    image = tuple(
-                        apply_op(op, [row[i] for row in args]) for i in range(width)
-                    )
-                    if image not in current:
-                        current.add(image)
-                        produced.add(image)
+                sizes = [len(group) for group in groups]
+                runs = [math.prod(sizes)] if batch is None else grid_runs(sizes, batch)
+                combos = itertools.product(*groups)
+                for cells in runs:
+                    if len(current) == stop:
+                        return frozenset(current), charges
+                    charges.append((steps, cells, rounds, len(current)))
+                    steps += cells
+                    for args in itertools.islice(combos, cells):
+                        image = tuple(
+                            apply_op(op, [row[i] for row in args]) for i in range(width)
+                        )
+                        if image not in current:
+                            current.add(image)
+                            produced.add(image)
         rounds += 1
         old |= new
         new = produced
     return frozenset(current), charges
+
+
+def brute_projective_coordinate(op, alpha, beta):
+    """Least 1-based coordinate j such that, on every argument tuple, the
+    j-th argument in alpha puts the value in alpha and the j-th argument
+    in beta puts it in beta; None when no coordinate does.  alpha and beta
+    are sets of elements."""
+    candidates = list(range(op.arity))
+    for index, args in enumerate(itertools.product(range(op.k), repeat=op.arity)):
+        value = op.table[index]
+        candidates = [
+            j
+            for j in candidates
+            if (value in alpha or args[j] not in alpha)
+            and (value in beta or args[j] not in beta)
+        ]
+        if not candidates:
+            return None
+    return candidates[0] + 1
+
+
+def brute_covering_pairs(k):
+    """(alpha, beta) bitmasks of the covering pairs of proper subsets,
+    alpha < beta, ascending."""
+    full = (1 << k) - 1
+    return [(a, b) for a in range(1, full) for b in range(a + 1, full) if a | b == full]
+
+
+def elements(mask, k):
+    return {x for x in range(k) if mask >> x & 1}
+
+
+def brute_first_projective_pair(algebra):
+    """(alpha, beta, coordinates, pairs scanned) for the first covering
+    pair every operation is projective for, coordinates as (name, j);
+    (None, None, (), number of pairs) when there is none."""
+    pairs = brute_covering_pairs(algebra.k)
+    for scanned, (a, b) in enumerate(pairs, start=1):
+        alpha, beta = elements(a, algebra.k), elements(b, algebra.k)
+        coords = [
+            (op.name, brute_projective_coordinate(op, alpha, beta))
+            for op in algebra.operations
+        ]
+        if all(j is not None for _, j in coords):
+            return a, b, tuple(coords), scanned
+    return None, None, (), len(pairs)
+
+
+def random_table_op(k, arity, rng, idempotent, name="f"):
+    """A random table, forced to be idempotent or forced not to be."""
+    table = [rng.randrange(k) for _ in range(k**arity)]
+    diagonal = [sum(a * k**p for p in range(arity)) for a in range(k)]
+    for a, index in enumerate(diagonal):
+        table[index] = a
+    if not idempotent:
+        a = rng.randrange(k)
+        table[diagonal[a]] = rng.choice([v for v in range(k) if v != a])
+    return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
+
+
+def planted_op(k, arity, alpha, beta, j, rng, idempotent=False, name="f"):
+    """A random table projective at 1-based coordinate j for the pair of
+    element sets: each value is drawn from the sides its j-th argument lies
+    in, or is a on the diagonal (a, ..., a) when idempotent."""
+    table = []
+    for args in itertools.product(range(k), repeat=arity):
+        if idempotent and len(set(args)) == 1:
+            table.append(args[0])
+            continue
+        allowed = [
+            v
+            for v in range(k)
+            if (v in alpha or args[j - 1] not in alpha)
+            and (v in beta or args[j - 1] not in beta)
+        ]
+        table.append(rng.choice(allowed))
+    return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
 
 
 def brute_equal_pair_tuples(k, m):
@@ -147,6 +244,31 @@ def numpy_preserves(op, member_tuples):
     mask = np.zeros(k**width, dtype=bool)
     mask[(arr * weights).sum(axis=1)] = True
     return bool(mask[encodings].all())
+
+
+def numpy_closure(algebra, members):
+    """Fixed point by full rescan like brute_closure, vectorized over all
+    argument choices like numpy_preserves; returns encodings, first
+    coordinate most significant.  Needs count**arity * width cells."""
+    k = algebra.k
+    rows = np.array(sorted(members), dtype=np.int64)
+    width = rows.shape[1]
+    weights = np.power(k, np.arange(width - 1, -1, -1), dtype=np.int64)
+    current = np.unique(rows @ weights)
+    while True:
+        digits = (current[:, None] // weights) % k
+        images = [current]
+        for op in algebra.operations:
+            index = 0
+            for pos in range(op.arity):
+                shape = [1] * op.arity + [width]
+                shape[pos] = len(digits)
+                index = index * k + digits.reshape(shape)
+            images.append(np.asarray(op.table, dtype=np.int64)[index].reshape(-1, width) @ weights)
+        grown = np.unique(np.concatenate(images))
+        if grown.size == current.size:
+            return current
+        current = grown
 
 
 def random_idempotent_binary(k, rng, name="f"):

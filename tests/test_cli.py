@@ -5,6 +5,11 @@ import pytest
 
 from genpow.cli import main
 from tests.conftest import corpus_path
+from tests.oracles import (
+    brute_equal_pair_tuples,
+    brute_subset_pair_relation,
+    per_pattern_charges,
+)
 
 
 @pytest.fixture
@@ -120,14 +125,32 @@ def test_d_check_budget_met_by_early_exit(run):
     assert out == run("d-check", path("xor3"), "--m", 4)[1]
 
 
-def test_d_check_budget_on_proper_closure(run):
-    # egp3 closes the 45 seeds to 77 of 81 tuples in 77**2 = 5,929 cells.
-    rc, out, _ = run("d-check", path("egp3"), "--m", 2, "--closure-budget", 5929)
+def test_d_check_budget_on_proper_closure(run, egp3):
+    # egp3 closes the 45 seeds to 77 of 81 tuples.  That is |R_2| for its
+    # EGP pair, so the closure stops there, after the first round's
+    # 45**2 = 2,025 cells instead of the 77**2 = 5,929 a fixed-point check
+    # would spend.  The need comes from the genpow-free reference.
+    seeds = brute_equal_pair_tuples(3, 2)
+    ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, 2))
+    _, charges = per_pattern_charges(egp3, seeds, stop=ceiling, batch=1 << 16)
+    need = sum(cells for _, cells, _, _ in charges)
+    assert need == 2_025
+    rc, out, _ = run("d-check", path("egp3"), "--m", 2, "--closure-budget", need)
     assert rc == 0
     assert out.endswith("closure-count: 77\nspace: 81\nfull: no\n")
-    rc, out, err = run("d-check", path("egp3"), "--m", 2, "--closure-budget", 5928)
+    rc, out, err = run("d-check", path("egp3"), "--m", 2, "--closure-budget", need - 1)
     assert (rc, out) == (4, "")
     assert "of 81," in err
+
+
+def test_d_check_stops_at_the_subset_pair_relation(run):
+    # At m = 4 the closure equals R_4 (6,545 tuples) after 26,788,320 of
+    # the 42,837,025 steps a fixed-point check spends.
+    budgeted = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 26_788_320)
+    assert budgeted == run("d-check", path("egp3"), "--m", 4)
+    assert budgeted[1].endswith("closure-count: 6545\nspace: 6561\nfull: no\n")
+    rc, out, _ = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 26_788_319)
+    assert (rc, out) == (4, "")
 
 
 @pytest.mark.parametrize(

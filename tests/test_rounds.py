@@ -21,8 +21,14 @@ from genpow import (
     closure,
     closure_extend,
     decode_tuple,
+    equal_pair_evidence,
 )
-from tests.oracles import per_pattern_charges, random_op
+from tests.oracles import (
+    brute_equal_pair_tuples,
+    brute_subset_pair_relation,
+    per_pattern_charges,
+    random_op,
+)
 
 
 SEEDED = {
@@ -45,17 +51,19 @@ def expected(charges, members, space, budget):
 
 
 def outcome(run):
+    """The size run() reports, or its refusal message."""
     try:
-        return len(run())
+        result = run()
     except BudgetExceededError as exc:
         return str(exc)
+    return result if isinstance(result, int) else len(result)
 
 
-def assert_sweep(run, charges, members, space, case):
+def assert_sweep(run, charges, members, space, case, budgets=None):
     """run(limits) agrees with the reference at every step budget from 0
-    to one past the reference's whole cost."""
+    to one past the reference's whole cost, or at the given budgets."""
     total = sum(cells for _, cells, _, _ in charges)
-    for budget in range(total + 2):
+    for budget in range(total + 2) if budgets is None else budgets:
         got = outcome(lambda: run(budget))
         assert got == expected(charges, members, space, budget), (*case, budget)
 
@@ -122,3 +130,26 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(egp3, monkeyp
     s = egp3.operations[0].arity
     assert len(grids) <= s * rounds
     assert len(insertions) <= rounds
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ceiling_budget_sweep_matches_per_pattern_reference(egp3, m):
+    # d-check stops egp3's closure at |R_m| of its EGP pair {0, 1}, {1, 2}.
+    # The reference cuts patterns into the engine's 2**16-cell batches.
+    seeds = brute_equal_pair_tuples(3, m)
+    ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, m))
+    members, charges = per_pattern_charges(egp3, seeds, stop=ceiling, batch=1 << 16)
+    need = sum(cells for _, cells, _, _ in charges)
+    assert (len(members), need) == {2: (77, 2_025), 3: (721, 260_604)}[m]
+    budgets = None
+    if m == 3:
+        # 260,606 closures are too many for the suite; the reference's
+        # outcome changes only where a charge starts to fit, so check
+        # there and one step either side.
+        budgets = {0, need + 1} | {
+            steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
+        }
+    assert_sweep(
+        lambda b: equal_pair_evidence(egp3, m, limits=Limits(steps=b)).closure_count,
+        charges, members, 3 ** (2 * m), ("egp3", m), budgets,
+    )

@@ -1,6 +1,8 @@
 """One smoke test per script in scripts/, run as a subprocess on small
 arguments."""
 
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -42,3 +44,20 @@ def test_dichotomy_report_prints_its_verdict():
     assert lines[0] == "== xor3.json: k=2, operations: xor3/3"
     assert "   verdict: PGP" in lines
     assert lines[-1] == "   least r with switchability at n=3: 1"
+
+
+def test_output_digest_hashes_each_query():
+    proc = run(ROOT / "scripts" / "output_digest.py", "algebras/projections_k2.json")
+    assert proc.returncode == 0
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    # decide, then 13 budgeted queries, each unbudgeted and at 8 budgets.
+    assert len(lines) == 1 + 13 * 9
+    assert lines[0]["query"] == "decide algebras/projections_k2.json"
+    assert {line["exit"] for line in lines} <= {0, 1, 3, 4}
+    direct = run("-m", "genpow", "d-check", "algebras/projections_k2.json", "--m", 2)
+    entry = next(
+        line for line in lines if line["query"] == "d-check algebras/projections_k2.json --m 2"
+    )
+    assert entry["exit"] == direct.returncode == 0
+    assert entry["stdout"] == hashlib.sha256(direct.stdout.encode()).hexdigest()
+    assert entry["stderr"] == hashlib.sha256(b"").hexdigest()

@@ -12,9 +12,11 @@ from genpow import (
     TupleSet,
     closure,
     cross_equality_witness,
+    decide_egp_idempotent,
     egp_lower_bound,
     evenize_nice,
     find_blocker_bounded,
+    min_generating_size,
     nice_relation_from_nonswitchability,
     preserves_relation,
     projectivity_counterexample,
@@ -356,6 +358,14 @@ def test_counterexample_requires_idempotence(non_idem):
 
 
 # -- bounds and blockers -----------------------------------------------------
+
+
+def test_egp_lower_bound_is_no_bound_on_the_nth_power(proj2):
+    # projections_k2 is EGP, and A^4 over two elements is generated by its
+    # 16 tuples (with no operations, by none fewer), below 70/4 = 17.5.
+    assert egp_lower_bound(4, 2) == Fraction(35, 2)
+    assert decide_egp_idempotent(proj2).egp
+    assert min_generating_size(proj2, 4).size == 16 < egp_lower_bound(4, 2)
 
 
 def test_egp_lower_bound_values():
