@@ -32,7 +32,7 @@ def report(path: Path, m_extra: int, n_max: int) -> None:
         decision = decide_egp_idempotent(algebra)
         for line in decision.render():
             print(f"   {line}")
-    except NotIdempotentError as exc:
+    except (NotIdempotentError, BudgetExceededError) as exc:
         print(f"   decide skipped: {exc}")
     for m in range(max(1, k), k + m_extra + 1):
         try:

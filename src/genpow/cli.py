@@ -194,7 +194,7 @@ def _cmd_validate(args, limits: Limits) -> list[str]:
 
 def _cmd_decide(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
-    return decide_egp_idempotent(algebra).render()
+    return decide_egp_idempotent(algebra, limits=limits).render()
 
 
 def _cmd_d_check(args, limits: Limits) -> list[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -117,15 +118,36 @@ def iter_subset_pairs(k: int) -> Iterator[SubsetPair]:
 
 
 def _subset_pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_pair_chunks(k), kept read-only once listed for k <= 9 (at most
+    9,330 pairs), where listing them would cost more than checking them."""
+    if k <= 9:
+        return iter(_small_pair_chunks(k, _CHUNK_CELLS))
+    return _pair_chunks(k)
+
+
+@lru_cache(maxsize=None)
+def _small_pair_chunks(k: int, cells: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    # Keyed on the chunk size as well, which tests change.
+    chunks = tuple(_pair_chunks(k))
+    for chunk in chunks:
+        for masks in chunk:
+            masks.setflags(write=False)
+    return chunks
+
+
+def _pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every covering pair of proper subsets of {0..k-1} as int64
-    (alpha, beta) mask arrays, alpha < beta, in mask order, in chunks
-    drawn from at most _CHUNK_CELLS candidate cells each.
+    (alpha, beta) mask arrays, alpha < beta, in mask order, in chunks of
+    at most _CHUNK_CELLS pairs.
 
     beta covers the complement of alpha, so beta = ~alpha + d for a
-    proper submask d of alpha, and beta ascends with d.  The candidates
-    are the cells (alpha, d) with d < alpha, about 4**k / 2 of them,
-    taken in row-major order: several alpha rows per chunk when a row
-    fits, else one row in runs of columns.
+    proper submask d of alpha, and beta ascends with d.  With h the
+    highest element outside alpha, beta > alpha iff d holds every element
+    of alpha above h.  The pairs of alpha are therefore listed directly,
+    about 3**k / 2 in all: d = high + the i-th subset of low for
+    i = 0 .. 2**|low| - 2, where high and low are the elements of alpha
+    above and below h.  A chunk takes several alphas when they fit, else
+    one alpha in runs of i.
     """
     if k > 62:
         raise PreconditionError(
@@ -133,17 +155,58 @@ def _subset_pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             f"k <= 62, got k = {k}"
         )
     full = (1 << k) - 1
-    width = min(1 << k, _CHUNK_CELLS)
-    rows = _CHUNK_CELLS // width
-    for start in range(1, full, rows):
-        alpha = np.arange(start, min(start + rows, full), dtype=np.int64)[:, None]
-        top = int(alpha[-1, 0])
-        for column in range(0, top, width):
-            d = np.arange(column, min(column + width, top), dtype=np.int64)
-            beta = (full ^ alpha) | d
-            keep = ((d & ~alpha) == 0) & (d != alpha) & (beta > alpha)
-            row, col = np.nonzero(keep)
-            yield alpha[row, 0], beta[row, col]
+    for start in range(1, full, _CHUNK_CELLS):
+        alpha = np.arange(start, min(start + _CHUNK_CELLS, full), dtype=np.int64)
+        h = np.zeros_like(alpha)
+        for j in range(k):
+            h[(alpha >> j) & 1 == 0] = j
+        low = alpha & ((1 << h) - 1)
+        count = (1 << _popcount(low, k)) - 1
+        # Clipped so that the running sum fits; a clipped alpha gets chunks
+        # of its own.
+        ends = np.cumsum(np.minimum(count, _CHUNK_CELLS + 1))
+        pos = 0
+        while pos < alpha.size:
+            base = int(ends[pos - 1]) if pos else 0
+            stop = int(np.searchsorted(ends, base + _CHUNK_CELLS, side="right"))
+            if stop > pos:
+                reps = count[pos:stop]
+                i = np.arange(int(ends[stop - 1]) - base) - np.repeat(
+                    np.cumsum(reps) - reps, reps
+                )
+                runs = [(np.repeat(alpha[pos:stop], reps), np.repeat(low[pos:stop], reps), i)]
+                pos = stop
+            else:
+                runs = _runs_of_one(alpha[pos], low[pos], int(count[pos]))
+                pos += 1
+            for a, lo, i in runs:
+                if a.size:
+                    yield a, (full ^ a) | (a ^ lo) | _deposit(i, lo, k)
+
+
+def _runs_of_one(alpha: np.int64, low: np.int64, size: int):
+    """(alpha, low, i) arrays for i = 0 .. size - 1, a chunk at a time."""
+    for run in range(0, size, _CHUNK_CELLS):
+        i = np.arange(run, min(run + _CHUNK_CELLS, size), dtype=np.int64)
+        yield np.full(i.size, alpha), np.full(i.size, low), i
+
+
+def _popcount(masks: np.ndarray, k: int) -> np.ndarray:
+    total = np.zeros_like(masks)
+    for j in range(k):
+        total += (masks >> j) & 1
+    return total
+
+
+def _deposit(i: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
+    """The bits of i spread, lowest first, over the set bits of masks."""
+    out = np.zeros_like(masks)
+    rank = np.zeros_like(masks)
+    for j in range(k):
+        bit = (masks >> j) & 1
+        out |= ((i >> rank) & bit) << j
+        rank += bit
+    return out
 
 
 def _image_masks(op: OperationTable) -> np.ndarray:
@@ -219,7 +282,7 @@ class EgpDecision:
         return lines
 
 
-def _projectivity_scan(algebra: Algebra) -> EgpDecision:
+def _projectivity_scan(algebra: Algebra, limits: Limits = LIMITS) -> EgpDecision:
     """The first pair of iter_subset_pairs for which every operation is
     projective, with each operation's least projective coordinate and the
     number of pairs scanned up to and including it; with no such pair,
@@ -230,6 +293,7 @@ def _projectivity_scan(algebra: Algebra) -> EgpDecision:
     """
     checked = 0
     for alpha, beta in _subset_pair_chunks(algebra.k):
+        limits.check_pairs(checked, alpha.size)
         alive = np.arange(alpha.size)
         columns: list[np.ndarray] = []
         for op in algebra.operations:
@@ -255,20 +319,23 @@ def _projectivity_scan(algebra: Algebra) -> EgpDecision:
     return EgpDecision(k=algebra.k, egp=False, pair=None, pairs_checked=checked)
 
 
-def decide_egp_idempotent(algebra: Algebra) -> EgpDecision:
+def decide_egp_idempotent(algebra: Algebra, *, limits: Limits = LIMITS) -> EgpDecision:
     """Exact growth dichotomy for an idempotent algebra.
 
     Exponential iff some covering pair of proper subsets makes every
     basic operation projective; the first such pair in mask order is
     reported together with a witnessing coordinate per operation.
     Raises NotIdempotentError otherwise, since the scan only decides
-    the question for idempotent algebras.
+    the question for idempotent algebras.  The scan's pairs, about
+    3**k / 2 in all, are charged against limits.space chunk by chunk, so
+    at the default budget a PGP algebra is answered up to k = 17 and
+    refused from k = 18.
     """
     witness = first_non_idempotent(algebra)
     if witness is not None:
         op, a, v = witness
         raise NotIdempotentError(op.name, op.arity, a, v)
-    return _projectivity_scan(algebra)
+    return _projectivity_scan(algebra, limits)
 
 
 # -- switch-based generation ------------------------------------------
@@ -400,15 +467,15 @@ def _equal_pair_ceiling(
     its j-th argument in R_m lies in alpha x alpha (or beta x beta), and
     so does that pair of the image.  Idempotence is not needed.
 
-    The pair scan walks about 4**k candidate cells.  It runs only when
-    that many fit the space budget and the closure's first round has at
-    least as many cells, so it costs at most a share of the closure it
-    can shorten.
+    The pair scan checks about 3**k / 2 pairs.  It runs only when 4**k,
+    a bound above that, fits the space budget and the closure's first
+    round has at least as many cells, so it costs at most a share of the
+    closure it can shorten.
     """
     first_round = sum(len(seeds) ** op.arity for op in algebra.operations)
     if 4**algebra.k > min(first_round, limits.space):
         return seeds.space
-    pair = _projectivity_scan(algebra).pair
+    pair = _projectivity_scan(algebra, limits).pair
     return seeds.space if pair is None else pair.relation_size(m)
 
 
@@ -468,32 +535,91 @@ class GeneratingSet:
         return tuple(decode_tuple(e, self.k, self.n) for e in self.encodings)
 
 
-def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
-    space = algebra.k**n
-    nodes = 0
+class _ExactSearch:
+    """One exact search: its node count and its closure memo.
 
-    def extend(chosen: list[int], closed: TupleSet, target: int) -> Optional[list[int]]:
-        nonlocal nodes
-        if is_full(closed):
+    Iterative deepening re-walks every shallower tree, and different picks
+    often close to the same set, so many closures repeat.  The memo maps a
+    closed set, as its packed membership bits, to a row [lo, children]:
+    the packed closures of the set with each tuple outside it, for the
+    slots lo, lo + 1, ... of those tuples in encoding order.  A node is
+    counted and checked against the node budget before its lookup, and
+    closure_extend runs only on a miss.  Each call has its own step budget,
+    so a stored closure came from a call that succeeded and would succeed
+    again: visit order, node counts, answers and refusals are those of a
+    search without the memo.
+
+    Only visited nodes are stored.  A row starts at the first slot of the
+    first visit of its set and grows at its end; a later visit that starts
+    before lo computes the closures below lo without storing them; no
+    search over the corpus or in the tests makes such a visit.  The memo holds at most one packed set per
+    node plus one key per row, and at most limits.space membership bits in
+    all; past that it stores nothing more.  It is freed with the search
+    object when _exact_minimum returns or raises.
+    """
+
+    def __init__(self, algebra: Algebra, n: int, limits: Limits):
+        self.algebra = algebra
+        self.n = n
+        self.limits = limits
+        self.space = algebra.k**n
+        self.full = TupleSet.full(algebra.k, n, limits=limits).packed()
+        self.nodes = 0
+        self.width = len(self.full)  # bytes per packed set
+        self.room = limits.space // 8  # bytes the memo may still take
+        self.memo: dict[bytes, list] = {}
+
+    def _reserve(self, size: int) -> bool:
+        if size > self.room:
+            return False
+        self.room -= size
+        return True
+
+    def extend(self, chosen: list[int], packed: bytes, target: int) -> Optional[list[int]]:
+        """A generating set of at most `target` picks that extends `chosen`,
+        whose closure has the membership bits `packed`."""
+        if packed == self.full:
             return chosen
         if len(chosen) == target:
             return None
-        start = chosen[-1] + 1 if chosen else 0
-        for e in range(start, space):
-            if closed.has_encoding(e):
-                # Anything a minimum set picks next is outside the
-                # closure of what it already picked.
-                continue
-            nodes += 1
-            limits.check_nodes(nodes, space)
-            grown = closure_extend(algebra, closed, [e], limits=limits)
-            found = extend(chosen + [e], grown, target)
+        members = np.unpackbits(np.frombuffer(packed, np.uint8), count=self.space)
+        # Anything a minimum set picks next is outside the closure of what
+        # it already picked; slot i is the i-th such tuple.
+        free = np.flatnonzero(members == 0)
+        first = int(np.searchsorted(free, chosen[-1] + 1)) if chosen else 0
+        w = self.width
+        entry = self.memo.get(packed)
+        if entry is None:
+            entry = [first, bytearray()]
+            if self._reserve(w):
+                self.memo[packed] = entry
+        lo, row = entry
+        closed = None
+        for slot, e in enumerate(free[first:].tolist(), first):
+            self.nodes += 1
+            self.limits.check_nodes(self.nodes, self.space)
+            i = (slot - lo) * w
+            if 0 <= i < len(row):
+                child = bytes(row[i : i + w])
+            else:
+                if closed is None:
+                    closed = TupleSet.from_packed(
+                        self.algebra.k, self.n, packed, limits=self.limits
+                    )
+                child = closure_extend(self.algebra, closed, [e], limits=self.limits).packed()
+                if i == len(row) and self._reserve(w):
+                    row += child
+            found = self.extend(chosen + [e], child, target)
             if found is not None:
                 return found
         return None
 
-    for target in range(1, space + 1):
-        found = extend([], TupleSet(algebra.k, n, limits=limits), target)
+
+def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
+    search = _ExactSearch(algebra, n, limits)
+    empty = TupleSet(algebra.k, n, limits=limits).packed()
+    for target in range(1, search.space + 1):
+        found = search.extend([], empty, target)
         if found is not None:
             return tuple(found)
     raise AssertionError("the full space generates itself")

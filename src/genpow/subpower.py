@@ -31,7 +31,8 @@ class Limits:
     A method that finds its budget exceeded raises BudgetExceededError.
     """
 
-    space: int = 1 << 26  # largest k**n a scan or enumerating constructor accepts
+    space: int = 1 << 26  # largest k**n a scan or enumerating constructor accepts, also
+    # the pairs a covering-pair scan checks and the bits the exact search memoizes
     steps: int = 10**9  # closure combination applications, per closure call
     exact: int = 256  # largest k**n the exact minimum-size search accepts
     nodes: int = 20_000  # search-tree nodes before the exact search gives up
@@ -68,6 +69,15 @@ class Limits:
             raise BudgetExceededError(
                 f"{count}**{arity} argument combinations exceed the budget "
                 f"{self.combinations}"
+            )
+
+    def check_pairs(self, checked: int, chunk: int) -> None:
+        """A covering-pair scan that has checked `checked` pairs may check
+        a chunk of `chunk` more only within the space budget."""
+        if checked + chunk > self.space:
+            raise BudgetExceededError(
+                f"covering-pair scan exceeded the space budget of {self.space:,} "
+                f"pairs (pairs checked: {checked:,})"
             )
 
     def charge_steps(
@@ -183,6 +193,20 @@ class TupleSet:
         return ts
 
     @classmethod
+    def from_packed(
+        cls, k: int, n: int, packed: bytes, *, limits: Limits = LIMITS
+    ) -> "TupleSet":
+        """The set whose membership bits packed() returned."""
+        ts = cls(k, n, limits=limits)
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=ts.space).view(bool)
+        if ts._dense is not None:
+            ts._dense = bits
+            ts._count = int(np.count_nonzero(bits))
+        else:
+            ts.add_encodings_array(np.flatnonzero(bits))
+        return ts
+
+    @classmethod
     def full(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
         ts = cls(k, n, limits=limits)
         if ts._dense is not None:
@@ -261,6 +285,15 @@ class TupleSet:
         if self._dense is not None:
             return np.flatnonzero(self._dense).astype(np.int64)
         return np.array(sorted(self._sparse), dtype=np.int64)
+
+    def packed(self) -> bytes:
+        """Membership bits of the whole space, in encoding order, packed
+        eight to a byte."""
+        if self._dense is not None:
+            return np.packbits(self._dense).tobytes()
+        mask = np.zeros(self.space, dtype=bool)
+        mask[self.encodings()] = True
+        return np.packbits(mask).tobytes()
 
     def contains_encodings(self, arr: np.ndarray) -> np.ndarray:
         if self._dense is not None:

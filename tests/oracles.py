@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from genpow import OperationTable
+from genpow import OperationTable, TupleSet, closure_extend, is_full
 
 
 def apply_op(op, column):
@@ -372,3 +372,92 @@ def brute_cross_equality(k, n, members, excluded):
         if tuple(v[x] for x in variable) in members
     }
     return relation, (a,) * n + (b,) * n + tuple(range(k))
+
+
+def reference_exact_minimum(algebra, n, limits):
+    """The exact search without a memo: iterative deepening over ascending
+    encodings, one closure_extend call per node.  Returns the least minimum
+    generating set's encodings with the number of nodes visited, or raises
+    the package's node or step refusal at the same node.
+
+    It drives the package's public closure_extend, TupleSet and Limits, so
+    it checks the search around them, not the closure engine.
+    """
+    space = algebra.k**n
+    nodes = 0
+
+    def extend(chosen, closed, target):
+        nonlocal nodes
+        if is_full(closed):
+            return chosen
+        if len(chosen) == target:
+            return None
+        start = chosen[-1] + 1 if chosen else 0
+        for e in range(start, space):
+            if closed.has_encoding(e):
+                continue
+            nodes += 1
+            limits.check_nodes(nodes, space)
+            grown = closure_extend(algebra, closed, [e], limits=limits)
+            found = extend(chosen + [e], grown, target)
+            if found is not None:
+                return found
+        return None
+
+    for target in range(1, space + 1):
+        found = extend([], TupleSet(algebra.k, n, limits=limits), target)
+        if found is not None:
+            return tuple(found), nodes
+    raise AssertionError("the full space generates itself")
+
+
+def majority3_growth(n):
+    """The least m with C(m - 1, ceil(m / 2)) >= n.  By Baker-Pixley a set
+    generates A^n under the majority operation iff every pair of
+    coordinates shows all four value pairs, so the minimum is the least
+    number of rows of a binary covering array of strength 2 with n
+    columns (Kleitman-Spencer)."""
+    m = 1
+    while math.comb(m - 1, -(-m // 2)) < n:
+        m += 1
+    return m
+
+
+# Minimum generating-set sizes of A^n for the corpus, in closed form.
+# - xor3 closes a set to its affine span over GF(2), which needs n + 1
+#   points to be everything.
+# - min2 closes a set under meets: the all-ones tuple and the n tuples
+#   with one zero are produced by no meet of other tuples, and they give
+#   every tuple.
+# - egp3's f(x, y) lies in {0, 2} only for x = y = 0 or x = 2, so a tuple
+#   of {0, 2}^n is produced only with itself as first argument; one step
+#   of f on two such tuples gives every tuple (f(0, 2) = 1), so those 2^n
+#   tuples are the minimum.
+# - projections_k2 has no operations, so every tuple is needed.
+# - non_idempotent's constant binary operation only adds the all-zero
+#   tuple, so every other tuple is needed.
+CLOSED_FORM_GROWTH = {
+    "xor3": lambda n: n + 1,
+    "min2": lambda n: n + 1,
+    "egp3": lambda n: 2**n,
+    "projections_k2": lambda n: 2**n,
+    "non_idempotent": lambda n: 2**n - 1,
+    "majority3": majority3_growth,
+}
+
+
+def gf2_affine_rank(vectors):
+    """Dimension of the affine span of 0/1 vectors over GF(2), by Gaussian
+    elimination on the differences from the first vector."""
+    base = vectors[0]
+    rows = [int("".join(str(a ^ b) for a, b in zip(v, base)), 2) for v in vectors[1:]]
+    rank = 0
+    while rows:
+        pivot = max(rows)
+        rows.remove(pivot)
+        if pivot == 0:
+            continue
+        rank += 1
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows]
+    return rank

@@ -1,8 +1,13 @@
+import functools
+import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import genpow.cli
+from genpow import Limits
 from genpow.cli import main
 from tests.conftest import corpus_path
 from tests.oracles import (
@@ -86,6 +91,33 @@ def test_decide_egp(run):
         "alpha: {0, 1}\n"
         "beta: {1, 2}\n"
         "projective coordinate for f: 1\n"
+    )
+
+
+def test_decide_exits_4_when_the_pair_scan_passes_the_space_budget(
+    run, tmp_path, monkeypatch
+):
+    # decide runs on the default budgets, whose 2**26 pairs are first
+    # exceeded at k = 18.  A space budget of 100 pairs stands in for that
+    # here: the 301 covering pairs of this PGP table at k = 6 come in one
+    # chunk, which is refused before it is checked.
+    rng = random.Random(6)
+    table = [rng.randrange(6) for _ in range(6 * 6)]
+    for a in range(6):
+        table[a * 6 + a] = a
+    algebra = tmp_path / "k6.json"
+    algebra.write_text(json.dumps(
+        {"size": 6, "operations": [{"name": "f", "arity": 2, "table": table}]}
+    ))
+    assert run("decide", algebra) == (
+        0, "verdict: PGP\npairs checked: 301\n", ""
+    )
+    monkeypatch.setattr(genpow.cli, "Limits", functools.partial(Limits, space=100))
+    assert run("decide", algebra) == (
+        4,
+        "",
+        "genpow: budget exceeded: covering-pair scan exceeded the space budget "
+        "of 100 pairs (pairs checked: 0)\n",
     )
 
 

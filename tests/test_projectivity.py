@@ -14,6 +14,8 @@ import pytest
 import genpow.criteria
 from genpow import (
     Algebra,
+    BudgetExceededError,
+    Limits,
     OperationTable,
     PreconditionError,
     SubsetPair,
@@ -79,7 +81,8 @@ def test_projective_coordinates_match_the_per_pair_loop():
 
 @pytest.mark.parametrize("cells", [16, 1 << 16], ids=["16-cell-chunks", "default"])
 def test_pair_chunks_list_every_covering_pair_in_mask_order(monkeypatch, cells):
-    # 16-cell chunks take the one-row-in-runs-of-columns path from k = 5.
+    # 16-cell chunks take the one-alpha-in-runs path from k = 6, where
+    # alpha = {0..4} has 31 pairs.
     monkeypatch.setattr(genpow.criteria, "_CHUNK_CELLS", cells)
     for k in range(1, 9):
         chunks = list(_subset_pair_chunks(k))
@@ -145,3 +148,52 @@ def test_decide_matches_the_reference(corpus):
             assert decision.coordinates == coords
         verdicts.add(decision.verdict)
     assert verdicts == {"EGP", "PGP"}
+
+
+def test_pair_chunks_list_about_three_to_the_k_over_two_pairs():
+    # The pairs are listed directly, with no candidates to filter out.
+    for k in range(1, 13):
+        sizes = [alpha.size for alpha, _ in _subset_pair_chunks(k)]
+        assert sum(sizes) == (3**k - 2 ** (k + 1) + 1) // 2, k
+        assert 0 not in sizes
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 2,048 pairs, so that the 9,330 covering pairs at k = 9
+    take several."""
+    monkeypatch.setattr(genpow.criteria, "_CHUNK_CELLS", 2048)
+    sizes = [alpha.size for alpha, _ in _subset_pair_chunks(9)]
+    assert len(sizes) > 3 and max(sizes) <= 2048
+    return sizes
+
+
+def test_decide_refuses_a_scan_past_the_space_budget(small_chunks):
+    sizes = small_chunks
+    algebra = Algebra(k=9, operations=(random_idempotent_binary(9, random.Random(5)),))
+    decision = decide_egp_idempotent(algebra)
+    assert (decision.egp, decision.pairs_checked) == (False, 9_330)
+    assert decide_egp_idempotent(algebra, limits=Limits(space=9_330)) == decision
+    # A chunk the budget cannot pay for in full is refused before it is
+    # checked: one pair short refuses the last chunk, and one pair more
+    # than the first two chunks refuses the third.
+    for space, paid in ((9_329, len(sizes) - 1), (sizes[0] + sizes[1] + 1, 2)):
+        with pytest.raises(BudgetExceededError) as info:
+            decide_egp_idempotent(algebra, limits=Limits(space=space))
+        assert str(info.value) == (
+            f"covering-pair scan exceeded the space budget of {space:,} "
+            f"pairs (pairs checked: {sum(sizes[:paid]):,})"
+        )
+
+
+def test_decide_answers_when_the_first_pair_lies_in_an_early_chunk(small_chunks):
+    # Projective at coordinate 1 for alpha = {0}, beta = {1..8}, the first
+    # covering pair, so the first chunk holds the answer.
+    first = small_chunks[0]
+    op = planted_op(9, 2, {0}, set(range(1, 9)), 1, random.Random(3), idempotent=True)
+    algebra = Algebra(k=9, operations=(op,))
+    decision = decide_egp_idempotent(algebra, limits=Limits(space=first))
+    assert decision == decide_egp_idempotent(algebra)
+    assert (decision.egp, decision.pairs_checked) == (True, 1)
+    with pytest.raises(BudgetExceededError):
+        decide_egp_idempotent(algebra, limits=Limits(space=first - 1))

@@ -61,3 +61,31 @@ def test_output_digest_hashes_each_query():
     assert entry["exit"] == direct.returncode == 0
     assert entry["stdout"] == hashlib.sha256(direct.stdout.encode()).hexdigest()
     assert entry["stderr"] == hashlib.sha256(b"").hexdigest()
+
+
+def test_bench_record_folds_results_into_one_file(tmp_path):
+    machine = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
+    paths = []
+    for workload, seed, wall in (("search", 1, 1.0), ("search", 2, 3.0), ("scan", 1, 0.5)):
+        result = {
+            "workload": workload, "seed": seed, "seconds": 30.0, "trace": 0,
+            "machine": machine, "attempted": 12, "failures": [],
+            "metrics": {"wall_s": wall, "peak_rss_mb": 44.0 + seed},
+        }
+        paths.append(tmp_path / f"result-{workload}-seed{seed}-trace0.json")
+        paths[-1].write_text(json.dumps(result))
+    proc = run(
+        ROOT / "scripts" / "bench_record.py", "--label", "test", "--commit", "abc1234",
+        "--out", tmp_path, *paths,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(tmp_path / "BENCH_test.json")
+    bench = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert (bench["label"], bench["commit"], bench["machine"]) == ("test", "abc1234", machine)
+    assert list(bench["workloads"]) == ["search", "scan"]
+    search = bench["workloads"]["search"]
+    assert search["seeds"] == [1, 2]
+    assert [r["metrics"]["wall_s"] for r in search["runs"]] == [1.0, 3.0]
+    assert search["runs"][0]["failed"] == 0
+    assert search["medians"] == {"wall_s": 2.0, "peak_rss_mb": 45.5}
+    assert bench["workloads"]["scan"]["medians"]["wall_s"] == 0.5
