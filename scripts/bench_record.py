@@ -3,15 +3,18 @@
 repository root.
 
 Each file is a bench/out/result-*.json written by one run of
-`python3 bench/run.py --workload W --seed S --seconds T --trace 0`.  The
-record holds the machine the runs were made on, the commit they ran,
-and per workload the seeds, each run's end-to-end metrics and failed
-query count, and the median of each metric over the runs:
+`python3 bench/run.py --workload W --seed S --seconds T --trace 0` or
+`--trace 1`.  The record holds the machine the runs were made on, the
+commit they ran, and per workload the seeds of the untraced runs, each
+run's end-to-end metrics and failed query count, and the median of each
+metric over the runs.  Traced runs report per-layer metrics instead; they
+are listed apart (`traced_runs`), and `layers` holds the median of each
+per-layer metric over them:
 
     python3 scripts/bench_record.py --label 83c856b --commit 83c856b \\
         /path/to/checkout/bench/out/result-search-seed1-trace0.json ...
 
-All files must come from one machine and be untraced runs.
+All files must come from one machine.
 """
 
 from __future__ import annotations
@@ -25,19 +28,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def medians(runs: list[dict]) -> dict[str, float]:
+    """The median of each metric over the runs."""
+    return {
+        name: statistics.median(run["metrics"][name] for run in runs)
+        for name in runs[0]["metrics"]
+    }
+
+
 def record(label: str, commit: str, results: list[dict]) -> dict:
     """The BENCH record of these run results, workloads and runs in the
     order given."""
     machines = {json.dumps(r["machine"], sort_keys=True) for r in results}
     if len(machines) != 1:
         raise ValueError(f"results come from {len(machines)} machines")
-    if any(r["trace"] for r in results):
-        raise ValueError("traced runs report per-layer metrics, not end-to-end ones")
     workloads: dict[str, dict] = {}
     for r in results:
-        entry = workloads.setdefault(r["workload"], {"seeds": [], "runs": []})
-        entry["seeds"].append(r["seed"])
-        entry["runs"].append(
+        entry = workloads.setdefault(r["workload"], {})
+        if not r["trace"]:
+            entry.setdefault("seeds", []).append(r["seed"])
+        entry.setdefault("traced_runs" if r["trace"] else "runs", []).append(
             {
                 "seed": r["seed"],
                 "seconds": r["seconds"],
@@ -47,11 +57,9 @@ def record(label: str, commit: str, results: list[dict]) -> dict:
             }
         )
     for entry in workloads.values():
-        names = entry["runs"][0]["metrics"]
-        entry["medians"] = {
-            name: statistics.median(run["metrics"][name] for run in entry["runs"])
-            for name in names
-        }
+        for runs, key in (("runs", "medians"), ("traced_runs", "layers")):
+            if runs in entry:
+                entry[key] = medians(entry[runs])
     return {
         "label": label,
         "commit": commit,

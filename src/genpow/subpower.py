@@ -22,6 +22,7 @@ from .errors import BudgetExceededError, PreconditionError, UniverseMismatchErro
 
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
 _CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
+_SCALAR_CELLS = 256  # largest closure round on one-block layouts evaluated in Python
 
 
 @dataclass(frozen=True)
@@ -501,6 +502,65 @@ def _layouts(
     return tuple(_block_columns(op, n) for op in operations)
 
 
+@lru_cache(maxsize=64)
+def _lookup_table(op: OperationTable, n: int) -> tuple[int, ...]:
+    """_power_table(op, n) as a tuple, for rounds evaluated in Python."""
+    return tuple(_power_table(op, n).tolist())
+
+
+def _scalar_rounds(
+    operations: tuple[OperationTable, ...],
+    result: TupleSet,
+    old: np.ndarray,
+    new: np.ndarray,
+    limits: Limits,
+    ceiling: int,
+) -> Optional[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The leading rounds of _saturate when every operation is tabulated
+    on A^n itself: each round of at most _SCALAR_CELLS cells that fits the
+    step budget is evaluated as tuple lookups on the tables, with the
+    whole-round check, charge and grids of the numpy loop.
+
+    Returns None once the result is final, else (steps, rounds, old, new)
+    at the first round that does not qualify, for the numpy loop.
+    """
+    base = result.space
+    # The tables are built at the first round run here; a closure handed
+    # over at once needs none.
+    tables = None
+    old, new = old.tolist(), new.tolist()
+    known = set(old)
+    known.update(new)
+    steps = rounds = 0
+    while new:
+        cells = sum(len(known) ** op.arity - len(old) ** op.arity for op in operations)
+        if cells > _SCALAR_CELLS or steps + cells > limits.steps:
+            return steps, rounds, np.array(old, np.int64), np.array(new, np.int64)
+        if len(result) == ceiling:
+            return None
+        steps = limits.charge_steps(steps, cells, rounds, result)
+        if tables is None:
+            tables = [_lookup_table(op, result.n) for op in operations]
+        union = sorted(known)
+        images: set[int] = set()
+        for op, table in zip(operations, tables):
+            s = op.arity
+            for i in range(s if old else 1):
+                # Grid i as in the numpy loop; an argument's encoding is its
+                # digit in base k**n, so each cell is one table index.
+                index = [0]
+                for group in [old] * i + [new] + [union] * (s - 1 - i):
+                    index = [j * base + e for j in index for e in group]
+                images.update(map(table.__getitem__, index))
+        new = sorted(images.difference(known))
+        for e in new:
+            result.add_encoding(e)
+        known.update(new)
+        old = union
+        rounds += 1
+    return None
+
+
 def _saturate(
     algebra: Algebra,
     result: TupleSet,
@@ -524,15 +584,24 @@ def _saturate(
     inserting per batch, so a refusal says how far it got.  No batch of a
     whole round could have been refused, and both ways insert the same
     images, so the two agree on every result and every refusal.
+
+    When every operation's layout is one block, the leading whole rounds
+    of at most _SCALAR_CELLS cells run in Python instead (_scalar_rounds),
+    where numpy's per-call cost would outweigh the work; the first round
+    that does not qualify moves the closure to the loop below for good.
     """
     if not algebra.operations:
         return result
     k, n = result.k, result.n
     layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    steps = rounds = 0
+    if all(b == n for b, _ in layouts):
+        state = _scalar_rounds(algebra.operations, result, old, new, limits, ceiling)
+        if state is None:
+            return result
+        steps, rounds, old, new = state
     widths = {b for b, _ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
-    steps = 0
-    rounds = 0
     while new.size:
         union = np.concatenate([old, new])
         union.sort()

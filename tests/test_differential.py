@@ -1,0 +1,91 @@
+"""The closure engine against genpow-free full-rescan oracles on 200
+seeded random algebras.
+
+Each algebra has k in {2, 3} and one or two operations of arity 1 to 3,
+each idempotent or not.  At every n with k**n <= 81, `closure` of a few
+random seeds and `closure_extend` of that closure by a tuple outside it
+must equal the oracle, with dense and with sparse membership.  The oracle
+is brute_closure where one of its passes is at most (k**n)**arity <=
+20,000 combinations, and the vectorized numpy_closure above that (ternary
+operations at k**n = 32, 64 and 81).
+
+The draw spans both ways a closure round is evaluated: tuple lookups on
+operations tabulated on A^n itself, and numpy grids on blocked tables.
+"""
+
+import random
+
+import pytest
+
+from genpow import Algebra, Limits, TupleSet, closure, closure_extend, decode_tuple
+from genpow.subpower import _block_columns
+from tests.oracles import brute_closure, numpy_closure, random_op, random_table_op
+
+ALGEBRAS = 200
+BRUTE_COMBINATIONS = 20_000
+BACKENDS = {"dense": Limits(), "sparse": Limits(dense=0)}
+
+
+def draw(seed):
+    """The seed's algebra: k, then one or two random operations."""
+    rng = random.Random(seed)
+    k = rng.choice((2, 3))
+    operations = []
+    for j in range(rng.choice((1, 2))):
+        arity = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            operations.append(random_table_op(k, arity, rng, True, name=f"g{j}"))
+        else:
+            operations.append(random_op(k, arity, 10 * seed + j))
+    return Algebra(k=k, operations=tuple(operations))
+
+
+def sizes(k):
+    return [n for n in range(1, 7) if k**n <= 81]
+
+
+def oracle(algebra, seeds, n):
+    """The closure of the seeds, as a set of tuples."""
+    space = algebra.k**n
+    if all(space**op.arity <= BRUTE_COMBINATIONS for op in algebra.operations):
+        return set(brute_closure(algebra, seeds))
+    return {decode_tuple(e, algebra.k, n) for e in numpy_closure(algebra, seeds).tolist()}
+
+
+@pytest.mark.parametrize("seed", range(ALGEBRAS))
+def test_closure_and_extend_match_the_oracle(seed):
+    algebra = draw(seed)
+    k = algebra.k
+    rng = random.Random(-seed)
+    for n in sizes(k):
+        space = k**n
+        count = rng.randint(1, min(3, space))
+        seeds = [decode_tuple(e, k, n) for e in rng.sample(range(space), count)]
+        members = oracle(algebra, seeds, n)
+        outside = [e for e in range(space) if decode_tuple(e, k, n) not in members]
+        extra = rng.choice(outside) if outside else None
+        if extra is not None:
+            widened = oracle(algebra, [*members, decode_tuple(extra, k, n)], n)
+        for backend, limits in BACKENDS.items():
+            ts = TupleSet.from_tuples(k, n, seeds, limits=limits)
+            closed = closure(algebra, ts, limits=limits)
+            assert set(closed) == members, (seed, n, backend)
+            if extra is not None:
+                grown = closure_extend(algebra, closed, [extra], limits=limits)
+                assert set(grown) == widened, (seed, n, backend, extra)
+
+
+def test_the_draw_has_unary_idempotent_and_mixed_layout_cases():
+    unary = idempotent = mixed = 0
+    for seed in range(ALGEBRAS):
+        algebra = draw(seed)
+        unary += any(op.arity == 1 for op in algebra.operations)
+        idempotent += any(
+            all(op.table[a * sum(algebra.k**p for p in range(op.arity))] == a
+                for a in range(algebra.k))
+            for op in algebra.operations
+        )
+        for n in sizes(algebra.k):
+            single = {_block_columns(op, n)[0] == n for op in algebra.operations}
+            mixed += single == {True, False}
+    assert unary >= 20 and idempotent >= 20 and mixed >= 5, (unary, idempotent, mixed)

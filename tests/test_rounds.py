@@ -2,9 +2,12 @@
 
 A round that fits one grid batch and the step budget is evaluated whole;
 every other round runs argument pattern by argument pattern, charging the
-budget per batch.  Sweeping the step budget across a closure's whole cost
-sends its rounds down both ways, and each budget must give the result or
-the refusal message the reference gives.
+budget per batch.  When every operation is tabulated on A^n itself, the
+leading whole rounds of at most _SCALAR_CELLS cells are tuple lookups, and
+the first round that does not qualify hands the closure to numpy.
+Sweeping the step budget across a closure's whole cost sends its rounds
+down every way, and each budget must give the result or the refusal
+message the reference gives.
 """
 
 import random
@@ -103,33 +106,143 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                 )
 
 
-def test_whole_round_makes_s_grids_per_operation_and_one_insertion(egp3, monkeypatch):
+class Counted:
+    """Counts the grids _grid_results evaluates, the insertions into a
+    TupleSet, the closures _scalar_rounds hands to the numpy loop and the
+    lookup tables it asks for."""
+
+    def __init__(self, monkeypatch):
+        self.grids, self.insertions, self.handovers, self.tables = [], [], [], []
+        grid_results = genpow.subpower._grid_results
+        insert = TupleSet.add_encodings_array
+        scalar_rounds = genpow.subpower._scalar_rounds
+        lookup_table = genpow.subpower._lookup_table
+
+        def counted_table(op, n):
+            self.tables.append((op.name, n))
+            return lookup_table(op, n)
+
+        def counted_grid(columns, groups):
+            self.grids.append(len(groups))
+            return grid_results(columns, groups)
+
+        def counted_insert(ts, arr):
+            self.insertions.append(arr.size)
+            return insert(ts, arr)
+
+        def counted_scalar(*args):
+            state = scalar_rounds(*args)
+            if state is not None:
+                self.handovers.append(state[1])
+            return state
+
+        monkeypatch.setattr(genpow.subpower, "_grid_results", counted_grid)
+        monkeypatch.setattr(TupleSet, "add_encodings_array", counted_insert)
+        monkeypatch.setattr(genpow.subpower, "_scalar_rounds", counted_scalar)
+        monkeypatch.setattr(genpow.subpower, "_lookup_table", counted_table)
+
+
+def round_cells(charges):
+    """Cells of each round of the reference, in order."""
+    cells = {}
+    for _, count, rounds, _ in charges:
+        cells[rounds] = cells.get(rounds, 0) + count
+    return [cells[r] for r in sorted(cells)]
+
+
+def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeypatch):
+    # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
+    # gives a proper subpower of 20 tuples after 3 rounds.  Each round has
+    # more than _SCALAR_CELLS cells and fits one batch, so each is one
+    # numpy whole round.
+    closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
+    members, charges = per_pattern_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
+    cells = round_cells(charges)
+    assert (len(closed), len(members), len(cells)) == (9, 20, 3)
+    assert min(cells) > genpow.subpower._SCALAR_CELLS
+    assert max(cells) <= genpow.subpower._CHUNK_CELLS
+    counted = Counted(monkeypatch)
+    widened = closure_extend(maj3, closed, [8])
+    monkeypatch.undo()
+    assert set(widened) == members
+    assert counted.handovers == [0]
+    assert counted.tables == []
+    assert counted.grids == [3] * 3 * len(cells)
+    assert len(counted.insertions) == len(cells)
+
+
+def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
     # closure({2, 26}) on egp3 at A^3 has 3 tuples; adding 6 gives a proper
-    # subpower of 12 tuples after 4 rounds, each of which fits one batch.
+    # subpower of 12 tuples after 4 rounds of at most 57 cells.  egp3 is
+    # tabulated on A^3 itself, so every round is a tuple lookup per cell.
     closed = closure(egp3, TupleSet.from_encodings(3, 3, [2, 26]))
     members, charges = per_pattern_charges(egp3, [decode_tuple(6, 3, 3)], old=set(closed))
-    rounds = charges[-1][2] + 1
-    assert (len(closed), len(members), rounds) == (3, 12, 4)
-    grids, insertions = [], []
-    grid_results = genpow.subpower._grid_results
-    insert = TupleSet.add_encodings_array
-
-    def counted_grid(columns, groups):
-        grids.append(len(groups))
-        return grid_results(columns, groups)
-
-    def counted_insert(self, arr):
-        insertions.append(arr.size)
-        return insert(self, arr)
-
-    monkeypatch.setattr(genpow.subpower, "_grid_results", counted_grid)
-    monkeypatch.setattr(TupleSet, "add_encodings_array", counted_insert)
+    cells = round_cells(charges)
+    assert (len(closed), len(members), len(cells)) == (3, 12, 4)
+    assert max(cells) <= genpow.subpower._SCALAR_CELLS
+    counted = Counted(monkeypatch)
     widened = closure_extend(egp3, closed, [6])
     monkeypatch.undo()
     assert set(widened) == members
-    s = egp3.operations[0].arity
-    assert len(grids) <= s * rounds
-    assert len(insertions) <= rounds
+    assert counted.grids == counted.insertions == counted.handovers == []
+    assert counted.tables == [("f", 3)]
+
+
+def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
+    # Three tuples of A^2 span it affinely.  Round 0 (27 cells) fills it,
+    # and the closure stops before it charges round 1 (37 cells).
+    seeds = [(0, 0), (0, 1), (1, 0)]
+    members, charges = per_pattern_charges(xor3, seeds)
+    assert (len(members), round_cells(charges)) == (4, [27])
+    charged = []
+    charge = Limits.charge_steps
+
+    def counted_charge(limits, steps, cells, rounds, result):
+        charged.append(cells)
+        return charge(limits, steps, cells, rounds, result)
+
+    monkeypatch.setattr(Limits, "charge_steps", counted_charge)
+    assert len(closure(xor3, TupleSet.from_tuples(2, 2, seeds))) == 4
+    assert charged == [27]
+
+
+# egp3 closures in A^4 whose leading rounds are tuple lookups and whose
+# later rounds run in numpy: (seeds, extra tuple or None, tuples, rounds
+# before the handover).  The second's two tuple-lookup rounds charge
+# 256 steps in all.
+HANDOVERS = [
+    ([3, 11, 18, 54], None, 23, 2),
+    ([24, 32, 60, 74, 78, 80], None, 25, 2),
+    ([3, 11, 18, 54], 29, 29, 1),
+]
+
+
+@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("case", range(len(HANDOVERS)))
+def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
+    encodings, extra, size, scalar = HANDOVERS[case]
+    seeds = [decode_tuple(e, 3, 4) for e in encodings]
+    ts = TupleSet.from_tuples(3, 4, seeds, limits=Limits(dense=dense))
+    members, charges = per_pattern_charges(egp3, seeds)
+    run = lambda b: closure(egp3, ts, limits=Limits(steps=b, dense=dense))
+    if extra is not None:
+        closed = closure(egp3, ts)
+        members, charges = per_pattern_charges(
+            egp3, [decode_tuple(extra, 3, 4)], old=members
+        )
+        run = lambda b: closure_extend(
+            egp3, closed, [extra], limits=Limits(steps=b, dense=dense)
+        )
+    counted = Counted(monkeypatch)
+    assert len(run(LIMITS.steps)) == len(members) == size
+    monkeypatch.undo()
+    assert counted.handovers == [scalar]
+    need = sum(cells for _, cells, _, _ in charges)
+    # The outcome changes only where a charge starts to fit.
+    budgets = {0, need + 1} | {
+        steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
+    }
+    assert_sweep(run, charges, members, 81, ("egp3", case), budgets)
 
 
 @pytest.mark.parametrize("m", [2, 3])

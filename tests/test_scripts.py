@@ -89,3 +89,32 @@ def test_bench_record_folds_results_into_one_file(tmp_path):
     assert search["runs"][0]["failed"] == 0
     assert search["medians"] == {"wall_s": 2.0, "peak_rss_mb": 45.5}
     assert bench["workloads"]["scan"]["medians"]["wall_s"] == 0.5
+
+
+def test_bench_record_folds_traced_runs_into_layers(tmp_path):
+    machine = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
+    paths = []
+    for seed, trace, metrics in (
+        (1, 0, {"wall_s": 1.0}),
+        (2, 1, {"extend.calls": 10.0, "extend.us_per_call": 40.0}),
+        (3, 1, {"extend.calls": 10.0, "extend.us_per_call": 60.0}),
+        (4, 1, {"extend.calls": 10.0, "extend.us_per_call": 90.0}),
+    ):
+        result = {
+            "workload": "search", "seed": seed, "seconds": 30.0, "trace": trace,
+            "machine": machine, "attempted": 8, "failures": [], "metrics": metrics,
+        }
+        paths.append(tmp_path / f"result-search-seed{seed}-trace{trace}.json")
+        paths[-1].write_text(json.dumps(result))
+    proc = run(ROOT / "scripts" / "bench_record.py", "--label", "t", "--out", tmp_path, *paths)
+    assert proc.returncode == 0, proc.stderr
+    search = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["search"]
+    assert search["seeds"] == [1]
+    assert search["medians"] == {"wall_s": 1.0}
+    assert [r["seed"] for r in search["traced_runs"]] == [2, 3, 4]
+    assert search["layers"] == {"extend.calls": 10.0, "extend.us_per_call": 60.0}
+    # A workload with traced runs alone has layers and no medians.
+    proc = run(ROOT / "scripts" / "bench_record.py", "--label", "u", "--out", tmp_path, paths[1])
+    assert proc.returncode == 0, proc.stderr
+    search = json.loads((tmp_path / "BENCH_u.json").read_text())["workloads"]["search"]
+    assert set(search) == {"traced_runs", "layers"}
