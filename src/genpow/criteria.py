@@ -33,6 +33,7 @@ from .subpower import (
     LIMITS,
     Limits,
     TupleSet,
+    _extender,
     closure,
     closure_extend,
     decode_tuple,
@@ -538,36 +539,41 @@ class GeneratingSet:
 class _ExactSearch:
     """One exact search: its node count and its closure memo.
 
+    A closed set is a Python int whose bit e is set iff tuple e is a
+    member; it is closed by one more tuple with _extender's extend, on
+    lists, so a node makes no TupleSet unless its closure is handed over
+    to numpy or the layout is multi-block.
+
     Iterative deepening re-walks every shallower tree, and different picks
     often close to the same set, so many closures repeat.  The memo maps a
-    closed set, as its packed membership bits, to a row [lo, children]:
-    the packed closures of the set with each tuple outside it, for the
-    slots lo, lo + 1, ... of those tuples in encoding order.  A node is
-    counted and checked against the node budget before its lookup, and
-    closure_extend runs only on a miss.  Each call has its own step budget,
-    so a stored closure came from a call that succeeded and would succeed
-    again: visit order, node counts, answers and refusals are those of a
-    search without the memo.
+    closed set's bit mask to a row [lo, children]: the closures of the set
+    with each tuple outside it, `width` bytes each, for the slots lo,
+    lo + 1, ... of those tuples in encoding order.  A node is counted and
+    checked against the node budget before its lookup, and extend runs
+    only on a miss.  Each call has its own step budget, so a stored
+    closure came from a call that succeeded and would succeed again: visit
+    order, node counts, answers and refusals are those of a search without
+    the memo.
 
     Only visited nodes are stored.  A row starts at the first slot of the
     first visit of its set and grows at its end; a later visit that starts
     before lo computes the closures below lo without storing them; no
-    search over the corpus or in the tests makes such a visit.  The memo holds at most one packed set per
-    node plus one key per row, and at most limits.space membership bits in
-    all; past that it stores nothing more.  It is freed with the search
-    object when _exact_minimum returns or raises.
+    search over the corpus or in the tests makes such a visit.  The memo
+    holds at most one set per node plus one key per row, `width` bytes of
+    budget each, and at most limits.space membership bits in all; past
+    that it stores nothing more.  It is freed with the search object when
+    _exact_minimum returns or raises.
     """
 
     def __init__(self, algebra: Algebra, n: int, limits: Limits):
-        self.algebra = algebra
-        self.n = n
         self.limits = limits
         self.space = algebra.k**n
-        self.full = TupleSet.full(algebra.k, n, limits=limits).packed()
+        self.full = (1 << self.space) - 1
+        self.close = _extender(algebra, n, limits)
         self.nodes = 0
-        self.width = len(self.full)  # bytes per packed set
+        self.width = -(-self.space // 8)  # bytes per stored set
         self.room = limits.space // 8  # bytes the memo may still take
-        self.memo: dict[bytes, list] = {}
+        self.memo: dict[int, list] = {}
 
     def _reserve(self, size: int) -> bool:
         if size > self.room:
@@ -575,51 +581,54 @@ class _ExactSearch:
         self.room -= size
         return True
 
-    def extend(self, chosen: list[int], packed: bytes, target: int) -> Optional[list[int]]:
+    def extend(self, chosen: list[int], closed: int, target: int) -> Optional[list[int]]:
         """A generating set of at most `target` picks that extends `chosen`,
-        whose closure has the membership bits `packed`."""
-        if packed == self.full:
+        whose closure has the membership mask `closed`."""
+        if closed == self.full:
             return chosen
         if len(chosen) == target:
             return None
-        members = np.unpackbits(np.frombuffer(packed, np.uint8), count=self.space)
         # Anything a minimum set picks next is outside the closure of what
         # it already picked; slot i is the i-th such tuple.
-        free = np.flatnonzero(members == 0)
-        first = int(np.searchsorted(free, chosen[-1] + 1)) if chosen else 0
+        free = self.full ^ closed
+        start = chosen[-1] + 1 if chosen else 0
+        slot = (free & ((1 << start) - 1)).bit_count()
+        free = free >> start << start
         w = self.width
-        entry = self.memo.get(packed)
+        entry = self.memo.get(closed)
         if entry is None:
-            entry = [first, bytearray()]
+            entry = [slot, bytearray()]
             if self._reserve(w):
-                self.memo[packed] = entry
+                self.memo[closed] = entry
         lo, row = entry
-        closed = None
-        for slot, e in enumerate(free[first:].tolist(), first):
+        members = None
+        while free:
+            low = free & -free
+            free ^= low
+            e = low.bit_length() - 1
             self.nodes += 1
             self.limits.check_nodes(self.nodes, self.space)
             i = (slot - lo) * w
             if 0 <= i < len(row):
-                child = bytes(row[i : i + w])
+                child = int.from_bytes(row[i : i + w], "little")
             else:
-                if closed is None:
-                    closed = TupleSet.from_packed(
-                        self.algebra.k, self.n, packed, limits=self.limits
-                    )
-                child = closure_extend(self.algebra, closed, [e], limits=self.limits).packed()
+                if members is None:
+                    members = [x for x in range(self.space) if closed >> x & 1]
+                # Distinct members' bits: their sum is the closure's mask.
+                child = sum(map((1).__lshift__, self.close(members, e)))
                 if i == len(row) and self._reserve(w):
-                    row += child
+                    row += child.to_bytes(w, "little")
             found = self.extend(chosen + [e], child, target)
             if found is not None:
                 return found
+            slot += 1
         return None
 
 
 def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
     search = _ExactSearch(algebra, n, limits)
-    empty = TupleSet(algebra.k, n, limits=limits).packed()
     for target in range(1, search.space + 1):
-        found = search.extend([], empty, target)
+        found = search.extend([], 0, target)
         if found is not None:
             return tuple(found)
     raise AssertionError("the full space generates itself")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,16 +82,18 @@ class Limits:
             )
 
     def charge_steps(
-        self, steps: int, cells: int, rounds: int, result: TupleSet
+        self, steps: int, cells: int, rounds: int, tuples: tuple[int, int]
     ) -> int:
         """Steps applied once a batch of `cells` runs after `steps`; a closure
         that cannot afford the batch is refused with how far it got.
+        `tuples` is (tuples found so far, k**n).
         """
         if steps + cells > self.steps:
+            found, space = tuples
             raise BudgetExceededError(
                 f"closure exceeded the step budget of {self.steps:,} "
                 f"combination applications (rounds completed: {rounds}, "
-                f"tuples: {len(result):,} of {result.space:,}, "
+                f"tuples: {found:,} of {space:,}, "
                 f"steps applied: {steps:,})"
             )
         return steps + cells
@@ -194,20 +196,6 @@ class TupleSet:
         return ts
 
     @classmethod
-    def from_packed(
-        cls, k: int, n: int, packed: bytes, *, limits: Limits = LIMITS
-    ) -> "TupleSet":
-        """The set whose membership bits packed() returned."""
-        ts = cls(k, n, limits=limits)
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=ts.space).view(bool)
-        if ts._dense is not None:
-            ts._dense = bits
-            ts._count = int(np.count_nonzero(bits))
-        else:
-            ts.add_encodings_array(np.flatnonzero(bits))
-        return ts
-
-    @classmethod
     def full(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
         ts = cls(k, n, limits=limits)
         if ts._dense is not None:
@@ -286,15 +274,6 @@ class TupleSet:
         if self._dense is not None:
             return np.flatnonzero(self._dense).astype(np.int64)
         return np.array(sorted(self._sparse), dtype=np.int64)
-
-    def packed(self) -> bytes:
-        """Membership bits of the whole space, in encoding order, packed
-        eight to a byte."""
-        if self._dense is not None:
-            return np.packbits(self._dense).tobytes()
-        mask = np.zeros(self.space, dtype=bool)
-        mask[self.encodings()] = True
-        return np.packbits(mask).tobytes()
 
     def contains_encodings(self, arr: np.ndarray) -> np.ndarray:
         if self._dense is not None:
@@ -509,74 +488,71 @@ def _lookup_table(op: OperationTable, n: int) -> tuple[int, ...]:
 
 
 def _scalar_rounds(
-    operations: tuple[OperationTable, ...],
-    result: TupleSet,
-    old: np.ndarray,
-    new: np.ndarray,
+    algebra: Algebra,
+    n: int,
+    tables: Optional[list[tuple[int, ...]]],
+    old: Collection[int],
+    new: Collection[int],
+    known: set[int],
     limits: Limits,
     ceiling: int,
-) -> Optional[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The leading rounds of _saturate when every operation is tabulated
-    on A^n itself: each round of at most _SCALAR_CELLS cells that fits the
-    step budget is evaluated as tuple lookups on the tables, with the
-    whole-round check, charge and grids of the numpy loop.
+) -> Optional[tuple[int, int, list[int], list[int]]]:
+    """The leading rounds of a closure in A^n when every operation is
+    tabulated on A^n itself: each round of at most _SCALAR_CELLS cells that
+    fits the step budget is evaluated as tuple lookups on the tables, with
+    the whole-round check, charge and grids of _numpy_rounds.
 
-    Returns None once the result is final, else (steps, rounds, old, new)
-    at the first round that does not qualify, for the numpy loop.
+    `known` is old | new, and gains every tuple found.  `tables` are the
+    operations' _lookup_table on A^n, or None to look them up at the first
+    round run here; a closure handed over at once needs none.  Returns
+    None once `known` is final, else (steps, rounds, old, new), both
+    ascending, at the first round that does not qualify.
     """
-    base = result.space
-    # The tables are built at the first round run here; a closure handed
-    # over at once needs none.
-    tables = None
-    old, new = old.tolist(), new.tolist()
-    known = set(old)
-    known.update(new)
+    space = algebra.k**n
     steps = rounds = 0
     while new:
-        cells = sum(len(known) ** op.arity - len(old) ** op.arity for op in operations)
+        size, before = len(known), len(old)
+        cells = sum(size**op.arity - before**op.arity for op in algebra.operations)
         if cells > _SCALAR_CELLS or steps + cells > limits.steps:
-            return steps, rounds, np.array(old, np.int64), np.array(new, np.int64)
-        if len(result) == ceiling:
+            return steps, rounds, sorted(old), sorted(new)
+        if size == ceiling:
             return None
-        steps = limits.charge_steps(steps, cells, rounds, result)
+        steps = limits.charge_steps(steps, cells, rounds, (size, space))
         if tables is None:
-            tables = [_lookup_table(op, result.n) for op in operations]
-        union = sorted(known)
+            tables = [_lookup_table(op, n) for op in algebra.operations]
+        union = list(known)
         images: set[int] = set()
-        for op, table in zip(operations, tables):
+        for op, table in zip(algebra.operations, tables):
             s = op.arity
             for i in range(s if old else 1):
                 # Grid i as in the numpy loop; an argument's encoding is its
                 # digit in base k**n, so each cell is one table index.
-                index = [0]
-                for group in [old] * i + [new] + [union] * (s - 1 - i):
-                    index = [j * base + e for j in index for e in group]
+                groups = [old] * i + [new] + [union] * (s - 1 - i)
+                index = groups[0]
+                for group in groups[1:]:
+                    index = [j * space + e for j in index for e in group]
                 images.update(map(table.__getitem__, index))
-        new = sorted(images.difference(known))
-        for e in new:
-            result.add_encoding(e)
+        new = images.difference(known)
         known.update(new)
         old = union
         rounds += 1
     return None
 
 
-def _saturate(
+def _numpy_rounds(
     algebra: Algebra,
+    layouts: tuple[tuple[int, list[tuple[np.ndarray, int]]], ...],
     result: TupleSet,
-    old: np.ndarray,
-    new: np.ndarray,
     limits: Limits,
     ceiling: int,
+    steps: int,
+    rounds: int,
+    old: np.ndarray | list[int],
+    new: np.ndarray | list[int],
 ) -> TupleSet:
-    """Drive (old | new) to the closure fixed point inside `result`.
-
-    `old` must already be closed as a standalone set; every member of
-    both arrays must already be present in `result`.  Both are ascending.
-    `ceiling` is the size of a closed superset of them (k**n, the full
-    power, unless the caller knows a smaller one).  The closure is the
-    least fixed point, so once the result holds `ceiling` tuples it is
-    that superset, and final; the check comes before each charge.
+    """The rounds of _saturate in numpy, from a closure that has applied
+    `steps` steps in `rounds` rounds (the state _scalar_rounds hands
+    over); `layouts` are the operations' _block_columns on A^n.
 
     A round that fits one batch and the step budget is evaluated whole:
     s grids per s-ary operation, one charge and one insertion.  Any other
@@ -584,22 +560,9 @@ def _saturate(
     inserting per batch, so a refusal says how far it got.  No batch of a
     whole round could have been refused, and both ways insert the same
     images, so the two agree on every result and every refusal.
-
-    When every operation's layout is one block, the leading whole rounds
-    of at most _SCALAR_CELLS cells run in Python instead (_scalar_rounds),
-    where numpy's per-call cost would outweigh the work; the first round
-    that does not qualify moves the closure to the loop below for good.
     """
-    if not algebra.operations:
-        return result
     k, n = result.k, result.n
-    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
-    steps = rounds = 0
-    if all(b == n for b, _ in layouts):
-        state = _scalar_rounds(algebra.operations, result, old, new, limits, ceiling)
-        if state is None:
-            return result
-        steps, rounds, old, new = state
+    old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
     widths = {b for b, _ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
     while new.size:
@@ -613,7 +576,9 @@ def _saturate(
         if round_cells <= _CHUNK_CELLS and steps + round_cells <= limits.steps:
             if len(result) == ceiling:
                 return result
-            steps = limits.charge_steps(steps, round_cells, rounds, result)
+            steps = limits.charge_steps(
+                steps, round_cells, rounds, (len(result), result.space)
+            )
             # Grid i draws argument i from the new frontier, the earlier
             # ones from `old` and the later ones from `old | new`: together
             # every combination that touches the frontier, each once.
@@ -640,7 +605,9 @@ def _saturate(
                     for batch, cells in _grid_batches(groups):
                         if len(result) == ceiling:
                             return result
-                        steps = limits.charge_steps(steps, cells, rounds, result)
+                        steps = limits.charge_steps(
+                            steps, cells, rounds, (len(result), result.space)
+                        )
                         fresh = result.add_encodings_array(_grid_results(columns, batch))
                         if fresh.size:
                             produced.append(fresh)
@@ -648,6 +615,87 @@ def _saturate(
         rounds += 1
         old, old_blocks = union, union_blocks
     return result
+
+
+def _saturate(
+    algebra: Algebra,
+    result: TupleSet,
+    old: np.ndarray,
+    new: np.ndarray,
+    limits: Limits,
+    ceiling: int,
+) -> TupleSet:
+    """Drive (old | new) to the closure fixed point inside `result`.
+
+    `old` must already be closed as a standalone set; every member of
+    both arrays must already be present in `result`.  Both are ascending.
+    `ceiling` is the size of a closed superset of them (k**n, the full
+    power, unless the caller knows a smaller one).  The closure is the
+    least fixed point, so once the result holds `ceiling` tuples it is
+    that superset, and final; the check comes before each charge.
+
+    When every operation's layout is one block, the leading whole rounds
+    of at most _SCALAR_CELLS cells run in Python (_scalar_rounds), where
+    numpy's per-call cost would outweigh the work; the first round that
+    does not qualify moves the closure to _numpy_rounds for good.
+    """
+    if not algebra.operations:
+        return result
+    n = result.n
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    state = (0, 0, old, new)
+    if all(b == n for b, _ in layouts):
+        old_list, new_list = old.tolist(), new.tolist()
+        known = set(old_list)
+        known.update(new_list)
+        state = _scalar_rounds(
+            algebra, n, None, old_list, new_list, known, limits, ceiling
+        )
+        for e in known.difference(old_list, new_list):
+            result.add_encoding(e)
+        if state is None:
+            return result
+    return _numpy_rounds(algebra, layouts, result, limits, ceiling, *state)
+
+
+def _extender(
+    algebra: Algebra, n: int, limits: Limits
+) -> Callable[[list[int], int], list[int]]:
+    """extend(members, e): the ascending encodings of the closure of a
+    closed set of A^n, given by its ascending encodings, with a tuple e
+    outside it.  For a search that makes many such closures: the layouts
+    and lookup tables are looked up once, here.
+
+    When every layout is one block, extend runs _scalar_rounds on lists
+    and a set, and makes a TupleSet only at a round that does not qualify,
+    to hand the closure to _numpy_rounds with its steps and rounds.
+    Otherwise it is closure_extend.  Either way its charges, results and
+    refusals are those of closure_extend.
+    """
+    k = algebra.k
+    space = k**n
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    if not all(b == n for b, _ in layouts):
+
+        def extend(members: list[int], e: int) -> list[int]:
+            closed = TupleSet.from_encodings(k, n, members, limits=limits)
+            grown = closure_extend(algebra, closed, [e], limits=limits)
+            return grown.encodings().tolist()
+
+        return extend
+    tables = [_lookup_table(op, n) for op in algebra.operations]
+
+    def extend(members: list[int], e: int) -> list[int]:
+        known = set(members)
+        known.add(e)
+        state = _scalar_rounds(algebra, n, tables, members, [e], known, limits, space)
+        if state is None:
+            return sorted(known)
+        result = TupleSet.from_encodings(k, n, known, limits=limits)
+        _numpy_rounds(algebra, layouts, result, limits, space, *state)
+        return result.encodings().tolist()
+
+    return extend
 
 
 def closure(

@@ -11,15 +11,35 @@ operations at k**n = 32, 64 and 81).
 
 The draw spans both ways a closure round is evaluated: tuple lookups on
 operations tabulated on A^n itself, and numpy grids on blocked tables.
+The exact search's list-level extend (subpower._extender) must give the
+same closure as closure_extend, and the same refusal at every step budget
+where a charge starts to fit, also when it hands a closure over to numpy
+after some rounds of lookups and when a layout is multi-block.
 """
 
 import random
 
 import pytest
 
-from genpow import Algebra, Limits, TupleSet, closure, closure_extend, decode_tuple
-from genpow.subpower import _block_columns
-from tests.oracles import brute_closure, numpy_closure, random_op, random_table_op
+import genpow.subpower
+from genpow import (
+    Algebra,
+    Limits,
+    TupleSet,
+    closure,
+    closure_extend,
+    decode_tuple,
+    encode_tuple,
+)
+from genpow.subpower import _block_columns, _extender
+from tests.oracles import (
+    brute_closure,
+    numpy_closure,
+    per_pattern_charges,
+    random_op,
+    random_table_op,
+)
+from tests.test_rounds import assert_sweep
 
 ALGEBRAS = 200
 BRUTE_COMBINATIONS = 20_000
@@ -52,18 +72,38 @@ def oracle(algebra, seeds, n):
     return {decode_tuple(e, algebra.k, n) for e in numpy_closure(algebra, seeds).tolist()}
 
 
-@pytest.mark.parametrize("seed", range(ALGEBRAS))
-def test_closure_and_extend_match_the_oracle(seed):
+def extensions(seed, close):
+    """The seed's algebra, and per n its draw: (n, seeds, members, extra).
+    The seeds are 1-3 random tuples, members = close(algebra, seeds, n) is
+    their closure as a set of tuples, and extra is the encoding of a random
+    tuple outside it, or None when there is none."""
     algebra = draw(seed)
     k = algebra.k
     rng = random.Random(-seed)
+    draws = []
     for n in sizes(k):
         space = k**n
         count = rng.randint(1, min(3, space))
         seeds = [decode_tuple(e, k, n) for e in rng.sample(range(space), count)]
-        members = oracle(algebra, seeds, n)
+        members = close(algebra, seeds, n)
         outside = [e for e in range(space) if decode_tuple(e, k, n) not in members]
-        extra = rng.choice(outside) if outside else None
+        draws.append((n, seeds, members, rng.choice(outside) if outside else None))
+    return algebra, draws
+
+
+def package_closure(algebra, seeds, n):
+    return set(closure(algebra, TupleSet.from_tuples(algebra.k, n, seeds)))
+
+
+def encodings(members, k):
+    return sorted(encode_tuple(t, k) for t in members)
+
+
+@pytest.mark.parametrize("seed", range(ALGEBRAS))
+def test_closure_and_extend_match_the_oracle(seed):
+    algebra, draws = extensions(seed, oracle)
+    k = algebra.k
+    for n, seeds, members, extra in draws:
         if extra is not None:
             widened = oracle(algebra, [*members, decode_tuple(extra, k, n)], n)
         for backend, limits in BACKENDS.items():
@@ -73,6 +113,54 @@ def test_closure_and_extend_match_the_oracle(seed):
             if extra is not None:
                 grown = closure_extend(algebra, closed, [extra], limits=limits)
                 assert set(grown) == widened, (seed, n, backend, extra)
+                extend = _extender(algebra, n, limits)
+                assert extend(encodings(members, k), extra) == encodings(widened, k), (
+                    seed, n, backend, extra,
+                )
+
+
+def test_extend_budget_sweep_across_the_handover(monkeypatch):
+    """Every draw whose extension by its extra tuple hands over to numpy
+    after at least one round of lookups, and every draw with a multi-block
+    layout, dense and sparse, at every step budget where a reference charge
+    starts to fit, one step either side, 0 and one past the whole cost."""
+    rounds_at_handover = []
+    scalar_rounds = genpow.subpower._scalar_rounds
+
+    def counted(*args):
+        state = scalar_rounds(*args)
+        rounds_at_handover.append(None if state is None else state[1])
+        return state
+
+    monkeypatch.setattr(genpow.subpower, "_scalar_rounds", counted)
+    swept = {"handover": 0, "multi-block": 0}
+    for seed in range(ALGEBRAS):
+        algebra, draws = extensions(seed, package_closure)
+        k = algebra.k
+        for n, _, members, extra in draws:
+            if extra is None:
+                continue
+            one_block = all(_block_columns(op, n)[0] == n for op in algebra.operations)
+            rounds_at_handover.clear()
+            _extender(algebra, n, Limits())(encodings(members, k), extra)
+            if one_block and not (rounds_at_handover[0] or 0):
+                continue
+            swept["handover" if one_block else "multi-block"] += 1
+            widened, charges = per_pattern_charges(
+                algebra, [decode_tuple(extra, k, n)], old=members
+            )
+            need = sum(cells for _, cells, _, _ in charges)
+            budgets = {0, need + 1} | {
+                steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
+            }
+            for backend, dense in (("dense", Limits().dense), ("sparse", 0)):
+                assert_sweep(
+                    lambda b: _extender(algebra, n, Limits(steps=b, dense=dense))(
+                        encodings(members, k), extra
+                    ),
+                    charges, widened, k**n, (seed, n, backend), sorted(budgets),
+                )
+    assert swept["handover"] >= 50 and swept["multi-block"] >= 50, swept
 
 
 def test_the_draw_has_unary_idempotent_and_mixed_layout_cases():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-import genpow.criteria
+import genpow.subpower
 from genpow import (
     Algebra,
     BudgetExceededError,
@@ -32,6 +32,7 @@ from tests.oracles import (
     CLOSED_FORM_GROWTH,
     brute_closure,
     gf2_affine_rank,
+    random_op,
     random_table_op,
     reference_exact_minimum,
 )
@@ -178,15 +179,28 @@ def test_large_corpus_rows_match_at_the_default_budgets():
     assert results["min2", 4] == (7, 11, 13, 14, 15)
 
 
+def mask_of(encodings):
+    return sum(1 << e for e in encodings)
+
+
+def members_of(mask, space):
+    return [e for e in range(space) if mask >> e & 1]
+
+
 @pytest.mark.parametrize("limits", [Limits(), Limits(dense=0)], ids=["dense", "sparse"])
 def test_packed_bits_round_trip(xor3, limits):
+    """The search holds a closed set as its membership mask and the memo
+    stores it in `width` bytes, ceil(k**n / 8); a random set comes back
+    from the stored bytes with the members it had."""
     rng = random.Random(7)
     for n in (1, 3, 4, 9):
         members = rng.sample(range(2**n), rng.randrange(2**n + 1))
         ts = TupleSet.from_encodings(2, n, members, limits=limits)
-        packed = ts.packed()
-        assert len(packed) == -(-(2**n) // 8)
-        assert TupleSet.from_packed(2, n, packed, limits=limits) == ts
+        width = _ExactSearch(xor3, n, limits).width
+        stored = mask_of(ts.encodings().tolist()).to_bytes(width, "little")
+        assert len(stored) == -(-(2**n) // 8)
+        back = members_of(int.from_bytes(stored, "little"), 2**n)
+        assert TupleSet.from_encodings(2, n, back, limits=limits) == ts
     # The search gives the same answer on either backend.
     assert package(xor3, 3, limits) == package(xor3, 3, Limits())
 
@@ -198,36 +212,33 @@ def test_every_stored_closure_is_its_parent_closed_with_its_pick(xor3):
     rows start at different slots and some grow at the front; every stored
     closure must still be that of the parent and its tuple."""
     search = _ExactSearch(xor3, 4, Limits())
-    empty = TupleSet(2, 4).packed()
-    assert next(t for t in range(1, 17) if search.extend([], empty, t)) == 5
+    assert next(t for t in range(1, 17) if search.extend([], 0, t)) == 5
     w = search.width
     stored = 0
-    for packed, (lo, row) in search.memo.items():
-        parent = TupleSet.from_packed(2, 4, packed)
+    for mask, (lo, row) in search.memo.items():
+        parent = TupleSet.from_encodings(2, 4, members_of(mask, 16))
         outside = [e for e in range(16) if not parent.has_encoding(e)]
         assert len(row) % w == 0 and lo + len(row) // w <= len(outside)
         for i in range(len(row) // w):
-            child = bytes(row[i * w : (i + 1) * w])
+            child = int.from_bytes(row[i * w : (i + 1) * w], "little")
             e = outside[lo + i]
-            assert child == closure_extend(xor3, parent, [e]).packed(), (packed, e)
+            grown = closure_extend(xor3, parent, [e])
+            assert child == mask_of(grown.encodings().tolist()), (mask, e)
             stored += 1
-    # One stored closure per closure_extend call of the search.
+    # One stored closure per closure the search computed.
     assert stored == 1297
 
 
-def test_a_visit_below_a_row_start_computes_without_storing(xor3, monkeypatch):
+def test_a_visit_below_a_row_start_computes_without_storing(xor3):
     """A row starts where the first visit of its set starts.  A later
     visit from a lower slot counts every node, computes the closures
     below the row's start and leaves the row as it was."""
-    calls = []
-    monkeypatch.setattr(
-        genpow.criteria,
-        "closure_extend",
-        lambda *args, **kwargs: calls.append(1) or closure_extend(*args, **kwargs),
-    )
     search = _ExactSearch(xor3, 4, Limits())
+    calls = []
+    close = search.close
+    search.close = lambda *args: calls.append(1) or close(*args)
     # xor3 is idempotent, so {9} is closed; slot 9 holds tuple 10.
-    parent = TupleSet.from_encodings(2, 4, [9]).packed()
+    parent = 1 << 9
     assert search.extend([9], parent, 2) is None
     assert list(search.memo) == [parent]
     lo, row = search.memo[parent]
@@ -241,21 +252,23 @@ def test_a_visit_below_a_row_start_computes_without_storing(xor3, monkeypatch):
 
 def _refused_search(algebra, n, limits):
     search = _ExactSearch(algebra, n, limits)
-    empty = TupleSet(algebra.k, n, limits=limits).packed()
     with pytest.raises(BudgetExceededError) as info:
         for target in range(1, search.space + 1):
-            search.extend([], empty, target)
+            search.extend([], 0, target)
     return search, str(info.value)
 
 
 def _memo_bytes(search):
-    return sum(len(key) + len(row) for key, (_, row) in search.memo.items())
+    """The budget the memo has taken: `width` bytes per key and per stored
+    closure."""
+    return sum(search.width + len(row) for _, row in search.memo.values())
 
 
 def test_memo_grows_with_the_nodes_visited_not_with_the_space(xor3):
     """At k**n = 4096 a search refused at 300 nodes stores at most one
-    packed set per node plus one key per row: about 0.3 MB, where one row
-    with a slot for every tuple outside the empty set would take 2 MB."""
+    set per node plus one key per row, `width` = 512 bytes each: about
+    0.3 MB, where one row with a slot for every tuple outside the empty
+    set would take 2 MB."""
     limits = Limits(exact=4096, nodes=300)
     search, refusal = _refused_search(xor3, 12, limits)
     assert refusal == "exact search exceeded 300 nodes at k**n = 4096"
@@ -266,8 +279,8 @@ def test_memo_grows_with_the_nodes_visited_not_with_the_space(xor3):
 
 
 def test_memo_stays_within_the_space_budget(xor3):
-    """With room for ten packed sets the memo stops storing at ten, and
-    the search visits the same nodes and is refused the same way."""
+    """With room for ten sets the memo stops storing at ten, and the
+    search visits the same nodes and is refused the same way."""
     limits = Limits(exact=4096, nodes=300, space=10 * 4096)
     search, refusal = _refused_search(xor3, 12, limits)
     assert refusal == "exact search exceeded 300 nodes at k**n = 4096"
@@ -276,6 +289,41 @@ def test_memo_stays_within_the_space_budget(xor3):
     # With room for the root's key alone, no closure is stored.
     tiny = Limits(space=16)
     assert package(xor3, 4, tiny) == reference(xor3, 4, tiny) == package(xor3, 4, Limits())
+
+
+def _tuple_sets_made(monkeypatch, run):
+    """run()'s outcome and the TupleSets constructed meanwhile."""
+    made = []
+    init = TupleSet.__init__
+    monkeypatch.setattr(
+        TupleSet, "__init__", lambda ts, *a, **kw: made.append(1) or init(ts, *a, **kw)
+    )
+    try:
+        return run(), len(made)
+    finally:
+        monkeypatch.undo()
+
+
+def test_one_block_searches_close_on_lists(egp3, min2, monkeypatch):
+    """On one-block layouts a node's closure makes no TupleSet unless a
+    round hands it over to numpy: egp3 at n = 3 (20,000 nodes, then
+    refused) makes at most one, min2 at n = 4 none.  A multi-block layout
+    (a ternary operation at k**n = 81) closes through closure_extend, and
+    its answer is still the reference's."""
+    refusal, made = _tuple_sets_made(
+        monkeypatch, lambda: outcome(package, egp3, 3, Limits())
+    )
+    assert refusal == "exact search exceeded 20000 nodes at k**n = 27" and made <= 1
+    answer, made = _tuple_sets_made(
+        monkeypatch, lambda: outcome(package, min2, 4, Limits())
+    )
+    assert answer == (7, 11, 13, 14, 15) and made == 0
+    ternary = Algebra(k=3, operations=(random_op(3, 3, 0),))
+    assert genpow.subpower._block_columns(ternary.operations[0], 4)[0] < 4
+    answer, made = _tuple_sets_made(
+        monkeypatch, lambda: outcome(package, ternary, 4, Limits())
+    )
+    assert answer == reference(ternary, 4, Limits()) == (1, 15) and made > 0
 
 
 @pytest.mark.parametrize("nodes", [None, 50])
