@@ -724,18 +724,15 @@ def growth_profile(
         row_mode = mode
         if mode == "exact" and algebra.k**n > limits.exact:
             row_mode = "greedy"
-        gs = None
         try:
-            gs = min_generating_size(algebra, n, mode=row_mode, limits=limits)
-        except BudgetExceededError:
-            if row_mode == "exact":
-                try:
-                    gs = min_generating_size(algebra, n, mode="greedy", limits=limits)
-                except BudgetExceededError as exc:
-                    note = f"rows from n = {n} omitted: {exc}"
-                    break
-            else:
-                note = f"rows from n = {n} omitted: greedy scan over budget"
-                break
+            try:
+                gs = min_generating_size(algebra, n, mode=row_mode, limits=limits)
+            except BudgetExceededError:
+                if row_mode == "greedy":
+                    raise
+                gs = min_generating_size(algebra, n, mode="greedy", limits=limits)
+        except BudgetExceededError as exc:
+            note = f"rows from n = {n} omitted: {exc}"
+            break
         rows.append(GrowthRow(n=gs.n, size=gs.size, mode=gs.mode))
     return GrowthProfile(k=algebra.k, rows=tuple(rows), note=note)

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, PreconditionError, UniverseMismatchErro
 
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
 _CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
-_SCALAR_CELLS = 256  # largest closure round on one-block layouts evaluated in Python
+_SCALAR_CELLS = 256  # largest round of the exact search's closures evaluated in Python
 
 
 @dataclass(frozen=True)
@@ -472,6 +472,15 @@ def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
     return _digit_matrix(encodings, _weights(k**b, -(-n // b)), k**b)
 
 
+def _grid_images(op: OperationTable, members: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Images under op, applied coordinatewise, of every op.arity-tuple of
+    members (encodings in A^n), one _grid_batches batch at a time."""
+    b, columns = _block_columns(op, n)
+    blocks = _split_blocks(members, op.k, b, n)
+    for batch, _ in _grid_batches([blocks] * op.arity):
+        yield _grid_results(columns, batch)
+
+
 @lru_cache(maxsize=64)
 def _layouts(
     operations: tuple[OperationTable, ...], n: int, chunk_cells: int
@@ -490,7 +499,7 @@ def _lookup_table(op: OperationTable, n: int) -> tuple[int, ...]:
 def _scalar_rounds(
     algebra: Algebra,
     n: int,
-    tables: Optional[list[tuple[int, ...]]],
+    tables: list[tuple[int, ...]],
     old: Collection[int],
     new: Collection[int],
     known: set[int],
@@ -499,14 +508,13 @@ def _scalar_rounds(
 ) -> Optional[tuple[int, int, list[int], list[int]]]:
     """The leading rounds of a closure in A^n when every operation is
     tabulated on A^n itself: each round of at most _SCALAR_CELLS cells that
-    fits the step budget is evaluated as tuple lookups on the tables, with
-    the whole-round check, charge and grids of _numpy_rounds.
+    fits the step budget is evaluated as tuple lookups on `tables`, the
+    operations' _lookup_table on A^n, with the whole-round check, charge
+    and grids of _saturate.
 
-    `known` is old | new, and gains every tuple found.  `tables` are the
-    operations' _lookup_table on A^n, or None to look them up at the first
-    round run here; a closure handed over at once needs none.  Returns
-    None once `known` is final, else (steps, rounds, old, new), both
-    ascending, at the first round that does not qualify.
+    `known` is old | new, and gains every tuple found.  Returns None once
+    `known` is final, else (steps, rounds, old, new), both ascending, at
+    the first round that does not qualify.
     """
     space = algebra.k**n
     steps = rounds = 0
@@ -518,14 +526,12 @@ def _scalar_rounds(
         if size == ceiling:
             return None
         steps = limits.charge_steps(steps, cells, rounds, (size, space))
-        if tables is None:
-            tables = [_lookup_table(op, n) for op in algebra.operations]
         union = list(known)
         images: set[int] = set()
         for op, table in zip(algebra.operations, tables):
             s = op.arity
             for i in range(s if old else 1):
-                # Grid i as in the numpy loop; an argument's encoding is its
+                # Grid i as in _saturate; an argument's encoding is its
                 # digit in base k**n, so each cell is one table index.
                 groups = [old] * i + [new] + [union] * (s - 1 - i)
                 index = groups[0]
@@ -539,20 +545,25 @@ def _scalar_rounds(
     return None
 
 
-def _numpy_rounds(
+def _saturate(
     algebra: Algebra,
-    layouts: tuple[tuple[int, list[tuple[np.ndarray, int]]], ...],
     result: TupleSet,
-    limits: Limits,
-    ceiling: int,
-    steps: int,
-    rounds: int,
     old: np.ndarray | list[int],
     new: np.ndarray | list[int],
+    limits: Limits,
+    ceiling: int,
+    steps: int = 0,
+    rounds: int = 0,
 ) -> TupleSet:
-    """The rounds of _saturate in numpy, from a closure that has applied
-    `steps` steps in `rounds` rounds (the state _scalar_rounds hands
-    over); `layouts` are the operations' _block_columns on A^n.
+    """Drive (old | new) to the closure fixed point inside `result`, from
+    a closure that has applied `steps` steps in `rounds` rounds.
+
+    `old` must already be closed as a standalone set; every member of
+    both must already be present in `result`.  Both are ascending.
+    `ceiling` is the size of a closed superset of them (k**n, the full
+    power, unless the caller knows a smaller one).  The closure is the
+    least fixed point, so once the result holds `ceiling` tuples it is
+    that superset, and final; the check comes before each charge.
 
     A round that fits one batch and the step budget is evaluated whole:
     s grids per s-ary operation, one charge and one insertion.  Any other
@@ -561,7 +572,10 @@ def _numpy_rounds(
     whole round could have been refused, and both ways insert the same
     images, so the two agree on every result and every refusal.
     """
+    if not algebra.operations:
+        return result
     k, n = result.k, result.n
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
     widths = {b for b, _ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
@@ -617,85 +631,49 @@ def _numpy_rounds(
     return result
 
 
-def _saturate(
-    algebra: Algebra,
-    result: TupleSet,
-    old: np.ndarray,
-    new: np.ndarray,
-    limits: Limits,
-    ceiling: int,
-) -> TupleSet:
-    """Drive (old | new) to the closure fixed point inside `result`.
-
-    `old` must already be closed as a standalone set; every member of
-    both arrays must already be present in `result`.  Both are ascending.
-    `ceiling` is the size of a closed superset of them (k**n, the full
-    power, unless the caller knows a smaller one).  The closure is the
-    least fixed point, so once the result holds `ceiling` tuples it is
-    that superset, and final; the check comes before each charge.
-
-    When every operation's layout is one block, the leading whole rounds
-    of at most _SCALAR_CELLS cells run in Python (_scalar_rounds), where
-    numpy's per-call cost would outweigh the work; the first round that
-    does not qualify moves the closure to _numpy_rounds for good.
-    """
-    if not algebra.operations:
-        return result
-    n = result.n
-    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
-    state = (0, 0, old, new)
-    if all(b == n for b, _ in layouts):
-        old_list, new_list = old.tolist(), new.tolist()
-        known = set(old_list)
-        known.update(new_list)
-        state = _scalar_rounds(
-            algebra, n, None, old_list, new_list, known, limits, ceiling
-        )
-        for e in known.difference(old_list, new_list):
-            result.add_encoding(e)
-        if state is None:
-            return result
-    return _numpy_rounds(algebra, layouts, result, limits, ceiling, *state)
-
-
 def _extender(
     algebra: Algebra, n: int, limits: Limits
 ) -> Callable[[list[int], int], list[int]]:
     """extend(members, e): the ascending encodings of the closure of a
     closed set of A^n, given by its ascending encodings, with a tuple e
-    outside it.  For a search that makes many such closures: the layouts
-    and lookup tables are looked up once, here.
+    outside it, for the exact search, which makes many such closures.
 
-    When every layout is one block, extend runs _scalar_rounds on lists
-    and a set, and makes a TupleSet only at a round that does not qualify,
-    to hand the closure to _numpy_rounds with its steps and rounds.
-    Otherwise it is closure_extend.  Either way its charges, results and
-    refusals are those of closure_extend.
+    When every operation is tabulated on A^n itself (one block), the
+    leading rounds run as _scalar_rounds on lists and a set, where
+    numpy's per-call cost would outweigh the work; the lookup tables are
+    looked up once, here.  The closure goes to _saturate, in a TupleSet
+    of the tuples known, with its steps and rounds carried, at the first
+    round that does not qualify, or at once on a multi-block layout.
+    Either way its charges, results and refusals are those of
+    closure_extend.
     """
     k = algebra.k
     space = k**n
-    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
-    if not all(b == n for b, _ in layouts):
-
-        def extend(members: list[int], e: int) -> list[int]:
-            closed = TupleSet.from_encodings(k, n, members, limits=limits)
-            grown = closure_extend(algebra, closed, [e], limits=limits)
-            return grown.encodings().tolist()
-
-        return extend
-    tables = [_lookup_table(op, n) for op in algebra.operations]
+    tables = None
+    if all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
+        tables = [_lookup_table(op, n) for op in algebra.operations]
 
     def extend(members: list[int], e: int) -> list[int]:
         known = set(members)
         known.add(e)
-        state = _scalar_rounds(algebra, n, tables, members, [e], known, limits, space)
-        if state is None:
-            return sorted(known)
+        state = (0, 0, members, [e])
+        if tables is not None:
+            state = _scalar_rounds(algebra, n, tables, members, [e], known, limits, space)
+            if state is None:
+                return sorted(known)
+        steps, rounds, old, new = state
         result = TupleSet.from_encodings(k, n, known, limits=limits)
-        _numpy_rounds(algebra, layouts, result, limits, space, *state)
+        _saturate(algebra, result, old, new, limits, space, steps, rounds)
         return result.encodings().tolist()
 
     return extend
+
+
+def _check_universe(algebra: Algebra, ts: TupleSet) -> None:
+    if algebra.k != ts.k:
+        raise UniverseMismatchError(
+            f"algebra universe {algebra.k} != tuple set universe {ts.k}"
+        )
 
 
 def closure(
@@ -713,21 +691,9 @@ def closure(
     advance, k**n by default; the closure stops as soon as it holds that
     many tuples.
     """
-    if algebra.k != seeds.k:
-        raise UniverseMismatchError(
-            f"algebra universe {algebra.k} != tuple set universe {seeds.k}"
-        )
-    result = seeds.copy()
-    if len(seeds) == 0:
-        return result
-    return _saturate(
-        algebra,
-        result,
-        np.empty(0, np.int64),
-        seeds.encodings(),
-        limits,
-        seeds.space if ceiling is None else ceiling,
-    )
+    _check_universe(algebra, seeds)
+    ceiling = seeds.space if ceiling is None else ceiling
+    return _saturate(algebra, seeds.copy(), [], seeds.encodings(), limits, ceiling)
 
 
 def closure_extend(
@@ -742,15 +708,9 @@ def closure_extend(
     Cheaper than re-closing from scratch: only combinations touching the
     added tuples are enumerated.
     """
+    _check_universe(algebra, closed)
     result = closed.copy()
-    fresh = [e for e in extra_encodings if result.add_encoding(int(e))]
+    fresh = sorted(e for e in map(int, extra_encodings) if result.add_encoding(e))
     if not fresh:
         return result
-    return _saturate(
-        algebra,
-        result,
-        closed.encodings(),
-        np.array(sorted(fresh), dtype=np.int64),
-        limits,
-        result.space,
-    )
+    return _saturate(algebra, result, closed.encodings(), fresh, limits, result.space)

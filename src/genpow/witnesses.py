@@ -28,10 +28,7 @@ from .subpower import (
     LIMITS,
     Limits,
     TupleSet,
-    _block_columns,
-    _grid_batches,
-    _grid_results,
-    _split_blocks,
+    _grid_images,
     _weights,
     closure,
     decode_tuple,
@@ -357,12 +354,9 @@ def preserves_relation(
     count = members.size
     if count == 0:
         return True
-    s = op.arity
-    limits.check_combinations(count, s)
-    b, columns = _block_columns(op, rel.n)
-    blocks = _split_blocks(members, rel.k, b, rel.n)
-    for batch, _ in _grid_batches([blocks] * s):
-        if not rel.contains_encodings(_grid_results(columns, batch)).all():
+    limits.check_combinations(count, op.arity)
+    for images in _grid_images(op, members, rel.n):
+        if not rel.contains_encodings(images).all():
             return False
     return True
 

@@ -402,6 +402,15 @@ def test_growth_profile_space_budget_note(xor3):
     assert profile.note.startswith("rows from n = 4 omitted")
 
 
+def test_growth_profile_greedy_note_names_the_refusal(xor3):
+    profile = growth_profile(xor3, 3, mode="greedy", limits=Limits(space=4))
+    assert [row.n for row in profile.rows] == [1, 2]
+    assert profile.note == (
+        "rows from n = 3 omitted: tuple space k**n = 2**3 = 8 exceeds the "
+        "space budget 4"
+    )
+
+
 def test_growth_profile_rejections(xor3):
     with pytest.raises(PreconditionError):
         growth_profile(xor3, 0)

@@ -9,12 +9,14 @@ is brute_closure where one of its passes is at most (k**n)**arity <=
 20,000 combinations, and the vectorized numpy_closure above that (ternary
 operations at k**n = 32, 64 and 81).
 
-The draw spans both ways a closure round is evaluated: tuple lookups on
-operations tabulated on A^n itself, and numpy grids on blocked tables.
-The exact search's list-level extend (subpower._extender) must give the
-same closure as closure_extend, and the same refusal at every step budget
-where a charge starts to fit, also when it hands a closure over to numpy
-after some rounds of lookups and when a layout is multi-block.
+closure and closure_extend evaluate every round as numpy grids.  The
+exact search's list-level extend (subpower._extender) evaluates rounds as
+tuple lookups when every operation is tabulated on A^n itself, and the
+draw spans both layouts.  extend must give the same closure as
+closure_extend, and the same refusal at every step budget where a charge
+starts to fit, also when it hands a closure over to numpy after some
+rounds of lookups and when a layout is multi-block, where numpy runs
+every round.
 """
 
 import random

@@ -2,12 +2,13 @@
 
 A round that fits one grid batch and the step budget is evaluated whole;
 every other round runs argument pattern by argument pattern, charging the
-budget per batch.  When every operation is tabulated on A^n itself, the
-leading whole rounds of at most _SCALAR_CELLS cells are tuple lookups, and
-the first round that does not qualify hands the closure to numpy.
-Sweeping the step budget across a closure's whole cost sends its rounds
-down every way, and each budget must give the result or the refusal
-message the reference gives.
+budget per batch.  closure and closure_extend run every round in numpy.
+In the exact search's extend (subpower._extender), when every operation is
+tabulated on A^n itself, the leading whole rounds of at most _SCALAR_CELLS
+cells are tuple lookups, and the first round that does not qualify hands
+the closure to numpy.  Sweeping the step budget across a closure's whole
+cost sends its rounds down every way, and each budget must give the
+result or the refusal message the reference gives.
 """
 
 import random
@@ -26,6 +27,7 @@ from genpow import (
     decode_tuple,
     equal_pair_evidence,
 )
+from genpow.subpower import _extender
 from tests.oracles import (
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
@@ -108,11 +110,12 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
 
 class Counted:
     """Counts the grids _grid_results evaluates, the insertions into a
-    TupleSet, the closures _scalar_rounds hands to the numpy loop and the
-    lookup tables it asks for."""
+    TupleSet, the calls of _scalar_rounds with the closures it hands to the
+    numpy loop, and the lookup tables asked for."""
 
     def __init__(self, monkeypatch):
         self.grids, self.insertions, self.handovers, self.tables = [], [], [], []
+        self.lookup_calls = 0
         grid_results = genpow.subpower._grid_results
         insert = TupleSet.add_encodings_array
         scalar_rounds = genpow.subpower._scalar_rounds
@@ -131,6 +134,7 @@ class Counted:
             return insert(ts, arr)
 
         def counted_scalar(*args):
+            self.lookup_calls += 1
             state = scalar_rounds(*args)
             if state is not None:
                 self.handovers.append(state[1])
@@ -154,7 +158,7 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeyp
     # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
     # gives a proper subpower of 20 tuples after 3 rounds.  Each round has
     # more than _SCALAR_CELLS cells and fits one batch, so each is one
-    # numpy whole round.
+    # numpy whole round, as every round of closure_extend is.
     closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
     members, charges = per_pattern_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
     cells = round_cells(charges)
@@ -165,7 +169,7 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeyp
     widened = closure_extend(maj3, closed, [8])
     monkeypatch.undo()
     assert set(widened) == members
-    assert counted.handovers == [0]
+    assert counted.handovers == []
     assert counted.tables == []
     assert counted.grids == [3] * 3 * len(cells)
     assert len(counted.insertions) == len(cells)
@@ -174,16 +178,17 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeyp
 def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
     # closure({2, 26}) on egp3 at A^3 has 3 tuples; adding 6 gives a proper
     # subpower of 12 tuples after 4 rounds of at most 57 cells.  egp3 is
-    # tabulated on A^3 itself, so every round is a tuple lookup per cell.
+    # tabulated on A^3 itself, so in the search's extend every round is a
+    # tuple lookup per cell.
     closed = closure(egp3, TupleSet.from_encodings(3, 3, [2, 26]))
     members, charges = per_pattern_charges(egp3, [decode_tuple(6, 3, 3)], old=set(closed))
     cells = round_cells(charges)
     assert (len(closed), len(members), len(cells)) == (3, 12, 4)
     assert max(cells) <= genpow.subpower._SCALAR_CELLS
     counted = Counted(monkeypatch)
-    widened = closure_extend(egp3, closed, [6])
+    widened = _extender(egp3, 3, LIMITS)(closed.encodings().tolist(), 6)
     monkeypatch.undo()
-    assert set(widened) == members
+    assert {decode_tuple(e, 3, 3) for e in widened} == members
     assert counted.grids == counted.insertions == counted.handovers == []
     assert counted.tables == [("f", 3)]
 
@@ -206,21 +211,29 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
     assert charged == [27]
 
 
-# egp3 closures in A^4 whose leading rounds are tuple lookups and whose
-# later rounds run in numpy: (seeds, extra tuple or None, tuples, rounds
-# before the handover).  The second's two tuple-lookup rounds charge
-# 256 steps in all.
+# egp3 closures in A^4 whose leading rounds have at most _SCALAR_CELLS
+# cells and whose later rounds have more: (seeds, extra tuple or None,
+# tuples).  closure and closure_extend run them in numpy alone.
 HANDOVERS = [
-    ([3, 11, 18, 54], None, 23, 2),
-    ([24, 32, 60, 74, 78, 80], None, 25, 2),
-    ([3, 11, 18, 54], 29, 29, 1),
+    ([3, 11, 18, 54], None, 23),
+    ([24, 32, 60, 74, 78, 80], None, 25),
+    ([3, 11, 18, 54], 29, 29),
 ]
+
+
+def charge_edges(charges):
+    """0, one past the whole cost, and every budget where a charge starts
+    to fit with one step either side: the outcome changes only there."""
+    need = sum(cells for _, cells, _, _ in charges)
+    return {0, need + 1} | {
+        steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
+    }
 
 
 @pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
 @pytest.mark.parametrize("case", range(len(HANDOVERS)))
 def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
-    encodings, extra, size, scalar = HANDOVERS[case]
+    encodings, extra, size = HANDOVERS[case]
     seeds = [decode_tuple(e, 3, 4) for e in encodings]
     ts = TupleSet.from_tuples(3, 4, seeds, limits=Limits(dense=dense))
     members, charges = per_pattern_charges(egp3, seeds)
@@ -236,13 +249,35 @@ def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
     monkeypatch.undo()
+    assert counted.lookup_calls == 0 and counted.tables == []
+    assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
+
+
+# Extensions of egp3 closures in A^4 by one tuple that the search's extend
+# starts as tuple lookups and hands to numpy: (seeds, extra tuple, tuples,
+# rounds before the handover).
+EXTENSIONS = [
+    ([1, 54, 57, 62, 80], 0, 32, 2),
+    ([3, 11, 18, 54], 29, 29, 1),
+]
+
+
+@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("case", range(len(EXTENSIONS)))
+def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
+    encodings, extra, size, scalar = EXTENSIONS[case]
+    closed = closure(egp3, TupleSet.from_encodings(3, 4, encodings))
+    members, charges = per_pattern_charges(
+        egp3, [decode_tuple(extra, 3, 4)], old=set(closed)
+    )
+    run = lambda b: _extender(egp3, 4, Limits(steps=b, dense=dense))(
+        closed.encodings().tolist(), extra
+    )
+    counted = Counted(monkeypatch)
+    assert len(run(LIMITS.steps)) == len(members) == size
+    monkeypatch.undo()
     assert counted.handovers == [scalar]
-    need = sum(cells for _, cells, _, _ in charges)
-    # The outcome changes only where a charge starts to fit.
-    budgets = {0, need + 1} | {
-        steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
-    }
-    assert_sweep(run, charges, members, 81, ("egp3", case), budgets)
+    assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -259,9 +294,7 @@ def test_ceiling_budget_sweep_matches_per_pattern_reference(egp3, m):
         # 260,606 closures are too many for the suite; the reference's
         # outcome changes only where a charge starts to fit, so check
         # there and one step either side.
-        budgets = {0, need + 1} | {
-            steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
-        }
+        budgets = charge_edges(charges)
     assert_sweep(
         lambda b: equal_pair_evidence(egp3, m, limits=Limits(steps=b)).closure_count,
         charges, members, 3 ** (2 * m), ("egp3", m), budgets,

@@ -308,8 +308,8 @@ def test_one_block_searches_close_on_lists(egp3, min2, monkeypatch):
     """On one-block layouts a node's closure makes no TupleSet unless a
     round hands it over to numpy: egp3 at n = 3 (20,000 nodes, then
     refused) makes at most one, min2 at n = 4 none.  A multi-block layout
-    (a ternary operation at k**n = 81) closes through closure_extend, and
-    its answer is still the reference's."""
+    (a ternary operation at k**n = 81) makes one per closure for the numpy
+    rounds, and its answer is still the reference's."""
     refusal, made = _tuple_sets_made(
         monkeypatch, lambda: outcome(package, egp3, 3, Limits())
     )
@@ -324,6 +324,30 @@ def test_one_block_searches_close_on_lists(egp3, min2, monkeypatch):
         monkeypatch, lambda: outcome(package, ternary, 4, Limits())
     )
     assert answer == reference(ternary, 4, Limits()) == (1, 15) and made > 0
+
+
+def test_multi_block_nodes_copy_no_tuple_set(monkeypatch):
+    """A node of a multi-block search (the ternary algebra at k**n = 81
+    above) hands the tuples it knows to the numpy rounds as they are: it
+    copies no TupleSet and calls no closure_extend."""
+    ternary = Algebra(k=3, operations=(random_op(3, 3, 0),))
+    copies, extends, closes = [], [], []
+    copy, close = TupleSet.copy, _ExactSearch.__init__
+    monkeypatch.setattr(TupleSet, "copy", lambda ts: copies.append(1) or copy(ts))
+    monkeypatch.setattr(
+        genpow.subpower,
+        "closure_extend",
+        lambda *a, **kw: extends.append(1) or closure_extend(*a, **kw),
+    )
+
+    def counted_init(search, *args):
+        close(search, *args)
+        extend = search.close
+        search.close = lambda members, e: closes.append(1) or extend(members, e)
+
+    monkeypatch.setattr(_ExactSearch, "__init__", counted_init)
+    assert package(ternary, 4, Limits()) == (1, 15)
+    assert len(closes) > 0 and copies == extends == []
 
 
 @pytest.mark.parametrize("nodes", [None, 50])

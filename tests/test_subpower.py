@@ -169,6 +169,15 @@ def test_closure_universe_mismatch(xor3):
         closure(xor3, TupleSet.from_tuples(3, 2, [(0, 1)]))
 
 
+def test_closure_extend_universe_mismatch(xor3, egp3):
+    # Unchecked, egp3 (k = 3) on a k = 2 set made up a closure and xor3 on
+    # a k = 3 set indexed past its power table.
+    with pytest.raises(UniverseMismatchError):
+        closure_extend(egp3, TupleSet.from_encodings(2, 2, [0]), [1])
+    with pytest.raises(UniverseMismatchError):
+        closure_extend(xor3, TupleSet.from_encodings(3, 3, [0]), [26])
+
+
 def test_closure_empty_seeds(xor3):
     assert len(closure(xor3, TupleSet(2, 2))) == 0
 
