@@ -2,10 +2,10 @@
 """Print one JSON line per CLI query over algebra files: the query, its
 exit code and the sha256 of its stdout and of its stderr.
 
-The queries are decide, d-check (m = 1..3), switchable, growth (exact and
-greedy), the four witnesses and the three dumps on every file, each
-command that takes a closure budget once without one and once at each of
-BUDGETS.  Run it against two versions of genpow and diff the outputs to
+The queries are decide, d-check (m = 1..3), switchable, growth (exact to
+n = 3 and 4, greedy to n = 3), the four witnesses and the three dumps on
+every file, each command that takes a closure budget once without one and
+once at each of BUDGETS.  Run it against two versions of genpow and diff the outputs to
 list every query whose answer, exit code or message changed:
 
     PYTHONPATH=src python3 scripts/output_digest.py > new.jsonl
@@ -44,6 +44,7 @@ def queries(path: str) -> list[list[str]]:
         ["switchable", path, "--r", "0", "--n", "3"],
         ["switchable", path, "--r", "1", "--n", "4"],
         ["growth", path, "--n-max", "3"],
+        ["growth", path, "--n-max", "4"],
         ["growth", path, "--n-max", "3", "--mode", "greedy"],
         ["witness", "nice", path, "--r", "1", "--n", "3"],
         ["witness", "sigma", path, "--r", "1", "--n", "4"],

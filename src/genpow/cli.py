@@ -210,6 +210,9 @@ def _cmd_switchable(args, limits: Limits) -> list[str]:
 def _cmd_growth(args, limits: Limits) -> list[str]:
     algebra = load_algebra(args.file)
     profile = growth_profile(algebra, args.n_max, mode=args.mode, limits=limits)
+    for row in profile.rows:
+        if row.reason:
+            print(f"n = {row.n} greedy: {row.reason}", file=sys.stderr)
     if profile.note:
         print(profile.note, file=sys.stderr)
     return profile.to_csv().splitlines()

@@ -540,9 +540,10 @@ class _ExactSearch:
     """One exact search: its node count and its closure memo.
 
     A closed set is a Python int whose bit e is set iff tuple e is a
-    member; it is closed by one more tuple with _extender's extend, on
-    lists, so a node makes no TupleSet unless its closure is handed over
-    to numpy or the layout is multi-block.
+    member; it is closed by one more tuple with _extender's extend, which
+    takes and returns such masks.  On a one-block layout its rounds run on
+    the masks too, so a node makes no member list and no TupleSet unless
+    a round is over the step budget.
 
     Iterative deepening re-walks every shallower tree, and different picks
     often close to the same set, so many closures repeat.  The memo maps a
@@ -601,7 +602,6 @@ class _ExactSearch:
             if self._reserve(w):
                 self.memo[closed] = entry
         lo, row = entry
-        members = None
         while free:
             low = free & -free
             free ^= low
@@ -612,10 +612,7 @@ class _ExactSearch:
             if 0 <= i < len(row):
                 child = int.from_bytes(row[i : i + w], "little")
             else:
-                if members is None:
-                    members = [x for x in range(self.space) if closed >> x & 1]
-                # Distinct members' bits: their sum is the closure's mask.
-                child = sum(map((1).__lshift__, self.close(members, e)))
+                child = self.close(closed, e)
                 if i == len(row) and self._reserve(w):
                     row += child.to_bytes(w, "little")
             found = self.extend(chosen + [e], child, target)
@@ -686,6 +683,9 @@ class GrowthRow:
     n: int
     size: int
     mode: str
+    # Why a row of an exact profile is greedy: the exact search's refusal,
+    # by space or by search-tree size.  Not part of the CSV.
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -710,9 +710,9 @@ def growth_profile(
     """Generating-set sizes of A^1 .. A^n_max, one row per power.
 
     mode "exact" falls back to greedy on rows where the exact search is
-    over budget, either by space or by search-tree size (the per-row mode
-    column records which happened); rows past the greedy budget are
-    omitted and noted instead of raising.
+    over budget, either by space or by search-tree size; the row's mode
+    says greedy and its reason gives the refusal.  Rows past the greedy
+    budget are omitted and noted instead of raising.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
@@ -721,18 +721,17 @@ def growth_profile(
     rows = []
     note = None
     for n in range(1, n_max + 1):
-        row_mode = mode
-        if mode == "exact" and algebra.k**n > limits.exact:
-            row_mode = "greedy"
+        reason = None
         try:
-            try:
-                gs = min_generating_size(algebra, n, mode=row_mode, limits=limits)
-            except BudgetExceededError:
-                if row_mode == "greedy":
-                    raise
+            if mode == "exact":
+                try:
+                    gs = min_generating_size(algebra, n, mode="exact", limits=limits)
+                except BudgetExceededError as exc:
+                    reason = str(exc)
+            if mode == "greedy" or reason is not None:
                 gs = min_generating_size(algebra, n, mode="greedy", limits=limits)
         except BudgetExceededError as exc:
             note = f"rows from n = {n} omitted: {exc}"
             break
-        rows.append(GrowthRow(n=gs.n, size=gs.size, mode=gs.mode))
+        rows.append(GrowthRow(n=gs.n, size=gs.size, mode=gs.mode, reason=reason))
     return GrowthProfile(k=algebra.k, rows=tuple(rows), note=note)

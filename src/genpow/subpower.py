@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from functools import lru_cache, reduce
+from itertools import chain, compress
+from operator import add, itemgetter, or_
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +24,9 @@ from .errors import BudgetExceededError, PreconditionError, UniverseMismatchErro
 
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
 _CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
-_SCALAR_CELLS = 256  # largest round of the exact search's closures evaluated in Python
+_MASK_BITS = 4  # tuples per chunk of a bit mask in the exact search: one hex digit
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_BIT_VALUES = bytes.maketrans(b"01", bytes(range(2)))
 
 
 @dataclass(frozen=True)
@@ -339,9 +343,13 @@ def equal_pair_tuples(k: int, m: int, *, limits: Limits = LIMITS) -> TupleSet:
     )
 
 
+@lru_cache(maxsize=64)
 def _weights(k: int, n: int) -> np.ndarray:
-    """Place values of the n base-k digits, most significant first."""
-    return np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
+    """Place values of the n base-k digits, most significant first;
+    read-only, since every caller shares it."""
+    weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def scan_space(
@@ -490,61 +498,6 @@ def _layouts(
     return tuple(_block_columns(op, n) for op in operations)
 
 
-@lru_cache(maxsize=64)
-def _lookup_table(op: OperationTable, n: int) -> tuple[int, ...]:
-    """_power_table(op, n) as a tuple, for rounds evaluated in Python."""
-    return tuple(_power_table(op, n).tolist())
-
-
-def _scalar_rounds(
-    algebra: Algebra,
-    n: int,
-    tables: list[tuple[int, ...]],
-    old: Collection[int],
-    new: Collection[int],
-    known: set[int],
-    limits: Limits,
-    ceiling: int,
-) -> Optional[tuple[int, int, list[int], list[int]]]:
-    """The leading rounds of a closure in A^n when every operation is
-    tabulated on A^n itself: each round of at most _SCALAR_CELLS cells that
-    fits the step budget is evaluated as tuple lookups on `tables`, the
-    operations' _lookup_table on A^n, with the whole-round check, charge
-    and grids of _saturate.
-
-    `known` is old | new, and gains every tuple found.  Returns None once
-    `known` is final, else (steps, rounds, old, new), both ascending, at
-    the first round that does not qualify.
-    """
-    space = algebra.k**n
-    steps = rounds = 0
-    while new:
-        size, before = len(known), len(old)
-        cells = sum(size**op.arity - before**op.arity for op in algebra.operations)
-        if cells > _SCALAR_CELLS or steps + cells > limits.steps:
-            return steps, rounds, sorted(old), sorted(new)
-        if size == ceiling:
-            return None
-        steps = limits.charge_steps(steps, cells, rounds, (size, space))
-        union = list(known)
-        images: set[int] = set()
-        for op, table in zip(algebra.operations, tables):
-            s = op.arity
-            for i in range(s if old else 1):
-                # Grid i as in _saturate; an argument's encoding is its
-                # digit in base k**n, so each cell is one table index.
-                groups = [old] * i + [new] + [union] * (s - 1 - i)
-                index = groups[0]
-                for group in groups[1:]:
-                    index = [j * space + e for j in index for e in group]
-                images.update(map(table.__getitem__, index))
-        new = images.difference(known)
-        known.update(new)
-        old = union
-        rounds += 1
-    return None
-
-
 def _saturate(
     algebra: Algebra,
     result: TupleSet,
@@ -631,40 +584,178 @@ def _saturate(
     return result
 
 
-def _extender(
-    algebra: Algebra, n: int, limits: Limits
-) -> Callable[[list[int], int], list[int]]:
-    """extend(members, e): the ascending encodings of the closure of a
-    closed set of A^n, given by its ascending encodings, with a tuple e
-    outside it, for the exact search, which makes many such closures.
+def _mask_members(mask: int, space: int) -> list[int]:
+    """Ascending positions of the set bits of a mask below bit `space`."""
+    if mask.bit_count() * 8 < space:
+        # Few members: walking them beats a pass over all `space` bits.
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return members
+    bits = format(mask, f"0{space}b")[::-1].encode().translate(_BIT_VALUES)
+    return list(compress(range(space), bits))
 
-    When every operation is tabulated on A^n itself (one block), the
-    leading rounds run as _scalar_rounds on lists and a set, where
-    numpy's per-call cost would outweigh the work; the lookup tables are
-    looked up once, here.  The closure goes to _saturate, in a TupleSet
-    of the tuples known, with its steps and rounds carried, at the first
-    round that does not qualify, or at once on a multi-block layout.
-    Either way its charges, results and refusals are those of
-    closure_extend.
+
+def _image_tables(op: OperationTable, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Image masks of op on A^n, for applying it to whole bit masks of
+    tuples chunk by chunk (the "Four Russians" method).
+
+    Returns (last, first).  last[p] is a row for the last argument, p the
+    base-k**n index of an assignment of the others: entry
+    (c << _MASK_BITS) + v is the OR of 1 << f(..., x) over the encodings
+    x = c * _MASK_BITS + b with bit b of v set.  first[p] is the same for
+    the first argument; a unary op has only `last`, with the one row p = 0.
+    Each row has ceil(k**n / _MASK_BITS) << _MASK_BITS entries, built from
+    _power_table(op, n).
+    """
+    space = op.k**n
+    images = _power_table(op, n).tolist()
+    rows = space ** (op.arity - 1)
+    chunks = -(-space // _MASK_BITS)
+    pad = [0] * (chunks * _MASK_BITS - space)
+    powers = [1 << y for y in range(space)]
+    # Equal masks share one int: the tables hold few distinct values (5,955
+    # of 474,336 entries for egp3 at n = 5), and each int takes k**n bits.
+    shared = {}.setdefault
+
+    def row(line: list[int]) -> list[int]:
+        """The row for the k**n images of the argument running over A^n."""
+        bits = list(map(powers.__getitem__, line)) + pad
+        levels = [[0] * chunks]  # levels[v][c]: entry v of chunk c
+        for b in range(_MASK_BITS):
+            column = bits[b::_MASK_BITS]
+            levels += [list(map(or_, level, column)) for level in levels]
+        entries = list(chain.from_iterable(zip(*levels)))
+        return list(map(shared, entries, entries))
+
+    last = [row(images[p * space : (p + 1) * space]) for p in range(rows)]
+    first = [row(images[p::rows]) for p in range(rows)] if op.arity > 1 else []
+    return last, first
+
+
+def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], int]:
+    """extend(closed, e): the closure of a closed set of A^n with a tuple e
+    outside it, for the exact search, which makes many such closures.
+    Both sets are bit masks: bit x is set iff tuple x is a member.
+
+    When every operation is tabulated on A^n itself (one block), every
+    round runs on masks, with the whole-round ceiling check and charge of
+    _saturate: a round ORs image masks from the operations' _image_tables,
+    built here once per search and freed with it, at most
+    2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS entries for
+    an s-ary operation.  A round over the step budget, or a multi-block
+    layout from the start, hands the closure to _saturate in a TupleSet of
+    the tuples known, with its steps and rounds carried.  Either way its
+    charges, results and refusals are those of closure_extend.
     """
     k = algebra.k
     space = k**n
-    tables = None
-    if all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
-        tables = [_lookup_table(op, n) for op in algebra.operations]
 
-    def extend(members: list[int], e: int) -> list[int]:
-        known = set(members)
-        known.add(e)
-        state = (0, 0, members, [e])
-        if tables is not None:
-            state = _scalar_rounds(algebra, n, tables, members, [e], known, limits, space)
-            if state is None:
-                return sorted(known)
-        steps, rounds, old, new = state
-        result = TupleSet.from_encodings(k, n, known, limits=limits)
-        _saturate(algebra, result, old, new, limits, space, steps, rounds)
-        return result.encodings().tolist()
+    def handover(known: int, old: int, new: int, steps: int, rounds: int) -> int:
+        result = TupleSet.from_encodings(k, n, _mask_members(known, space), limits=limits)
+        _saturate(
+            algebra, result, _mask_members(old, space), _mask_members(new, space),
+            limits, space, steps, rounds,
+        )
+        # Distinct members' bits: their sum is the closure's mask.
+        return sum(map((1).__lshift__, result.encodings().tolist()))
+
+    if not all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
+        return lambda closed, e: handover(closed | 1 << e, closed, 1 << e, 0, 0)
+
+    # The grids of _saturate's whole round, as (table, chunked, head, rest).
+    # Grid i of an s-ary operation draws argument i from the frontier, the
+    # earlier ones from `old` and the later ones from `union`.  It lists
+    # every argument but one, in order, and ORs the chunks of that one
+    # through its image table: the last argument, or the first in grid
+    # s - 1, whose last is the small frontier.  Sets are 0 = old,
+    # 1 = the frontier, 2 = union and 3 = [0], the row of a unary table;
+    # head is the first set listed and rest the others.  While `old` is
+    # empty only grid 0 has cells.
+    grids, first_grids = [], []
+    for op in algebra.operations:
+        s = op.arity
+        last, first = _image_tables(op, n)
+        if s == 1:
+            grids.append((last, 1, 3, ()))
+        else:
+            for i in range(s - 1):
+                ids = (0,) * i + (1,) + (2,) * (s - 2 - i)
+                grids.append((last, 2, ids[0], ids[1:]))
+            ids = (0,) * (s - 2) + (1,)
+            grids.append((first, 0, ids[0], ids[1:]))
+        first_grids.append(grids[-s])
+    arities = [op.arity for op in algebra.operations]
+    listed = max(arities) > 2  # a grid lists members of `old` and `union`
+    unary = min(arities) == 1  # a grid ORs the chunks of the frontier
+    chunks = -(-space // _MASK_BITS)
+    digits_format = f"0{chunks}x"
+    # The first entry of each chunk's run in a table row, for the mask's
+    # hex digits, most significant first.
+    offsets = range((chunks - 1) << _MASK_BITS, -1, -1 << _MASK_BITS)
+
+    def entries(mask: int) -> list[int]:
+        """Entries of an image-table row whose OR is the images of the
+        mask's members: one per nonzero chunk, or one per member when they
+        are few."""
+        if mask.bit_count() * 8 < space:
+            return [x // _MASK_BITS << _MASK_BITS | 1 << x % _MASK_BITS
+                    for x in _mask_members(mask, space)]
+        digits = format(mask, digits_format).encode().translate(_HEX_VALUES)
+        return list(map(add, compress(offsets, digits), compress(digits, digits)))
+
+    def getter(mask: int) -> itemgetter:
+        """The getter of a row's entries for the mask, and of entry 0
+        (always 0), so that it returns a tuple."""
+        return itemgetter(0, *entries(mask))
+
+    @lru_cache(maxsize=1)
+    def closed_view(closed: int) -> tuple[list[int], Optional[list[int]]]:
+        # Consecutive calls mostly close the same set: the search tries
+        # every next pick of a node in turn.
+        return entries(closed), _mask_members(closed, space) if listed else None
+
+    def extend(closed: int, e: int) -> int:
+        old, new, known = closed, 1 << e, closed | 1 << e
+        closed_entries, old_list = closed_view(closed)
+        old_get = itemgetter(0, *closed_entries)
+        # Round 0's union is `closed` and e: one more entry, for e's bit.
+        e_entry = e // _MASK_BITS << _MASK_BITS | 1 << e % _MASK_BITS
+        union_get = itemgetter(0, *closed_entries, e_entry)
+        union_list = old_list + [e] if listed else None
+        frontier = [e]
+        steps = rounds = 0
+        while True:
+            size, before = known.bit_count(), old.bit_count()
+            cells = 0
+            for s in arities:
+                cells += size**s - before**s
+            if steps + cells > limits.steps:
+                return handover(known, old, new, steps, rounds)
+            if size == space:
+                return known
+            steps = limits.charge_steps(steps, cells, rounds, (size, space))
+            if union_get is None:
+                union_get = getter(known)
+                union_list = _mask_members(known, space) if listed else None
+            sets = (old_list, frontier, union_list, [0])
+            getters = (old_get, getter(new) if unary else None, union_get)
+            images = 0
+            for table, chunked, head, rest in grids if old else first_grids:
+                index = sets[head]
+                for p in rest:
+                    index = [j * space + x for j in index for x in sets[p]]
+                rows = map(getters[chunked], map(table.__getitem__, index))
+                images = reduce(or_, chain.from_iterable(rows), images)
+            old, new = known, images & ~known
+            if not new:
+                return known
+            known |= new
+            old_get, old_list, union_get = union_get, union_list, None
+            frontier = _mask_members(new, space)
+            rounds += 1
 
     return extend
 

@@ -239,6 +239,21 @@ def test_growth_exact(run):
     assert err == ""
 
 
+def test_growth_says_why_a_row_is_greedy(run):
+    # egp3's exact search at n = 3 runs out of nodes; the row falls back to
+    # greedy, and stderr says why while stdout keeps the CSV alone.
+    rc, out, err = run("growth", path("egp3"), "--n-max", 3)
+    assert rc == 0
+    assert out == "n,size,mode\n1,2,exact\n2,4,exact\n3,11,greedy\n"
+    assert err == "n = 3 greedy: exact search exceeded 20000 nodes at k**n = 27\n"
+    rc, out, err = run("growth", path("xor3"), "--n-max", 3, "--exact-budget", 4)
+    assert rc == 0
+    assert out == "n,size,mode\n1,2,exact\n2,3,exact\n3,4,greedy\n"
+    assert err == "n = 3 greedy: k**n = 8 exceeds the exact-search budget 4\n"
+    rc, _, err = run("growth", path("egp3"), "--n-max", 3, "--mode", "greedy")
+    assert rc == 0 and err == ""
+
+
 def test_growth_greedy(run):
     # the ascending scan grabs all of 00, 01, 10, 11 before min closes the
     # gap, one more than the true minimum

@@ -395,6 +395,22 @@ def test_growth_profile_node_budget_fallback(egp3):
     assert profile.note is None
 
 
+def test_growth_rows_give_the_refusal_that_made_them_greedy(egp3, xor3):
+    profile = growth_profile(egp3, 3, limits=Limits(nodes=50))
+    assert [row.reason for row in profile.rows] == [
+        None,
+        "exact search exceeded 50 nodes at k**n = 9",
+        "exact search exceeded 50 nodes at k**n = 27",
+    ]
+    profile = growth_profile(xor3, 3, limits=Limits(exact=4))
+    assert [row.reason for row in profile.rows] == [
+        None, None, "k**n = 8 exceeds the exact-search budget 4",
+    ]
+    assert "reason" not in profile.to_csv()
+    greedy = growth_profile(egp3, 2, mode="greedy")
+    assert [row.reason for row in greedy.rows] == [None, None]
+
+
 def test_growth_profile_space_budget_note(xor3):
     profile = growth_profile(xor3, 4, limits=Limits(space=8))
     assert [row.n for row in profile.rows] == [1, 2, 3]

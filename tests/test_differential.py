@@ -10,15 +10,16 @@ is brute_closure where one of its passes is at most (k**n)**arity <=
 operations at k**n = 32, 64 and 81).
 
 closure and closure_extend evaluate every round as numpy grids.  The
-exact search's list-level extend (subpower._extender) evaluates rounds as
-tuple lookups when every operation is tabulated on A^n itself, and the
-draw spans both layouts.  extend must give the same closure as
+exact search's extend (subpower._extender) works on bit masks and runs
+every round on them when every operation is tabulated on A^n itself, and
+the draw spans both layouts.  extend must give the same closure as
 closure_extend, and the same refusal at every step budget where a charge
-starts to fit, also when it hands a closure over to numpy after some
-rounds of lookups and when a layout is multi-block, where numpy runs
-every round.
+starts to fit, also when a budget hands a closure over to numpy after some
+mask rounds and when a layout is multi-block, where numpy runs every
+round.
 """
 
+import functools
 import random
 
 import pytest
@@ -97,8 +98,9 @@ def package_closure(algebra, seeds, n):
     return set(closure(algebra, TupleSet.from_tuples(algebra.k, n, seeds)))
 
 
-def encodings(members, k):
-    return sorted(encode_tuple(t, k) for t in members)
+def mask(members, k):
+    """The bit mask of a set of tuples."""
+    return sum(1 << encode_tuple(t, k) for t in members)
 
 
 @pytest.mark.parametrize("seed", range(ALGEBRAS))
@@ -116,25 +118,28 @@ def test_closure_and_extend_match_the_oracle(seed):
                 grown = closure_extend(algebra, closed, [extra], limits=limits)
                 assert set(grown) == widened, (seed, n, backend, extra)
                 extend = _extender(algebra, n, limits)
-                assert extend(encodings(members, k), extra) == encodings(widened, k), (
+                assert extend(mask(members, k), extra) == mask(widened, k), (
                     seed, n, backend, extra,
                 )
 
 
 def test_extend_budget_sweep_across_the_handover(monkeypatch):
-    """Every draw whose extension by its extra tuple hands over to numpy
-    after at least one round of lookups, and every draw with a multi-block
+    """Every draw with a one-block layout whose extension by its extra
+    tuple takes at least two rounds, so that a budget edge hands it over to
+    numpy after at least one mask round, and every draw with a multi-block
     layout, dense and sparse, at every step budget where a reference charge
     starts to fit, one step either side, 0 and one past the whole cost."""
-    rounds_at_handover = []
-    scalar_rounds = genpow.subpower._scalar_rounds
+    carried = []
+    saturate = genpow.subpower._saturate
 
     def counted(*args):
-        state = scalar_rounds(*args)
-        rounds_at_handover.append(None if state is None else state[1])
-        return state
+        carried.append(args[7] if len(args) > 7 else 0)
+        return saturate(*args)
 
-    monkeypatch.setattr(genpow.subpower, "_scalar_rounds", counted)
+    monkeypatch.setattr(genpow.subpower, "_saturate", counted)
+    # Each budget makes its own extend; build each image table once.
+    tables = functools.lru_cache(maxsize=None)(genpow.subpower._image_tables)
+    monkeypatch.setattr(genpow.subpower, "_image_tables", tables)
     swept = {"handover": 0, "multi-block": 0}
     for seed in range(ALGEBRAS):
         algebra, draws = extensions(seed, package_closure)
@@ -143,25 +148,32 @@ def test_extend_budget_sweep_across_the_handover(monkeypatch):
             if extra is None:
                 continue
             one_block = all(_block_columns(op, n)[0] == n for op in algebra.operations)
-            rounds_at_handover.clear()
-            _extender(algebra, n, Limits())(encodings(members, k), extra)
-            if one_block and not (rounds_at_handover[0] or 0):
-                continue
-            swept["handover" if one_block else "multi-block"] += 1
             widened, charges = per_pattern_charges(
                 algebra, [decode_tuple(extra, k, n)], old=members
             )
+            rounds = len({r for _, _, r, _ in charges})
+            if one_block and rounds < 2:
+                continue
+            swept["handover" if one_block else "multi-block"] += 1
             need = sum(cells for _, cells, _, _ in charges)
             budgets = {0, need + 1} | {
                 steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
             }
             for backend, dense in (("dense", Limits().dense), ("sparse", 0)):
+                carried.clear()
                 assert_sweep(
                     lambda b: _extender(algebra, n, Limits(steps=b, dense=dense))(
-                        encodings(members, k), extra
-                    ),
+                        mask(members, k), extra
+                    ).bit_count(),
                     charges, widened, k**n, (seed, n, backend), sorted(budgets),
                 )
+                # Only a budget edge hands a one-block closure over, and
+                # the sweep does so at every round; a multi-block closure
+                # goes over at once.
+                if one_block:
+                    assert set(range(rounds)) <= set(carried), (seed, n, carried)
+                else:
+                    assert set(carried) == {0}, (seed, n, carried)
     assert swept["handover"] >= 50 and swept["multi-block"] >= 50, swept
 
 

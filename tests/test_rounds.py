@@ -4,11 +4,11 @@ A round that fits one grid batch and the step budget is evaluated whole;
 every other round runs argument pattern by argument pattern, charging the
 budget per batch.  closure and closure_extend run every round in numpy.
 In the exact search's extend (subpower._extender), when every operation is
-tabulated on A^n itself, the leading whole rounds of at most _SCALAR_CELLS
-cells are tuple lookups, and the first round that does not qualify hands
-the closure to numpy.  Sweeping the step budget across a closure's whole
-cost sends its rounds down every way, and each budget must give the
-result or the refusal message the reference gives.
+tabulated on A^n itself, every whole round runs on bit masks, OR-ing image
+masks from the operations' _image_tables, and only a round over the step
+budget hands the closure to numpy.  Sweeping the step budget across a
+closure's whole cost sends its rounds down every way, and each budget must
+give the result or the refusal message the reference gives.
 """
 
 import random
@@ -25,14 +25,17 @@ from genpow import (
     closure,
     closure_extend,
     decode_tuple,
+    encode_tuple,
     equal_pair_evidence,
 )
-from genpow.subpower import _extender
+from genpow.subpower import _block_columns, _extender
 from tests.oracles import (
+    brute_closure,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
     per_pattern_charges,
     random_op,
+    random_table_op,
 )
 
 
@@ -108,22 +111,32 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                 )
 
 
+def mask(encodings):
+    """The bit mask of a set of encodings."""
+    return sum(1 << e for e in set(encodings))
+
+
+def run_extend(algebra, n, limits, closed, extra):
+    """The search's extend of a closed TupleSet by one tuple, as encodings."""
+    grown = _extender(algebra, n, limits)(mask(closed.encodings().tolist()), extra)
+    return [e for e in range(algebra.k**n) if grown >> e & 1]
+
+
 class Counted:
     """Counts the grids _grid_results evaluates, the insertions into a
-    TupleSet, the calls of _scalar_rounds with the closures it hands to the
-    numpy loop, and the lookup tables asked for."""
+    TupleSet, the calls of the numpy rounds in _saturate with the rounds they
+    carry in, and the image tables built."""
 
     def __init__(self, monkeypatch):
         self.grids, self.insertions, self.handovers, self.tables = [], [], [], []
-        self.lookup_calls = 0
         grid_results = genpow.subpower._grid_results
         insert = TupleSet.add_encodings_array
-        scalar_rounds = genpow.subpower._scalar_rounds
-        lookup_table = genpow.subpower._lookup_table
+        saturate = genpow.subpower._saturate
+        image_tables = genpow.subpower._image_tables
 
         def counted_table(op, n):
             self.tables.append((op.name, n))
-            return lookup_table(op, n)
+            return image_tables(op, n)
 
         def counted_grid(columns, groups):
             self.grids.append(len(groups))
@@ -133,17 +146,15 @@ class Counted:
             self.insertions.append(arr.size)
             return insert(ts, arr)
 
-        def counted_scalar(*args):
-            self.lookup_calls += 1
-            state = scalar_rounds(*args)
-            if state is not None:
-                self.handovers.append(state[1])
-            return state
+        def counted_saturate(*args, **kwargs):
+            rounds = args[7] if len(args) > 7 else kwargs.get("rounds", 0)
+            self.handovers.append(rounds)
+            return saturate(*args, **kwargs)
 
         monkeypatch.setattr(genpow.subpower, "_grid_results", counted_grid)
         monkeypatch.setattr(TupleSet, "add_encodings_array", counted_insert)
-        monkeypatch.setattr(genpow.subpower, "_scalar_rounds", counted_scalar)
-        monkeypatch.setattr(genpow.subpower, "_lookup_table", counted_table)
+        monkeypatch.setattr(genpow.subpower, "_saturate", counted_saturate)
+        monkeypatch.setattr(genpow.subpower, "_image_tables", counted_table)
 
 
 def round_cells(charges):
@@ -156,20 +167,19 @@ def round_cells(charges):
 
 def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeypatch):
     # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
-    # gives a proper subpower of 20 tuples after 3 rounds.  Each round has
-    # more than _SCALAR_CELLS cells and fits one batch, so each is one
-    # numpy whole round, as every round of closure_extend is.
+    # gives a proper subpower of 20 tuples after 3 rounds.  Each round fits
+    # one batch, so each is one numpy whole round, as every round of
+    # closure_extend is.
     closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
     members, charges = per_pattern_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
     cells = round_cells(charges)
     assert (len(closed), len(members), len(cells)) == (9, 20, 3)
-    assert min(cells) > genpow.subpower._SCALAR_CELLS
     assert max(cells) <= genpow.subpower._CHUNK_CELLS
     counted = Counted(monkeypatch)
     widened = closure_extend(maj3, closed, [8])
     monkeypatch.undo()
     assert set(widened) == members
-    assert counted.handovers == []
+    assert counted.handovers == [0]
     assert counted.tables == []
     assert counted.grids == [3] * 3 * len(cells)
     assert len(counted.insertions) == len(cells)
@@ -178,19 +188,65 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeyp
 def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
     # closure({2, 26}) on egp3 at A^3 has 3 tuples; adding 6 gives a proper
     # subpower of 12 tuples after 4 rounds of at most 57 cells.  egp3 is
-    # tabulated on A^3 itself, so in the search's extend every round is a
-    # tuple lookup per cell.
+    # tabulated on A^3 itself, so in the search's extend every round runs
+    # on bit masks.
     closed = closure(egp3, TupleSet.from_encodings(3, 3, [2, 26]))
     members, charges = per_pattern_charges(egp3, [decode_tuple(6, 3, 3)], old=set(closed))
     cells = round_cells(charges)
     assert (len(closed), len(members), len(cells)) == (3, 12, 4)
-    assert max(cells) <= genpow.subpower._SCALAR_CELLS
     counted = Counted(monkeypatch)
-    widened = _extender(egp3, 3, LIMITS)(closed.encodings().tolist(), 6)
+    widened = run_extend(egp3, 3, LIMITS, closed, 6)
     monkeypatch.undo()
     assert {decode_tuple(e, 3, 3) for e in widened} == members
     assert counted.grids == counted.insertions == counted.handovers == []
     assert counted.tables == [("f", 3)]
+
+
+# One-block algebras for the mask rounds, with the largest power they are
+# checked at: every operation is tabulated on A^n itself up to there.
+UNARY_K3 = Algebra(k=3, operations=(random_table_op(3, 1, random.Random(5), False),))
+MASK_CASES = {
+    "unary_k3": (UNARY_K3, 3),
+    "binary_k3": (SEEDED["binary_k3"], 3),
+    "ternary_k2": (SEEDED["ternary_k2"], 4),
+    "two_ops_k2": (SEEDED["two_ops_k2"], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_CASES))
+def test_mask_rounds_match_the_oracle(name, monkeypatch):
+    # extend of the closure of 0-3 random seeds (the empty set too) by a
+    # random tuple outside it, against a full-rescan closure; every round
+    # runs on masks, with no grid and no handover to numpy.
+    algebra, n_max = MASK_CASES[name]
+    k = algebra.k
+    rng = random.Random(name)
+    for n in range(1, n_max + 1):
+        for op in algebra.operations:
+            genpow.subpower._power_table(op, n)  # built once, by grids
+    counted = Counted(monkeypatch)
+    checked = 0
+    for n in range(1, n_max + 1):
+        assert all(_block_columns(op, n)[0] == n for op in algebra.operations)
+        space = k**n
+        extend = _extender(algebra, n, LIMITS)
+        for _ in range(12):
+            picks = rng.sample(range(space), rng.randint(0, min(3, space)))
+            members = brute_closure(algebra, [decode_tuple(e, k, n) for e in picks])
+            outside = [e for e in range(space) if decode_tuple(e, k, n) not in members]
+            if not outside:
+                continue
+            extra = rng.choice(outside)
+            widened = brute_closure(algebra, [*members, decode_tuple(extra, k, n)])
+            closed = mask(encode_tuple(t, k) for t in members)
+            assert extend(closed, extra) == mask(encode_tuple(t, k) for t in widened), (
+                name, n, picks, extra,
+            )
+            checked += 1
+    monkeypatch.undo()
+    assert checked >= 2 * n_max, checked
+    assert counted.grids == counted.insertions == counted.handovers == []
+    assert len(counted.tables) == n_max * len(algebra.operations)
 
 
 def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
@@ -211,9 +267,26 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
     assert charged == [27]
 
 
-# egp3 closures in A^4 whose leading rounds have at most _SCALAR_CELLS
-# cells and whose later rounds have more: (seeds, extra tuple or None,
-# tuples).  closure and closure_extend run them in numpy alone.
+def test_mask_rounds_stop_at_the_full_power(xor3, monkeypatch):
+    # {00, 01} is closed under xor3; extending it by 10 fills A^2 in round
+    # 0 (3**3 - 2**3 = 19 cells), and extend stops before it charges
+    # round 1, as closure does.
+    charged = []
+    charge = Limits.charge_steps
+
+    def counted_charge(limits, steps, cells, rounds, result):
+        charged.append(cells)
+        return charge(limits, steps, cells, rounds, result)
+
+    extend = _extender(xor3, 2, LIMITS)
+    monkeypatch.setattr(Limits, "charge_steps", counted_charge)
+    assert extend(mask([0, 1]), 2) == mask(range(4))
+    assert charged == [19]
+
+
+# egp3 closures in A^4 of several rounds: (seeds, extra tuple or None,
+# tuples).  closure and closure_extend run them in numpy alone, in one
+# _saturate call from round 0.
 HANDOVERS = [
     ([3, 11, 18, 54], None, 23),
     ([24, 32, 60, 74, 78, 80], None, 25),
@@ -249,35 +322,36 @@ def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
     monkeypatch.undo()
-    assert counted.lookup_calls == 0 and counted.tables == []
+    assert counted.handovers == [0] and counted.tables == []
     assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
 
 
-# Extensions of egp3 closures in A^4 by one tuple that the search's extend
-# starts as tuple lookups and hands to numpy: (seeds, extra tuple, tuples,
-# rounds before the handover).
+# Extensions of egp3 closures in A^4 by one tuple in the search's extend:
+# (seeds, extra tuple, tuples, rounds).  With the step budget to spare
+# every round runs on masks; a budget that cannot afford round r hands the
+# closure to numpy with r rounds carried.
 EXTENSIONS = [
-    ([1, 54, 57, 62, 80], 0, 32, 2),
-    ([3, 11, 18, 54], 29, 29, 1),
+    ([1, 54, 57, 62, 80], 0, 32, 3),
+    ([3, 11, 18, 54], 29, 29, 2),
 ]
 
 
 @pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
 @pytest.mark.parametrize("case", range(len(EXTENSIONS)))
 def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
-    encodings, extra, size, scalar = EXTENSIONS[case]
+    encodings, extra, size, rounds = EXTENSIONS[case]
     closed = closure(egp3, TupleSet.from_encodings(3, 4, encodings))
     members, charges = per_pattern_charges(
         egp3, [decode_tuple(extra, 3, 4)], old=set(closed)
     )
-    run = lambda b: _extender(egp3, 4, Limits(steps=b, dense=dense))(
-        closed.encodings().tolist(), extra
-    )
+    assert len(round_cells(charges)) == rounds
+    run = lambda b: run_extend(egp3, 4, Limits(steps=b, dense=dense), closed, extra)
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
-    monkeypatch.undo()
-    assert counted.handovers == [scalar]
+    assert counted.handovers == []
     assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
+    monkeypatch.undo()
+    assert set(counted.handovers) == set(range(rounds))
 
 
 @pytest.mark.parametrize("m", [2, 3])

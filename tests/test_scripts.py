@@ -50,8 +50,8 @@ def test_output_digest_hashes_each_query():
     proc = run(ROOT / "scripts" / "output_digest.py", "algebras/projections_k2.json")
     assert proc.returncode == 0
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    # decide, then 14 budgeted queries, each unbudgeted and at 8 budgets.
-    assert len(lines) == 1 + 14 * 9
+    # decide, then 15 budgeted queries, each unbudgeted and at 8 budgets.
+    assert len(lines) == 1 + 15 * 9
     assert lines[0]["query"] == "decide algebras/projections_k2.json"
     assert {line["exit"] for line in lines} <= {0, 1, 3, 4}
     direct = run("-m", "genpow", "d-check", "algebras/projections_k2.json", "--m", 2)

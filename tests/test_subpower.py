@@ -26,6 +26,15 @@ from genpow.subpower import _grid_batches, _grid_results, _weights
 from tests.oracles import brute_closure, brute_equal_pair_tuples
 
 
+def test_weights_are_cached_and_read_only():
+    weights = _weights(3, 4)
+    assert _weights(3, 4) is weights
+    assert weights.tolist() == [27, 9, 3, 1]
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0
+
+
 @given(st.integers(min_value=1, max_value=5), st.data())
 def test_encode_decode_round_trip(k, data):
     n = data.draw(st.integers(min_value=1, max_value=6))
