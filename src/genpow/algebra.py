@@ -15,6 +15,7 @@ from .errors import (
     AlgebraFileError,
     AlgebraSyntaxError,
     ElementRangeError,
+    NotIdempotentError,
     TableDimensionError,
 )
 
@@ -118,6 +119,14 @@ def first_non_idempotent(algebra: Algebra) -> Optional[tuple[OperationTable, int
             if value != a:
                 return op, a, value
     return None
+
+
+def _require_idempotent(algebra: Algebra) -> None:
+    """Raise NotIdempotentError at the first diagonal violation, if any."""
+    witness = first_non_idempotent(algebra)
+    if witness is not None:
+        op, a, v = witness
+        raise NotIdempotentError(op.name, op.arity, a, v)
 
 
 def is_idempotent(algebra: Algebra) -> bool:

@@ -18,16 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, first_non_idempotent
-from .errors import (
-    BudgetExceededError,
-    NotIdempotentError,
-    PreconditionError,
-)
+from .algebra import Algebra, OperationTable, _require_idempotent
+from .errors import BudgetExceededError, PreconditionError
 from .subpower import (
     _CHUNK_CELLS,
     LIMITS,
@@ -42,9 +38,8 @@ from .subpower import (
 )
 
 
-def _format_subset(mask: int) -> str:
-    elements = [str(i) for i in range(mask.bit_length()) if mask >> i & 1]
-    return "{" + ", ".join(elements) + "}"
+def _format_subset(elements: Iterable[int]) -> str:
+    return "{" + ", ".join(str(a) for a in elements) + "}"
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,10 @@ class SubsetPair:
         return tuple(i for i in range(self.k) if self.in_beta(i))
 
     def describe(self) -> str:
-        return f"alpha={_format_subset(self.alpha)} beta={_format_subset(self.beta)}"
+        return (
+            f"alpha={_format_subset(self.alpha_elements())} "
+            f"beta={_format_subset(self.beta_elements())}"
+        )
 
     def relation_size(self, m: int) -> int:
         """|R_m|, the tuples of A^(2m) with some designated pair (2i, 2i+1)
@@ -274,8 +272,8 @@ class EgpDecision:
         lines = [f"verdict: {self.verdict}"]
         if self.egp:
             assert self.pair is not None
-            lines.append(f"alpha: {_format_subset(self.pair.alpha)}")
-            lines.append(f"beta: {_format_subset(self.pair.beta)}")
+            lines.append(f"alpha: {_format_subset(self.pair.alpha_elements())}")
+            lines.append(f"beta: {_format_subset(self.pair.beta_elements())}")
             for name, j in self.coordinates:
                 lines.append(f"projective coordinate for {name}: {j}")
         else:
@@ -332,10 +330,7 @@ def decide_egp_idempotent(algebra: Algebra, *, limits: Limits = LIMITS) -> EgpDe
     at the default budget a PGP algebra is answered up to k = 17 and
     refused from k = 18.
     """
-    witness = first_non_idempotent(algebra)
-    if witness is not None:
-        op, a, v = witness
-        raise NotIdempotentError(op.name, op.arity, a, v)
+    _require_idempotent(algebra)
     return _projectivity_scan(algebra, limits)
 
 
@@ -558,12 +553,12 @@ class _ExactSearch:
 
     Only visited nodes are stored.  A row starts at the first slot of the
     first visit of its set and grows at its end; a later visit that starts
-    before lo computes the closures below lo without storing them; no
-    search over the corpus or in the tests makes such a visit.  The memo
-    holds at most one set per node plus one key per row, `width` bytes of
-    budget each, and at most limits.space membership bits in all; past
-    that it stores nothing more.  It is freed with the search object when
-    _exact_minimum returns or raises.
+    before lo, as some searches make, computes the closures below lo
+    without storing them.  The memo holds at most one set per node plus
+    one key per row, `width` bytes of budget each, and at most
+    limits.space membership bits in all; past that it stores nothing
+    more.  It is freed with the search object when _exact_minimum returns
+    or raises.
     """
 
     def __init__(self, algebra: Algebra, n: int, limits: Limits):

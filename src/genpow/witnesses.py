@@ -5,25 +5,24 @@ non-switchability in collapsed form, the cross-equality relation distills
 it into a fixed-arity obstruction, the subset-pair relation family links
 projectivity to relation preservation, and the counterexample matrix
 exhibits a concrete preservation failure for a non-projective operation.
-Every constructor re-verifies its own guarantee before returning.
+nice_relation_from_nonswitchability, cross_equality_witness and
+projectivity_counterexample verify their own guarantee before returning;
+evenize_nice and subset_pair_relation build theirs by construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, evaluate, first_non_idempotent
-from .criteria import SubsetPair, projective_coordinate, switch_tuples
-from .errors import (
-    GenpowError,
-    NotIdempotentError,
-    PreconditionError,
-)
+from .algebra import Algebra, OperationTable, _require_idempotent, evaluate
+from .criteria import SubsetPair, _format_subset, switch_tuples
+from .errors import GenpowError, PreconditionError
 from .subpower import (
     LIMITS,
     Limits,
@@ -31,7 +30,6 @@ from .subpower import (
     _grid_images,
     _weights,
     closure,
-    decode_tuple,
     is_full,
     scan_space,
 )
@@ -323,6 +321,15 @@ def cross_equality_witness(
     )
 
 
+def _sigma_rows(pair: SubsetPair) -> Callable[[np.ndarray], np.ndarray]:
+    """Row mask of a (rows, 2n) digit matrix: which rows have some
+    designated pair (2t, 2t+1) in rho = (alpha x alpha) | (beta x beta)."""
+    alpha = np.array([pair.in_alpha(x) for x in range(pair.k)])
+    beta = np.array([pair.in_beta(x) for x in range(pair.k)])
+    rho = np.outer(alpha, alpha) | np.outer(beta, beta)
+    return lambda digits: rho[digits[:, 0::2], digits[:, 1::2]].any(axis=1)
+
+
 def subset_pair_relation(
     pair: SubsetPair, n: int, *, limits: Limits = LIMITS
 ) -> TupleSet:
@@ -331,13 +338,7 @@ def subset_pair_relation(
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    alpha = np.array([pair.in_alpha(x) for x in range(pair.k)])
-    beta = np.array([pair.in_beta(x) for x in range(pair.k)])
-    rho = np.outer(alpha, alpha) | np.outer(beta, beta)
-    return TupleSet.from_mask(
-        pair.k, 2 * n, lambda digits: rho[digits[:, 0::2], digits[:, 1::2]].any(axis=1),
-        limits=limits,
-    )
+    return TupleSet.from_mask(pair.k, 2 * n, _sigma_rows(pair), limits=limits)
 
 
 def preserves_relation(
@@ -379,18 +380,14 @@ class ProjectivityCounterexample:
     def render(self) -> list[str]:
         lines = [
             f"operation: {self.op_name}",
-            f"alpha: {_format_elements(self.pair.alpha_elements())}",
-            f"beta: {_format_elements(self.pair.beta_elements())}",
+            f"alpha: {_format_subset(self.pair.alpha_elements())}",
+            f"beta: {_format_subset(self.pair.beta_elements())}",
             f"rows: {len(self.rows)}",
         ]
         for idx, row in enumerate(self.rows, start=1):
             lines.append(f"row {idx}: " + " ".join(str(a) for a in row))
         lines.append("image: " + " ".join(str(a) for a in self.image))
         return lines
-
-
-def _format_elements(elements: Iterable[int]) -> str:
-    return "{" + ", ".join(str(a) for a in elements) + "}"
 
 
 def projectivity_counterexample(
@@ -402,55 +399,53 @@ def projectivity_counterexample(
     is found, scanning alpha before beta; it contributes one row, followed
     by a constant row drawn from the failing subset minus the other one.
     Each column then meets the relation on its own block, while the image
-    misses it on every block.  Requires an idempotent operation so the
-    constant rows map to themselves.
+    misses it on every block.  A coordinate with no failing tuple is
+    projective, and the least one is reported as a precondition error.
+    Requires an idempotent operation so the constant rows map to
+    themselves.  The columns and the image are tested against rho
+    directly, so no space beyond the operation's own k**s table is
+    needed and `limits` is never charged.
     """
     if op.k != pair.k:
         raise PreconditionError(
             f"operation universe {op.k} != subset pair universe {pair.k}"
         )
+    _require_idempotent(Algebra(op.k, (op,)))
     k, s = op.k, op.arity
-    for c in range(k):
-        v = evaluate(op, (c,) * s)
-        if v != c:
-            raise NotIdempotentError(op.name, s, c, v)
-    j_ok = projective_coordinate(op, pair)
-    if j_ok is not None:
-        raise PreconditionError(
-            f"operation {op.name!r} is projective at coordinate {j_ok}; "
-            "no counterexample exists"
-        )
+    alpha, beta = pair.alpha_elements(), pair.beta_elements()
     sides = (
-        ("alpha", pair.in_alpha, pair.alpha_elements(), pair.beta_elements()),
-        ("beta", pair.in_beta, pair.beta_elements(), pair.alpha_elements()),
+        (pair.in_alpha, min(set(alpha) - set(beta))),
+        (pair.in_beta, min(set(beta) - set(alpha))),
     )
     rows: list[tuple[int, ...]] = []
     for j in range(s):
-        found = None
-        for e in range(k**s):
-            args = decode_tuple(e, k, s)
-            value = evaluate(op, args)
-            for _, in_side, own, other in sides:
-                if in_side(args[j]) and not in_side(value):
-                    c_j = min(set(own) - set(other))
-                    found = (args, c_j)
-                    break
-            if found:
-                break
-        assert found is not None, "coordinate admits no violation yet failed"
+        found = next(
+            (
+                (args, c_j)
+                for args, value in zip(itertools.product(range(k), repeat=s), op.table)
+                for in_side, c_j in sides
+                if in_side(args[j]) and not in_side(value)
+            ),
+            None,
+        )
+        if found is None:
+            raise PreconditionError(
+                f"operation {op.name!r} is projective at coordinate {j + 1}; "
+                "no counterexample exists"
+            )
         args, c_j = found
         rows.append(args)
         rows.append((c_j,) * s)
     image = tuple(evaluate(op, row) for row in rows)
-    sigma = subset_pair_relation(pair, s, limits=limits)
-    for i in range(s):
-        column = tuple(row[i] for row in rows)
-        if column not in sigma:
+    columns = [tuple(row[i] for row in rows) for i in range(s)]
+    inside = _sigma_rows(pair)(np.array(columns + [image]))
+    for column, member in zip(columns, inside[:s]):
+        if not member:
             raise GenpowError(
                 f"internal error: counterexample column {column} is not "
                 "a relation member"
             )
-    if image in sigma:
+    if inside[s]:
         raise GenpowError(
             "internal error: counterexample image is a relation member"
         )
@@ -488,10 +483,7 @@ def find_blocker_bounded(
     None when base itself does not block.  The result is only a
     candidate: a bounded scan cannot certify blocking at all n.
     """
-    witness = first_non_idempotent(algebra)
-    if witness is not None:
-        op, a, v = witness
-        raise NotIdempotentError(op.name, op.arity, a, v)
+    _require_idempotent(algebra)
     k = algebra.k
     elements = sorted(set(base))
     if not elements or any(not 0 <= a < k for a in elements):

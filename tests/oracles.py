@@ -300,6 +300,35 @@ def brute_subset_pair_relation(k, alpha, beta, n):
     }
 
 
+def brute_counterexample(op, alpha, beta, sigma):
+    """The counterexample matrix of an idempotent op for the element sets
+    alpha and beta, by one full scan of A^s per coordinate j: the least
+    argument tuple whose j-th argument lies in alpha (tested first) or beta
+    while its value does not, then the constant row of the least element
+    of that side outside the other.  sigma is
+    brute_subset_pair_relation(k, alpha, beta, s).
+
+    Returns (rows, image, columns in sigma, image in sigma), or the least
+    1-based coordinate with no failing tuple."""
+    k, s = op.k, op.arity
+    alpha, beta = set(alpha), set(beta)
+    tuples = list(itertools.product(range(k), repeat=s))
+    value = dict(zip(tuples, op.table))
+    rows = []
+    for j in range(s):
+        failure = None
+        for args in tuples:
+            for own, other in ((alpha, beta), (beta, alpha)):
+                if failure is None and args[j] in own and value[args] not in own:
+                    failure = args, min(own - other)
+        if failure is None:
+            return j + 1
+        rows += [failure[0], (failure[1],) * s]
+    image = tuple(value[row] for row in rows)
+    columns = [tuple(row[i] for row in rows) for i in range(s)]
+    return rows, image, all(c in sigma for c in columns), image in sigma
+
+
 def brute_block_members(k, block_lengths, base_members):
     """Tuples c of A^m whose block expansion (c_i repeated block_lengths[i]
     times) lies in base_members."""

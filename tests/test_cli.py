@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import genpow.cli
 from genpow import Limits
 from genpow.cli import main
-from tests.conftest import corpus_path
+from tests.conftest import ALGEBRA_DIR, corpus_path
 from tests.oracles import (
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
@@ -500,3 +501,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "verdict: PGP\npairs checked: 1\n"
+
+
+# -- README examples -------------------------------------------------------------
+
+
+def readme_examples():
+    """(argv, stdout) of each `$ genpow ...` line in README.md's code
+    blocks; its output is the lines up to the next blank line or the end
+    of the block."""
+    examples = []
+    current = None
+    for line in (ALGEBRA_DIR.parent / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ genpow "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith("```"):
+            current[1].append(line)
+        else:
+            current = None
+    return [(argv, "".join(out + "\n" for out in lines)) for argv, lines in examples]
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_has_nine_examples():
+    assert len(README_EXAMPLES) == 9
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example(run, monkeypatch, argv, stdout):
+    monkeypatch.chdir(ALGEBRA_DIR.parent)
+    assert run(*argv) == (0, stdout, "")

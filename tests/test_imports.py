@@ -1,7 +1,9 @@
-"""A guard that every imported name is used, in the package, its tests and
-its scripts."""
+"""Guards that every imported name is used, in the package, its tests and
+its scripts, and that every top-level definition of the package is
+referenced somewhere outside its own definition."""
 
 import ast
+import collections
 import pathlib
 
 import genpow
@@ -9,6 +11,7 @@ import genpow
 SRC = pathlib.Path(genpow.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "scripts"
+BENCH = TESTS.parent / "bench"
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -44,3 +47,67 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of every top-level function, class and constant a
+    module defines, dunder names aside."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def _references(node: ast.AST) -> list[str]:
+    """Every name read, attribute taken or name imported under node."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.extend(alias.name for alias in sub.names)
+    return out
+
+
+def _unreferenced(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """module:name of every definition in modules that neither its own
+    module, outside the definition, nor any other tree references."""
+    seen = collections.Counter()
+    for tree in list(modules.values()) + others:
+        seen.update(_references(tree))
+    return [
+        f"{module}:{name}"
+        for module, tree in modules.items()
+        for name, node in _definitions(tree)
+        if seen[name] == _references(node).count(name)
+    ]
+
+
+def test_guard_finds_an_unreferenced_definition():
+    module = ast.parse(
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Dead:\n    pass\n"
+    )
+    user = ast.parse("from m import used\nused()\n")
+    assert _unreferenced({"m": module}, [user]) == ["m:recursive", "m:Dead"]
+
+
+def test_no_unreferenced_definitions():
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    others = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (TESTS, SCRIPTS, BENCH)
+        for path in sorted(folder.glob("*.py"))
+    ]
+    assert _unreferenced(modules, others) == []

@@ -20,6 +20,7 @@ from genpow import (
     Algebra,
     BudgetExceededError,
     Limits,
+    OperationTable,
     TupleSet,
     closure_extend,
     growth_profile,
@@ -248,6 +249,33 @@ def test_a_visit_below_a_row_start_computes_without_storing(xor3):
     # Slots 2..8 are computed and 9..14 found in the row.
     assert (search.nodes, len(calls)) == (6 + 13, 6 + 7)
     assert search.memo[parent][0] == 9 and bytes(search.memo[parent][1]) == before
+
+
+def test_searches_do_visit_a_set_below_its_row_start():
+    """The visit below a row's start happens in a real search: this binary
+    operation on k = 3 makes three at n = 2, after the picks (2, 3),
+    (0, 2, 3) and (1, 2, 3), and the search still gives the reference's
+    answer after the reference's number of nodes."""
+    op = OperationTable("f", 2, 3, (0, 1, 0, 0, 1, 0, 2, 1, 2))
+    algebra = Algebra(k=3, operations=(op,))
+    search = _ExactSearch(algebra, 2, Limits())
+    below = []
+    extend = search.extend
+
+    def spy(chosen, closed, target):
+        entry = search.memo.get(closed)
+        if entry is not None and closed != search.full and len(chosen) < target:
+            start = chosen[-1] + 1 if chosen else 0
+            slot = ((search.full ^ closed) & ((1 << start) - 1)).bit_count()
+            if slot < entry[0]:
+                below.append(tuple(chosen))
+        return extend(chosen, closed, target)
+
+    search.extend = spy
+    found = next(filter(None, (search.extend([], 0, t) for t in range(1, 10))))
+    assert below == [(2, 3), (0, 2, 3), (1, 2, 3)]
+    assert (tuple(found), search.nodes) == reference_exact_minimum(algebra, 2, Limits())
+    assert (tuple(found), search.nodes) == ((1, 3, 4, 8), 299)
 
 
 def _refused_search(algebra, n, limits):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,15 @@ from genpow import (
 )
 from genpow.criteria import SubsetPair
 from genpow.witnesses import NiceRelation
-from tests.oracles import brute_preserves
+from tests.oracles import (
+    brute_counterexample,
+    brute_covering_pairs,
+    brute_preserves,
+    brute_subset_pair_relation,
+    elements,
+    planted_op,
+    random_table_op,
+)
 
 
 def punctured(k, m, holes):
@@ -355,6 +364,67 @@ def test_counterexample_rejects_projective_ops(egp3):
 def test_counterexample_requires_idempotence(non_idem):
     with pytest.raises(NotIdempotentError):
         projectivity_counterexample(non_idem.operation("czero"), SubsetPair(2, 1, 2))
+
+
+def test_counterexample_needs_no_space_beyond_the_table(monkeypatch):
+    """At k = 10 a quaternary operation's subset-pair relation of arity 8
+    has 10**8 tuples, above the default space budget; the counterexample
+    tests its columns and image against rho and builds no tuple set."""
+    op = random_table_op(10, 4, random.Random(1), True)
+    pair = SubsetPair.from_elements(10, range(6), range(5, 10))
+    arities = []
+    init = TupleSet.__init__
+    monkeypatch.setattr(
+        TupleSet, "__init__", lambda ts, k, n, **kw: arities.append(n) or init(ts, k, n, **kw)
+    )
+    ce = projectivity_counterexample(op, pair, limits=Limits())
+    assert len(ce.rows) == 8
+    assert arities == []
+
+
+@pytest.mark.parametrize("k, s", [(k, s) for k in (2, 3, 4) for s in (2, 3, 4)])
+def test_counterexample_matches_the_oracle(k, s):
+    """23 seeded random idempotent operations per (k, s), 207 in all, and
+    three planted projective ones, at every covering pair: the rows, the
+    image and the render of brute_counterexample, whose columns lie in
+    brute_subset_pair_relation and whose image does not, or its
+    refusal at the least projective coordinate."""
+    rng = random.Random(100 * k + s)
+    ops = [random_table_op(k, s, rng, True) for _ in range(23)]
+    pairs = brute_covering_pairs(k)
+    for j in range(1, 4):
+        a, b = rng.choice(pairs)
+        ops.append(planted_op(k, s, elements(a, k), elements(b, k), min(j, s), rng, True))
+    outcomes = {"rows": 0, "refused": 0}
+    for a, b in pairs:
+        alpha, beta = elements(a, k), elements(b, k)
+        sigma = brute_subset_pair_relation(k, alpha, beta, s)
+        pair = SubsetPair(k, a, b)
+        for op in ops:
+            expected = brute_counterexample(op, alpha, beta, sigma)
+            if isinstance(expected, int):
+                with pytest.raises(PreconditionError) as info:
+                    projectivity_counterexample(op, pair)
+                assert str(info.value) == (
+                    f"operation 'f' is projective at coordinate {expected}; "
+                    "no counterexample exists"
+                )
+                outcomes["refused"] += 1
+                continue
+            rows, image, columns_in, image_in = expected
+            assert columns_in and not image_in
+            ce = projectivity_counterexample(op, pair)
+            assert (ce.rows, ce.image) == (tuple(rows), image)
+            assert ce.render() == [
+                "operation: f",
+                "alpha: {" + ", ".join(str(x) for x in sorted(alpha)) + "}",
+                "beta: {" + ", ".join(str(x) for x in sorted(beta)) + "}",
+                f"rows: {2 * s}",
+                *(f"row {i}: " + " ".join(map(str, row)) for i, row in enumerate(rows, 1)),
+                "image: " + " ".join(map(str, image)),
+            ]
+            outcomes["rows"] += 1
+    assert outcomes["rows"] and outcomes["refused"]
 
 
 # -- bounds and blockers -----------------------------------------------------
