@@ -1,9 +1,9 @@
 """Dichotomy criteria: does the n-th power of a finite algebra need
 polynomially or exponentially many generators?
 
-The exact decision for idempotent algebras scans covering pairs of proper
-subsets (alpha, beta) and asks whether every basic operation is projective
-for the pair: some coordinate j such that the j-th argument landing in
+The exact decision for idempotent algebras asks whether some covering
+pair of proper subsets (alpha, beta) makes every basic operation
+projective: some coordinate j such that the j-th argument landing in
 alpha (resp. beta) forces the result into alpha (resp. beta).  One such
 pair certifies exponential growth; none certifies polynomial growth.
 
@@ -15,9 +15,11 @@ too but only answer for the sizes actually checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ import numpy as np
 from .algebra import Algebra, OperationTable, _require_idempotent
 from .errors import BudgetExceededError, PreconditionError
 from .subpower import (
-    _CHUNK_CELLS,
     LIMITS,
     Limits,
     TupleSet,
@@ -106,136 +107,56 @@ class SubsetPair:
 
 
 def iter_subset_pairs(k: int) -> Iterator[SubsetPair]:
-    """All unordered covering pairs of proper subsets, masks ascending.
-
-    The projectivity condition is symmetric in the two subsets, so each
-    pair appears once, with the smaller mask first.
-    """
-    for alpha, beta in _subset_pair_chunks(k):
-        for a, b in zip(alpha.tolist(), beta.tolist()):
-            yield SubsetPair(k, a, b)
-
-
-def _subset_pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """_pair_chunks(k), kept read-only once listed for k <= 9 (at most
-    9,330 pairs), where listing them would cost more than checking them."""
-    if k <= 9:
-        return iter(_small_pair_chunks(k, _CHUNK_CELLS))
-    return _pair_chunks(k)
-
-
-@lru_cache(maxsize=None)
-def _small_pair_chunks(k: int, cells: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    # Keyed on the chunk size as well, which tests change.
-    chunks = tuple(_pair_chunks(k))
-    for chunk in chunks:
-        for masks in chunk:
-            masks.setflags(write=False)
-    return chunks
-
-
-def _pair_chunks(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every covering pair of proper subsets of {0..k-1} as int64
-    (alpha, beta) mask arrays, alpha < beta, in mask order, in chunks of
-    at most _CHUNK_CELLS pairs.
-
-    beta covers the complement of alpha, so beta = ~alpha + d for a
-    proper submask d of alpha, and beta ascends with d.  With h the
-    highest element outside alpha, beta > alpha iff d holds every element
-    of alpha above h.  The pairs of alpha are therefore listed directly,
-    about 3**k / 2 in all: d = high + the i-th subset of low for
-    i = 0 .. 2**|low| - 2, where high and low are the elements of alpha
-    above and below h.  A chunk takes several alphas when they fit, else
-    one alpha in runs of i.
-    """
-    if k > 62:
-        raise PreconditionError(
-            f"the covering-pair scan holds subsets as 64-bit masks, so it needs "
-            f"k <= 62, got k = {k}"
-        )
+    """All unordered covering pairs of proper subsets, masks ascending,
+    the smaller first: beta > alpha holds the complement of alpha, the
+    elements of alpha above the highest element h outside it, and a
+    proper submask of low, those below h."""
     full = (1 << k) - 1
-    for start in range(1, full, _CHUNK_CELLS):
-        alpha = np.arange(start, min(start + _CHUNK_CELLS, full), dtype=np.int64)
-        h = np.zeros_like(alpha)
-        for j in range(k):
-            h[(alpha >> j) & 1 == 0] = j
-        low = alpha & ((1 << h) - 1)
-        count = (1 << _popcount(low, k)) - 1
-        # Clipped so that the running sum fits; a clipped alpha gets chunks
-        # of its own.
-        ends = np.cumsum(np.minimum(count, _CHUNK_CELLS + 1))
-        pos = 0
-        while pos < alpha.size:
-            base = int(ends[pos - 1]) if pos else 0
-            stop = int(np.searchsorted(ends, base + _CHUNK_CELLS, side="right"))
-            if stop > pos:
-                reps = count[pos:stop]
-                i = np.arange(int(ends[stop - 1]) - base) - np.repeat(
-                    np.cumsum(reps) - reps, reps
-                )
-                runs = [(np.repeat(alpha[pos:stop], reps), np.repeat(low[pos:stop], reps), i)]
-                pos = stop
-            else:
-                runs = _runs_of_one(alpha[pos], low[pos], int(count[pos]))
-                pos += 1
-            for a, lo, i in runs:
-                if a.size:
-                    yield a, (full ^ a) | (a ^ lo) | _deposit(i, lo, k)
+    for alpha in range(1, full):
+        low = alpha & ((1 << ((full ^ alpha).bit_length() - 1)) - 1)
+        sub = 0
+        while sub != low:
+            yield SubsetPair(k, alpha, (full ^ low) | sub)
+            sub = (sub - low) & low
 
 
-def _runs_of_one(alpha: np.int64, low: np.int64, size: int):
-    """(alpha, low, i) arrays for i = 0 .. size - 1, a chunk at a time."""
-    for run in range(0, size, _CHUNK_CELLS):
-        i = np.arange(run, min(run + _CHUNK_CELLS, size), dtype=np.int64)
-        yield np.full(i.size, alpha), np.full(i.size, low), i
+def _pair_rank(k: int, alpha: int, beta: int) -> int:
+    """1-based position of the pair in iter_subset_pairs(k), in closed form.
 
-
-def _popcount(masks: np.ndarray, k: int) -> np.ndarray:
-    total = np.zeros_like(masks)
-    for j in range(k):
-        total += (masks >> j) & 1
-    return total
-
-
-def _deposit(i: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
-    """The bits of i spread, lowest first, over the set bits of masks."""
-    out = np.zeros_like(masks)
-    rank = np.zeros_like(masks)
-    for j in range(k):
-        bit = (masks >> j) & 1
-        out |= ((i >> rank) & bit) << j
-        rank += bit
-    return out
-
-
-def _image_masks(op: OperationTable) -> np.ndarray:
-    """Shape (arity, k): entry [j, x] is the bitmask of the values op takes
-    on the argument tuples whose j-th argument is x."""
-    s = op.arity
-    bits = np.left_shift(1, np.array(op.table, dtype=np.int64)).reshape((op.k,) * s)
-    return np.stack([
-        np.bitwise_or.reduce(bits, axis=tuple(i for i in range(s) if i != j))
-        for j in range(s)
-    ])
-
-
-def _projective_coordinates(
-    op: OperationTable, alpha: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Least 1-based projective coordinate of op for each pair
-    (alpha[p], beta[p]) of int64 masks, 0 where there is none.
-
-    Coordinate j fails for a pair iff some x in alpha has an image mask
-    F_j(x) not inside alpha, or some x in beta one not inside beta.
+    An alpha has 2**|low| - 1 pairs.  For each element b of alpha, the
+    alphas that agree with alpha above b and lack b have 2**c * 3**b - 2**b
+    pairs in all, c being the number of elements of low above b (0 when
+    b > h).  beta is alpha's i-th pair, i read off beta's bits in low.
     """
-    images = _image_masks(op)[:, None, :]
-    shifts = np.arange(op.k, dtype=np.int64)
-    fails = np.zeros((op.arity, alpha.size), dtype=bool)
-    for side in (alpha, beta):
-        member = ((side[:, None] >> shifts) & 1).astype(bool)
-        fails |= (member & ((images & ~side[:, None]) != 0)).any(axis=2)
-    works = ~fails
-    return np.where(works.any(axis=0), works.argmax(axis=0) + 1, 0)
+    h = (((1 << k) - 1) ^ alpha).bit_length() - 1
+    low = [b for b in range(h) if alpha >> b & 1]
+    rank = 1 + sum(3**b - 2**b for b in range(h + 1, k))
+    for i, b in enumerate(low):
+        rank += 2 ** (len(low) - 1 - i) * 3**b - 2**b + ((beta >> b & 1) << i)
+    return rank
+
+
+def _image_masks(op: OperationTable) -> list[list[int]]:
+    """Entry [j][x] is the bit mask of the values op takes on the argument
+    tuples whose j-th argument is x: a digraph on A, under which a set is
+    closed iff op is projective at j + 1 for it."""
+    masks = [[0] * op.k for _ in range(op.arity)]
+    for args, value in zip(itertools.product(range(op.k), repeat=op.arity), op.table):
+        for graph, x in zip(masks, args):
+            graph[x] |= 1 << value
+    return masks
+
+
+def _reach(graph: Sequence[int], mask: int) -> int:
+    """The least superset of mask closed under graph's edges."""
+    todo = mask
+    while todo:
+        x = todo & -todo
+        todo ^= x
+        new = graph[x.bit_length() - 1] & ~mask
+        mask |= new
+        todo |= new
+    return mask
 
 
 def projective_coordinate(op: OperationTable, pair: SubsetPair) -> Optional[int]:
@@ -249,9 +170,10 @@ def projective_coordinate(op: OperationTable, pair: SubsetPair) -> Optional[int]
         raise PreconditionError(
             f"operation universe {op.k} != subset pair universe {pair.k}"
         )
-    masks = (np.array([mask], dtype=np.int64) for mask in (pair.alpha, pair.beta))
-    j = int(_projective_coordinates(op, *masks)[0])
-    return j or None
+    for j, graph in enumerate(_image_masks(op), start=1):
+        if _reach(graph, pair.alpha) == pair.alpha and _reach(graph, pair.beta) == pair.beta:
+            return j
+    return None
 
 
 @dataclass(frozen=True)
@@ -283,39 +205,30 @@ class EgpDecision:
 
 def _projectivity_scan(algebra: Algebra, limits: Limits = LIMITS) -> EgpDecision:
     """The first pair of iter_subset_pairs for which every operation is
-    projective, with each operation's least projective coordinate and the
-    number of pairs scanned up to and including it; with no such pair,
-    the number of pairs.
+    projective, its coordinates and position; else the number of pairs.
 
-    Vectorized over a chunk of pairs at a time; the scan stops at the
-    first chunk that holds such a pair.  Idempotence is not assumed.
+    A pair works iff both sides are closed under the union of the
+    digraphs of some choice of one coordinate per operation.  Under a
+    choice, a set is in a working pair iff it and the closure b of its
+    complement are proper and closed, and then b is its least partner.
+    Each such set holds the closure of one element, itself such a set.
+    So the first pair is the least (a, b) over the choices and the
+    elements whose closure a qualifies.  Idempotence is not assumed.
     """
-    checked = 0
-    for alpha, beta in _subset_pair_chunks(algebra.k):
-        limits.check_pairs(checked, alpha.size)
-        alive = np.arange(alpha.size)
-        columns: list[np.ndarray] = []
-        for op in algebra.operations:
-            coords = _projective_coordinates(op, alpha[alive], beta[alive])
-            found = coords > 0
-            alive = alive[found]
-            columns = [column[found] for column in columns] + [coords[found]]
-            if not alive.size:
-                break
-        if alive.size:
-            i = int(alive[0])
-            return EgpDecision(
-                k=algebra.k,
-                egp=True,
-                pair=SubsetPair(algebra.k, int(alpha[i]), int(beta[i])),
-                coordinates=tuple(
-                    (op.name, int(column[0]))
-                    for op, column in zip(algebra.operations, columns)
-                ),
-                pairs_checked=checked + i + 1,
-            )
-        checked += alpha.size
-    return EgpDecision(k=algebra.k, egp=False, pair=None, pairs_checked=checked)
+    k, full = algebra.k, (1 << algebra.k) - 1
+    limits.check_choices(math.prod(op.arity for op in algebra.operations))
+    best = (full, full)
+    for chosen in itertools.product(*(_image_masks(op) for op in algebra.operations)):
+        graph = [reduce(or_, edges) for edges in zip([0] * k, *chosen)]
+        for x in range(k):
+            a = _reach(graph, 1 << x)
+            if a != full and a <= best[0] and (b := _reach(graph, full ^ a)) != full:
+                best = min(best, (a, b))
+    if best[0] == full:
+        return EgpDecision(k, False, None, pairs_checked=(3**k - 2 ** (k + 1) + 1) // 2)
+    pair = SubsetPair(k, *best)
+    coordinates = tuple((op.name, projective_coordinate(op, pair)) for op in algebra.operations)
+    return EgpDecision(k, True, pair, coordinates, _pair_rank(k, *best))
 
 
 def decide_egp_idempotent(algebra: Algebra, *, limits: Limits = LIMITS) -> EgpDecision:
@@ -324,11 +237,10 @@ def decide_egp_idempotent(algebra: Algebra, *, limits: Limits = LIMITS) -> EgpDe
     Exponential iff some covering pair of proper subsets makes every
     basic operation projective; the first such pair in mask order is
     reported together with a witnessing coordinate per operation.
-    Raises NotIdempotentError otherwise, since the scan only decides
-    the question for idempotent algebras.  The scan's pairs, about
-    3**k / 2 in all, are charged against limits.space chunk by chunk, so
-    at the default budget a PGP algebra is answered up to k = 17 and
-    refused from k = 18.
+    Raises NotIdempotentError otherwise, since the test only decides
+    the question for idempotent algebras.  It costs O(k**2) bit
+    operations per choice of a coordinate for each operation, and refuses
+    more choices than limits.space.
     """
     _require_idempotent(algebra)
     return _projectivity_scan(algebra, limits)
@@ -463,15 +375,12 @@ def _equal_pair_ceiling(
     its j-th argument in R_m lies in alpha x alpha (or beta x beta), and
     so does that pair of the image.  Idempotence is not needed.
 
-    The pair scan checks about 3**k / 2 pairs.  It runs only when 4**k,
-    a bound above that, fits the space budget and the closure's first
-    round has at least as many cells, so it costs at most a share of the
-    closure it can shorten.
+    No ceiling is set when the pair test is over the space budget.
     """
-    first_round = sum(len(seeds) ** op.arity for op in algebra.operations)
-    if 4**algebra.k > min(first_round, limits.space):
+    try:
+        pair = _projectivity_scan(algebra, limits).pair
+    except BudgetExceededError:
         return seeds.space
-    pair = _projectivity_scan(algebra, limits).pair
     return seeds.space if pair is None else pair.relation_size(m)
 
 

@@ -37,7 +37,7 @@ class Limits:
     """
 
     space: int = 1 << 26  # largest k**n a scan or enumerating constructor accepts, also
-    # the pairs a covering-pair scan checks and the bits the exact search memoizes
+    # the projectivity test's coordinate choices and the exact search's memo bits
     steps: int = 10**9  # closure combination applications, per closure call
     exact: int = 256  # largest k**n the exact minimum-size search accepts
     nodes: int = 20_000  # search-tree nodes before the exact search gives up
@@ -76,13 +76,11 @@ class Limits:
                 f"{self.combinations}"
             )
 
-    def check_pairs(self, checked: int, chunk: int) -> None:
-        """A covering-pair scan that has checked `checked` pairs may check
-        a chunk of `chunk` more only within the space budget."""
-        if checked + chunk > self.space:
+    def check_choices(self, choices: int) -> None:
+        if choices > self.space:
             raise BudgetExceededError(
-                f"covering-pair scan exceeded the space budget of {self.space:,} "
-                f"pairs (pairs checked: {checked:,})"
+                f"projectivity test needs {choices:,} coordinate choices, over "
+                f"the space budget of {self.space:,}"
             )
 
     def charge_steps(

@@ -156,6 +156,33 @@ def brute_first_projective_pair(algebra):
     return None, None, (), len(pairs)
 
 
+def brute_roots_for_every_choice(algebra):
+    """The certificate of a PGP verdict: for each choice of one coordinate
+    j per operation (itertools.product order), the least root r whose
+    forward closure under the edges args[j] -> f(args), read off the
+    tables, is all of A.  None when some choice has no such root, that is
+    when a covering pair makes every operation projective."""
+    k = algebra.k
+    roots = []
+    for choice in itertools.product(*(range(op.arity) for op in algebra.operations)):
+        edges = {x: set() for x in range(k)}
+        for op, j in zip(algebra.operations, choice):
+            for args, value in zip(itertools.product(range(k), repeat=op.arity), op.table):
+                edges[args[j]].add(value)
+        for r in range(k):
+            seen, todo = {r}, [r]
+            while todo:
+                for y in edges[todo.pop()] - seen:
+                    seen.add(y)
+                    todo.append(y)
+            if len(seen) == k:
+                roots.append(r)
+                break
+        else:
+            return None
+    return roots
+
+
 def random_table_op(k, arity, rng, idempotent, name="f"):
     """A random table, forced to be idempotent or forced not to be."""
     table = [rng.randrange(k) for _ in range(k**arity)]

@@ -7,16 +7,19 @@ These tests check the closed form of |R_m| against the brute relation,
 and that stopping there changes no closure.
 """
 
+import itertools
 import random
 
 from genpow import (
     Algebra,
     Limits,
+    OperationTable,
     SubsetPair,
     closure,
     equal_pair_evidence,
     equal_pair_tuples,
 )
+from genpow.criteria import _equal_pair_ceiling
 from tests.oracles import (
     brute_covering_pairs,
     brute_first_projective_pair,
@@ -107,3 +110,15 @@ def test_closure_stops_at_the_ceiling_before_any_batch():
     assert SubsetPair(2, 1, 2).relation_size(2) == len(seeds) == 12
     stopped = closure(Algebra(k=2, operations=ops), seeds, ceiling=12, limits=Limits(steps=0))
     assert stopped == seeds
+
+
+def test_d_check_skips_the_ceiling_past_the_choice_budget():
+    # Three ternary first projections: 27 coordinate choices, and the
+    # first pair ({0}, {1}) makes every operation projective, so R_1 holds
+    # the two equal pairs of the four tuples of A^2.
+    table = tuple(args[0] for args in itertools.product(range(2), repeat=3))
+    algebra = Algebra(k=2, operations=tuple(OperationTable(f"p{i}", 3, 2, table) for i in range(3)))
+    seeds = equal_pair_tuples(2, 1)
+    assert _equal_pair_ceiling(algebra, seeds, 1, Limits(space=27)) == 2
+    assert _equal_pair_ceiling(algebra, seeds, 1, Limits(space=26)) == 4
+    assert equal_pair_evidence(algebra, 1, limits=Limits(space=26)) == equal_pair_evidence(algebra, 1)

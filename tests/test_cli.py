@@ -98,27 +98,43 @@ def test_decide_egp(run):
 def test_decide_exits_4_when_the_pair_scan_passes_the_space_budget(
     run, tmp_path, monkeypatch
 ):
-    # decide runs on the default budgets, whose 2**26 pairs are first
-    # exceeded at k = 18.  A space budget of 100 pairs stands in for that
-    # here: the 301 covering pairs of this PGP table at k = 6 come in one
-    # chunk, which is refused before it is checked.
+    # decide walks one digraph per choice of a coordinate for each
+    # operation.  The default budget of 2**26 choices is first exceeded by
+    # fourteen quaternary operations; a space budget of 26 stands in for
+    # that here, against the 27 choices of three ternary operations.
     rng = random.Random(6)
-    table = [rng.randrange(6) for _ in range(6 * 6)]
-    for a in range(6):
-        table[a * 6 + a] = a
-    algebra = tmp_path / "k6.json"
-    algebra.write_text(json.dumps(
-        {"size": 6, "operations": [{"name": "f", "arity": 2, "table": table}]}
-    ))
-    assert run("decide", algebra) == (
-        0, "verdict: PGP\npairs checked: 301\n", ""
-    )
-    monkeypatch.setattr(genpow.cli, "Limits", functools.partial(Limits, space=100))
+    operations = []
+    for name in "fgh":
+        table = [rng.randrange(4) for _ in range(4**3)]
+        for a in range(4):
+            table[a * 21] = a
+        operations.append({"name": name, "arity": 3, "table": table})
+    algebra = tmp_path / "k4.json"
+    algebra.write_text(json.dumps({"size": 4, "operations": operations}))
+    rc, out, err = run("decide", algebra)
+    assert (rc, err) == (0, "")
+    monkeypatch.setattr(genpow.cli, "Limits", functools.partial(Limits, space=27))
+    assert run("decide", algebra) == (0, out, "")
+    monkeypatch.setattr(genpow.cli, "Limits", functools.partial(Limits, space=26))
     assert run("decide", algebra) == (
         4,
         "",
-        "genpow: budget exceeded: covering-pair scan exceeded the space budget "
-        "of 100 pairs (pairs checked: 0)\n",
+        "genpow: budget exceeded: projectivity test needs 27 coordinate choices, "
+        "over the space budget of 26\n",
+    )
+
+
+def test_probe_algebra_sub3_is_pgp_with_an_egp_subalgebra(run, tmp_path):
+    # f is the first projection on the subuniverse {0, 1}, so that
+    # subalgebra is EGP; A itself has no working covering pair.
+    algebra = tmp_path / "sub3.json"
+    algebra.write_text(json.dumps({
+        "size": 3,
+        "operations": [{"name": "f", "arity": 2, "table": [0, 0, 0, 1, 1, 1, 1, 0, 2]}],
+    }))
+    assert run("decide", algebra) == (0, "verdict: PGP\npairs checked: 6\n", "")
+    assert run("growth", algebra, "--n-max", 2) == (
+        0, "n,size,mode\n1,2,exact\n2,3,exact\n", ""
     )
 
 

@@ -1,41 +1,43 @@
-"""The vectorized projectivity scan against the per-pair reference loop.
+"""The projectivity test against the per-pair reference loops.
 
-`projective_coordinate` and `decide_egp_idempotent` run one numpy kernel
-over chunks of covering pairs; tests/oracles.py keeps the loop over
-argument tuples that they replaced, sharing no code with the package.
+`projective_coordinate` and `decide_egp_idempotent` test closure under
+one digraph per choice of a coordinate for each operation;
+tests/oracles.py keeps the loops over argument tuples and covering pairs
+that they replaced, sharing no code with the package.
 """
 
+import collections
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-import genpow.criteria
 from genpow import (
     Algebra,
     BudgetExceededError,
     Limits,
     OperationTable,
-    PreconditionError,
     SubsetPair,
     decide_egp_idempotent,
+    is_idempotent,
+    iter_subset_pairs,
     projective_coordinate,
 )
-from genpow.criteria import (
-    _projective_coordinates,
-    _projectivity_scan,
-    _subset_pair_chunks,
-)
+from genpow.criteria import _pair_rank, _projectivity_scan
 from tests.oracles import (
     brute_covering_pairs,
     brute_first_projective_pair,
     brute_projective_coordinate,
+    brute_roots_for_every_choice,
     elements,
     planted_op,
     random_idempotent_binary,
     random_table_op,
 )
+
+
+def pgp_pairs(k):
+    return (3**k - 2 ** (k + 1) + 1) // 2
 
 
 def seeded_ops():
@@ -58,73 +60,81 @@ def special_ops():
 
 
 def test_projective_coordinates_match_the_per_pair_loop():
-    ops = list(seeded_ops()) + list(special_ops())
     found = total = 0
-    for n, op in enumerate(ops):
-        pairs = brute_covering_pairs(op.k)
-        expected = [
-            brute_projective_coordinate(op, elements(a, op.k), elements(b, op.k))
-            for a, b in pairs
-        ]
-        # The scan's kernel, on every covering pair at once.
-        alpha, beta = (np.array(side, dtype=np.int64) for side in zip(*pairs))
-        got = _projective_coordinates(op, alpha, beta).tolist()
-        assert got == [j or 0 for j in expected], op
-        # The public single-pair entry point, on a share of them.
-        for (a, b), j in list(zip(pairs, expected))[n % 5 :: 5]:
+    for op in itertools.chain(seeded_ops(), special_ops()):
+        for a, b in brute_covering_pairs(op.k):
+            j = brute_projective_coordinate(op, elements(a, op.k), elements(b, op.k))
             assert projective_coordinate(op, SubsetPair(op.k, a, b)) == j, (op, a, b)
-        found += sum(j is not None for j in expected)
-        total += len(pairs)
+            found += j is not None
+            total += 1
     # Both answers occur often enough for the comparison to mean something.
     assert total / 10 < found < total * 9 / 10
 
 
-@pytest.mark.parametrize("cells", [16, 1 << 16], ids=["16-cell-chunks", "default"])
-def test_pair_chunks_list_every_covering_pair_in_mask_order(monkeypatch, cells):
-    # 16-cell chunks take the one-alpha-in-runs path from k = 6, where
-    # alpha = {0..4} has 31 pairs.
-    monkeypatch.setattr(genpow.criteria, "_CHUNK_CELLS", cells)
+def test_iter_subset_pairs_lists_every_covering_pair_in_mask_order():
     for k in range(1, 9):
-        chunks = list(_subset_pair_chunks(k))
-        pairs = [(int(a), int(b)) for alpha, beta in chunks for a, b in zip(alpha, beta)]
-        assert pairs == brute_covering_pairs(k), k
-        assert all(alpha.size <= cells for alpha, _ in chunks)
+        assert [(p.alpha, p.beta) for p in iter_subset_pairs(k)] == brute_covering_pairs(k), k
+    # The pairs are listed directly, about 3**k / 2 of them.
+    for k in range(1, 13):
+        assert sum(1 for _ in iter_subset_pairs(k)) == pgp_pairs(k), k
 
 
-def test_pair_chunks_start_at_once_for_a_wide_universe():
-    # At k = 40 a full scan is out of reach, but the first pair is not.
-    alpha, beta = next(_subset_pair_chunks(40))
-    assert (int(alpha[0]), int(beta[0])) == (1, (1 << 40) - 2)
+def test_subset_pairs_start_at_once_for_a_wide_universe():
+    # At k = 40 listing every pair is out of reach, but the first pair is not.
+    pair = next(iter_subset_pairs(40))
+    assert (pair.alpha, pair.beta) == (1, (1 << 40) - 2)
     assert decide_egp_idempotent(Algebra(k=40, operations=())).pairs_checked == 1
 
 
-def test_pair_scan_refuses_masks_wider_than_64_bits():
-    with pytest.raises(PreconditionError):
-        decide_egp_idempotent(Algebra(k=63, operations=()))
+def test_pair_rank_is_the_position_in_iter_subset_pairs():
+    for k in range(1, 8):
+        for rank, pair in enumerate(iter_subset_pairs(k), start=1):
+            assert _pair_rank(k, pair.alpha, pair.beta) == rank, (k, pair)
 
 
-def scan_matches_reference(algebra):
-    a, b, coords, scanned = brute_first_projective_pair(algebra)
-    scan = _projectivity_scan(algebra)
-    assert (scan.pairs_checked, scan.coordinates) == (scanned, coords)
-    assert scan.egp is (a is not None)
-    if scan.egp:
-        assert (scan.pair.alpha, scan.pair.beta) == (a, b)
+@pytest.mark.parametrize("k", [63, 64])
+def test_decide_answers_past_64_bit_masks(k):
+    decision = decide_egp_idempotent(Algebra(k=k, operations=()))
+    assert decision.egp and decision.pair.alpha_elements() == (0,)
+    assert (decision.pair.beta, decision.pairs_checked) == ((1 << k) - 2, 1)
+
+
+def random_algebra(rng):
+    """k 2..6, 0..2 operations of arity 1..3, planted or random tables,
+    about 60% of them idempotent."""
+    k = rng.randint(2, 6)
+    ops = []
+    for n in range(rng.randint(0, 2)):
+        arity, idempotent = rng.randint(1, 3), rng.random() < 0.6
+        if rng.random() < 0.4:
+            a, b = rng.choice(brute_covering_pairs(k))
+            j = rng.randint(1, arity)
+            ops.append(
+                planted_op(k, arity, elements(a, k), elements(b, k), j, rng, idempotent, f"g{n}")
+            )
+        else:
+            ops.append(random_table_op(k, arity, rng, idempotent, f"f{n}"))
+    return Algebra(k=k, operations=tuple(ops))
 
 
 def test_projectivity_scan_matches_the_reference_on_mixed_algebras():
     rng = random.Random(13)
-    for i in range(60):
-        k = 2 + i % 4
-        ops = [random_table_op(k, 1 + (i + n) % 3, rng, i % 2 == 0, f"f{n}") for n in range(2)]
-        if i % 3 == 0:
-            # A planted pair makes the scan stop inside a chunk.
-            a, b = rng.choice(brute_covering_pairs(k))
-            ops = [
-                planted_op(k, arity, elements(a, k), elements(b, k), 1, rng, name=f"g{arity}")
-                for arity in (2, 3)
-            ]
-        scan_matches_reference(Algebra(k=k, operations=tuple(ops)))
+    kinds = collections.Counter()
+    for _ in range(1200):
+        algebra = random_algebra(rng)
+        a, b, coords, scanned = brute_first_projective_pair(algebra)
+        idempotent = is_idempotent(algebra)
+        decision = (decide_egp_idempotent if idempotent else _projectivity_scan)(algebra)
+        pair = decision.pair and (decision.pair.alpha, decision.pair.beta)
+        assert (decision.egp, pair, decision.coordinates, decision.pairs_checked) == (
+            a is not None,
+            a and (a, b),
+            coords,
+            scanned,
+        ), algebra
+        kinds[idempotent, decision.egp] += 1
+    # Every mix of idempotence and verdict occurs often.
+    assert len(kinds) == 4 and min(kinds.values()) > 100, kinds
 
 
 def test_decide_matches_the_reference(corpus):
@@ -150,50 +160,59 @@ def test_decide_matches_the_reference(corpus):
     assert verdicts == {"EGP", "PGP"}
 
 
-def test_pair_chunks_list_about_three_to_the_k_over_two_pairs():
-    # The pairs are listed directly, with no candidates to filter out.
-    for k in range(1, 13):
-        sizes = [alpha.size for alpha, _ in _subset_pair_chunks(k)]
-        assert sum(sizes) == (3**k - 2 ** (k + 1) + 1) // 2, k
-        assert 0 not in sizes
+def test_wide_verdicts_agree_with_the_root_certificates():
+    # Listing the pairs is out of reach here, so a PGP verdict is checked
+    # by a root for every choice, and an EGP one by its pair's coordinates.
+    rng = random.Random(29)
+    verdicts = collections.Counter()
+    for k in (10, 13, 17, 24, 31, 40, 48):
+        ops = (random_idempotent_binary(k, rng),)
+        if k <= 13:
+            ops += (random_table_op(k, 3, rng, True, "g"),)
+        algebras = [Algebra(k=k, operations=ops)]
+        a = set(rng.sample(range(k), k // 2))
+        b = set(range(k)) - a | {min(a)}
+        planted = planted_op(k, 2, a, b, 2, rng, idempotent=True, name="h")
+        algebras.append(Algebra(k=k, operations=(planted,)))
+        for algebra in algebras:
+            decision = decide_egp_idempotent(algebra)
+            assert (brute_roots_for_every_choice(algebra) is None) is decision.egp
+            if decision.egp:
+                alpha, beta = (elements(m, k) for m in (decision.pair.alpha, decision.pair.beta))
+                assert alpha | beta == set(range(k)) and len(alpha) < k and len(beta) < k
+                assert decision.coordinates == tuple(
+                    (op.name, brute_projective_coordinate(op, alpha, beta))
+                    for op in algebra.operations
+                )
+            else:
+                assert decision.pairs_checked == pgp_pairs(k)
+            verdicts[decision.verdict] += 1
+    assert verdicts == {"PGP": 7, "EGP": 7}
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """Chunks of 2,048 pairs, so that the 9,330 covering pairs at k = 9
-    take several."""
-    monkeypatch.setattr(genpow.criteria, "_CHUNK_CELLS", 2048)
-    sizes = [alpha.size for alpha, _ in _subset_pair_chunks(9)]
-    assert len(sizes) > 3 and max(sizes) <= 2048
-    return sizes
-
-
-def test_decide_refuses_a_scan_past_the_space_budget(small_chunks):
-    sizes = small_chunks
-    algebra = Algebra(k=9, operations=(random_idempotent_binary(9, random.Random(5)),))
-    decision = decide_egp_idempotent(algebra)
-    assert (decision.egp, decision.pairs_checked) == (False, 9_330)
-    assert decide_egp_idempotent(algebra, limits=Limits(space=9_330)) == decision
-    # A chunk the budget cannot pay for in full is refused before it is
-    # checked: one pair short refuses the last chunk, and one pair more
-    # than the first two chunks refuses the third.
-    for space, paid in ((9_329, len(sizes) - 1), (sizes[0] + sizes[1] + 1, 2)):
-        with pytest.raises(BudgetExceededError) as info:
-            decide_egp_idempotent(algebra, limits=Limits(space=space))
-        assert str(info.value) == (
-            f"covering-pair scan exceeded the space budget of {space:,} "
-            f"pairs (pairs checked: {sum(sizes[:paid]):,})"
-        )
-
-
-def test_decide_answers_when_the_first_pair_lies_in_an_early_chunk(small_chunks):
+def test_decide_refuses_a_scan_past_the_space_budget():
+    # One digraph per choice of a coordinate for each operation: 2 * 3 = 6
+    # choices here, charged before any is walked, whatever the verdict.
+    rng = random.Random(5)
+    pgp = Algebra(
+        k=9, operations=(random_idempotent_binary(9, rng), random_table_op(9, 3, rng, True, "g"))
+    )
     # Projective at coordinate 1 for alpha = {0}, beta = {1..8}, the first
-    # covering pair, so the first chunk holds the answer.
-    first = small_chunks[0]
-    op = planted_op(9, 2, {0}, set(range(1, 9)), 1, random.Random(3), idempotent=True)
-    algebra = Algebra(k=9, operations=(op,))
-    decision = decide_egp_idempotent(algebra, limits=Limits(space=first))
-    assert decision == decide_egp_idempotent(algebra)
-    assert (decision.egp, decision.pairs_checked) == (True, 1)
-    with pytest.raises(BudgetExceededError):
-        decide_egp_idempotent(algebra, limits=Limits(space=first - 1))
+    # covering pair.
+    egp = Algebra(k=9, operations=tuple(
+        planted_op(9, s, {0}, set(range(1, 9)), 1, rng, idempotent=True, name=f"f{s}")
+        for s in (2, 3)
+    ))
+    assert (decide_egp_idempotent(pgp).egp, decide_egp_idempotent(pgp).pairs_checked) == (
+        False,
+        9_330,
+    )
+    assert (decide_egp_idempotent(egp).egp, decide_egp_idempotent(egp).pairs_checked) == (True, 1)
+    for algebra in (pgp, egp):
+        decision = decide_egp_idempotent(algebra)
+        assert decide_egp_idempotent(algebra, limits=Limits(space=6)) == decision
+        with pytest.raises(BudgetExceededError) as info:
+            decide_egp_idempotent(algebra, limits=Limits(space=5))
+        assert str(info.value) == (
+            "projectivity test needs 6 coordinate choices, over the space budget of 5"
+        )
