@@ -203,13 +203,9 @@ def test_decide_refuses_a_scan_past_the_space_budget():
         planted_op(9, s, {0}, set(range(1, 9)), 1, rng, idempotent=True, name=f"f{s}")
         for s in (2, 3)
     ))
-    assert (decide_egp_idempotent(pgp).egp, decide_egp_idempotent(pgp).pairs_checked) == (
-        False,
-        9_330,
-    )
-    assert (decide_egp_idempotent(egp).egp, decide_egp_idempotent(egp).pairs_checked) == (True, 1)
-    for algebra in (pgp, egp):
+    for algebra, verdict in ((pgp, (False, 9_330)), (egp, (True, 1))):
         decision = decide_egp_idempotent(algebra)
+        assert (decision.egp, decision.pairs_checked) == verdict
         assert decide_egp_idempotent(algebra, limits=Limits(space=6)) == decision
         with pytest.raises(BudgetExceededError) as info:
             decide_egp_idempotent(algebra, limits=Limits(space=5))
