@@ -71,10 +71,21 @@ def test_projective_coordinates_match_the_per_pair_loop():
     assert total / 10 < found < total * 9 / 10
 
 
-def test_iter_subset_pairs_lists_every_covering_pair_in_mask_order():
+@pytest.mark.parametrize("cells", [16, 1 << 16], ids=["16-cell-chunks", "default"])
+def test_pair_chunks_list_every_covering_pair_in_mask_order(cells):
+    # The listing read in chunks of at most `cells` pairs: 16-pair chunks
+    # split every alpha's run of pairs from k = 6, where alpha = {0..4}
+    # has 31, and each chunk starts at the position _pair_rank gives.
     for k in range(1, 9):
-        assert [(p.alpha, p.beta) for p in iter_subset_pairs(k)] == brute_covering_pairs(k), k
-    # The pairs are listed directly, about 3**k / 2 of them.
+        pairs, listing = [], iter_subset_pairs(k)
+        while chunk := list(itertools.islice(listing, cells)):
+            assert _pair_rank(k, chunk[0].alpha, chunk[0].beta) == len(pairs) + 1, k
+            pairs += [(p.alpha, p.beta) for p in chunk]
+        assert pairs == brute_covering_pairs(k), k
+
+
+def test_pair_chunks_list_about_three_to_the_k_over_two_pairs():
+    # The pairs are listed directly, with no candidates to filter out.
     for k in range(1, 13):
         assert sum(1 for _ in iter_subset_pairs(k)) == pgp_pairs(k), k
 
@@ -192,23 +203,36 @@ def test_wide_verdicts_agree_with_the_root_certificates():
 
 def test_decide_refuses_a_scan_past_the_space_budget():
     # One digraph per choice of a coordinate for each operation: 2 * 3 = 6
-    # choices here, charged before any is walked, whatever the verdict.
+    # choices here, charged before any is walked.
     rng = random.Random(5)
-    pgp = Algebra(
+    algebra = Algebra(
         k=9, operations=(random_idempotent_binary(9, rng), random_table_op(9, 3, rng, True, "g"))
     )
+    decision = decide_egp_idempotent(algebra)
+    assert (decision.egp, decision.pairs_checked) == (False, 9_330)
+    assert decide_egp_idempotent(algebra, limits=Limits(space=6)) == decision
+    with pytest.raises(BudgetExceededError) as info:
+        decide_egp_idempotent(algebra, limits=Limits(space=5))
+    assert str(info.value) == (
+        "projectivity test needs 6 coordinate choices, over the space budget of 5"
+    )
+
+
+def test_decide_answers_when_the_first_pair_lies_in_an_early_chunk():
     # Projective at coordinate 1 for alpha = {0}, beta = {1..8}, the first
-    # covering pair.
-    egp = Algebra(k=9, operations=tuple(
+    # covering pair; the 6 choices are still charged in full up front.
+    rng = random.Random(5)
+    algebra = Algebra(k=9, operations=tuple(
         planted_op(9, s, {0}, set(range(1, 9)), 1, rng, idempotent=True, name=f"f{s}")
         for s in (2, 3)
     ))
-    for algebra, verdict in ((pgp, (False, 9_330)), (egp, (True, 1))):
-        decision = decide_egp_idempotent(algebra)
-        assert (decision.egp, decision.pairs_checked) == verdict
-        assert decide_egp_idempotent(algebra, limits=Limits(space=6)) == decision
-        with pytest.raises(BudgetExceededError) as info:
-            decide_egp_idempotent(algebra, limits=Limits(space=5))
-        assert str(info.value) == (
-            "projectivity test needs 6 coordinate choices, over the space budget of 5"
-        )
+    decision = decide_egp_idempotent(algebra)
+    assert (decision.egp, decision.pairs_checked) == (True, 1)
+    assert (decision.pair.alpha, decision.pair.beta) == (1, (1 << 9) - 2)
+    assert decision.coordinates == (("f2", 1), ("f3", 1))
+    assert decide_egp_idempotent(algebra, limits=Limits(space=6)) == decision
+    with pytest.raises(BudgetExceededError) as info:
+        decide_egp_idempotent(algebra, limits=Limits(space=5))
+    assert str(info.value) == (
+        "projectivity test needs 6 coordinate choices, over the space budget of 5"
+    )
