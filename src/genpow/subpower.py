@@ -516,12 +516,10 @@ def _saturate(
     least fixed point, so once the result holds `ceiling` tuples it is
     that superset, and final; the check comes before each charge.
 
-    A round that fits one batch and the step budget is evaluated whole:
-    s grids per s-ary operation, one charge and one insertion.  Any other
-    round runs argument pattern by pattern in batches, charging and
-    inserting per batch, so a refusal says how far it got.  No batch of a
-    whole round could have been refused, and both ways insert the same
-    images, so the two agree on every result and every refusal.
+    A round runs, for each operation in order, the s grids of an s-ary one
+    from grid s - 1 down to grid 0, in _grid_batches batches.  Each batch
+    is charged and inserted on its own, so a refusal says how far the
+    round got.
     """
     if not algebra.operations:
         return result
@@ -535,48 +533,26 @@ def _saturate(
         union.sort()
         new_blocks = {b: _split_blocks(new, k, b, n) for b in widths}
         union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
-        round_cells = sum(
-            union.size**op.arity - old.size**op.arity for op in algebra.operations
-        )
-        if round_cells <= _CHUNK_CELLS and steps + round_cells <= limits.steps:
-            if len(result) == ceiling:
-                return result
-            steps = limits.charge_steps(
-                steps, round_cells, rounds, (len(result), result.space)
-            )
+        produced: list[np.ndarray] = []
+        for op, (b, columns) in zip(algebra.operations, layouts):
+            s = op.arity
             # Grid i draws argument i from the new frontier, the earlier
             # ones from `old` and the later ones from `old | new`: together
             # every combination that touches the frontier, each once.
-            images = []
-            for op, (b, columns) in zip(algebra.operations, layouts):
-                s = op.arity
-                for i in range(s if old.size else 1):
-                    groups = [old_blocks[b]] * i + [new_blocks[b]]
-                    groups += [union_blocks[b]] * (s - 1 - i)
-                    images.append(_grid_results(columns, groups))
-            new = result.add_encodings_array(np.concatenate(images))
-        else:
-            produced: list[np.ndarray] = []
-            for op, (b, columns) in zip(algebra.operations, layouts):
-                s = op.arity
-                # Every argument pattern that draws at least one tuple from
-                # the new frontier; all-old combos were covered in earlier
-                # rounds.
-                for pattern in range(1, 1 << s):
-                    groups = [
-                        new_blocks[b] if (pattern >> (s - 1 - i)) & 1 else old_blocks[b]
-                        for i in range(s)
-                    ]
-                    for batch, cells in _grid_batches(groups):
-                        if len(result) == ceiling:
-                            return result
-                        steps = limits.charge_steps(
-                            steps, cells, rounds, (len(result), result.space)
-                        )
-                        fresh = result.add_encodings_array(_grid_results(columns, batch))
-                        if fresh.size:
-                            produced.append(fresh)
-            new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
+            # While `old` is empty only grid 0 has cells.
+            for i in range(s - 1 if old.size else 0, -1, -1):
+                groups = [old_blocks[b]] * i + [new_blocks[b]]
+                groups += [union_blocks[b]] * (s - 1 - i)
+                for batch, cells in _grid_batches(groups):
+                    if len(result) == ceiling:
+                        return result
+                    steps = limits.charge_steps(
+                        steps, cells, rounds, (len(result), result.space)
+                    )
+                    fresh = result.add_encodings_array(_grid_results(columns, batch))
+                    if fresh.size:
+                        produced.append(fresh)
+        new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
         rounds += 1
         old, old_blocks = union, union_blocks
     return result
@@ -639,14 +615,16 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     Both sets are bit masks: bit x is set iff tuple x is a member.
 
     When every operation is tabulated on A^n itself (one block), every
-    round runs on masks, with the whole-round ceiling check and charge of
-    _saturate: a round ORs image masks from the operations' _image_tables,
-    built here once per search and freed with it, at most
-    2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS entries for
-    an s-ary operation.  A round over the step budget, or a multi-block
-    layout from the start, hands the closure to _saturate in a TupleSet of
+    round runs on masks: it ORs the images of _saturate's grids from the
+    operations' _image_tables, built here once per search and freed with
+    it, at most 2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS
+    entries for an s-ary operation.  A mask round makes one ceiling check
+    and one charge, and runs only when the whole round fits the step
+    budget, where _saturate could not have refused any of its batches.  A
+    round that does not fit, or a multi-block layout from the start, hands
+    the closure to _saturate at the start of the round, in a TupleSet of
     the tuples known, with its steps and rounds carried.  Either way its
-    charges, results and refusals are those of closure_extend.
+    results and refusals are those of closure_extend.
     """
     k = algebra.k
     space = k**n
@@ -663,7 +641,7 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     if not all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
         return lambda closed, e: handover(closed | 1 << e, closed, 1 << e, 0, 0)
 
-    # The grids of _saturate's whole round, as (table, chunked, head, rest).
+    # The grids of a _saturate round, as (table, chunked, head, rest).
     # Grid i of an s-ary operation draws argument i from the frontier, the
     # earlier ones from `old` and the later ones from `union`.  It lists
     # every argument but one, in order, and ORs the chunks of that one

@@ -56,18 +56,19 @@ def grid_runs(sizes, batch):
     return [min(per, first - start) * tail for start in range(0, first, per)]
 
 
-def per_pattern_charges(algebra, seeds, old=(), stop=None, batch=None):
+def per_grid_charges(algebra, seeds, old=(), stop=None):
     """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
-    with the step-budget charges the per-pattern loop makes on the way.
+    with the step-budget charges the engine's rounds make on the way.
 
-    Each round runs, for every operation in order, the argument patterns
-    1 .. 2**s - 1 in order: bit s-1-i of a pattern takes argument i from the
-    round's new tuples, a clear bit from the tuples known before the round.
-    A pattern is one charge, or with `batch` the grid_runs of its grid.
-    Before each charge the loop stops if the set holds `stop` tuples (the
-    whole space by default); otherwise it charges the cell count, then
-    inserts those cells' images.  Returns the set and the charges as
-    (steps applied before, cells, rounds completed, tuples before).
+    Each round runs, for every operation in order, grids i = s-1 down to
+    0: grid i takes arguments 0 .. i-1 from the tuples known before the
+    round, argument i from the round's new tuples and the later ones from
+    both.  While nothing was known before, only grid 0 runs.  A grid is
+    charged as its grid_runs of 2**16 cells.  Before each charge the loop
+    stops if the set holds `stop` tuples (the whole space by default);
+    otherwise it charges the cell count, then inserts those cells' images.
+    Returns the set and the charges as (steps applied before, cells,
+    rounds completed, tuples before).
     """
     current = set(old) | set(seeds)
     if not current:
@@ -80,26 +81,21 @@ def per_pattern_charges(algebra, seeds, old=(), stop=None, batch=None):
     steps = rounds = 0
     charges = []
     while new:
-        old_rows, new_rows = sorted(old), sorted(new)
+        old_rows, new_rows, union_rows = sorted(old), sorted(new), sorted(old | new)
         produced = set()
         for op in algebra.operations:
             s = op.arity
-            for pattern in range(1, 2**s):
-                groups = [
-                    new_rows if (pattern >> (s - 1 - i)) & 1 else old_rows
-                    for i in range(s)
-                ]
-                sizes = [len(group) for group in groups]
-                runs = [math.prod(sizes)] if batch is None else grid_runs(sizes, batch)
+            for i in reversed(range(s if old else 1)):
+                groups = [old_rows] * i + [new_rows] + [union_rows] * (s - 1 - i)
                 combos = itertools.product(*groups)
-                for cells in runs:
+                for cells in grid_runs([len(group) for group in groups], 1 << 16):
                     if len(current) == stop:
                         return frozenset(current), charges
                     charges.append((steps, cells, rounds, len(current)))
                     steps += cells
                     for args in itertools.islice(combos, cells):
                         image = tuple(
-                            apply_op(op, [row[i] for row in args]) for i in range(width)
+                            apply_op(op, [row[c] for row in args]) for c in range(width)
                         )
                         if image not in current:
                             current.add(image)

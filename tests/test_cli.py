@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import shlex
@@ -8,13 +9,14 @@ import sys
 import pytest
 
 import genpow.cli
-from genpow import Limits
+from genpow import Algebra, Limits, OperationTable, min_generating_size
 from genpow.cli import main
 from tests.conftest import ALGEBRA_DIR, corpus_path
 from tests.oracles import (
+    brute_closure,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
-    per_pattern_charges,
+    per_grid_charges,
 )
 
 
@@ -124,18 +126,29 @@ def test_decide_exits_4_when_the_pair_scan_passes_the_space_budget(
     )
 
 
+SUB3_TABLE = [0, 0, 0, 1, 1, 1, 1, 0, 2]
+
+
 def test_probe_algebra_sub3_is_pgp_with_an_egp_subalgebra(run, tmp_path):
     # f is the first projection on the subuniverse {0, 1}, so that
     # subalgebra is EGP; A itself has no working covering pair.
     algebra = tmp_path / "sub3.json"
     algebra.write_text(json.dumps({
         "size": 3,
-        "operations": [{"name": "f", "arity": 2, "table": [0, 0, 0, 1, 1, 1, 1, 0, 2]}],
+        "operations": [{"name": "f", "arity": 2, "table": SUB3_TABLE}],
     }))
     assert run("decide", algebra) == (0, "verdict: PGP\npairs checked: 6\n", "")
     assert run("growth", algebra, "--n-max", 2) == (
         0, "n,size,mode\n1,2,exact\n2,3,exact\n", ""
     )
+
+
+def test_probe_algebra_sub3_needs_four_generators_at_n_3():
+    # The exact search needs more than the default 20,000 nodes here.
+    sub3 = Algebra(k=3, operations=(OperationTable("f", 2, 3, tuple(SUB3_TABLE)),))
+    found = min_generating_size(sub3, 3, mode="exact", limits=Limits(nodes=10**6))
+    assert found.size == 4
+    assert brute_closure(sub3, found.generators) == set(itertools.product(range(3), repeat=3))
 
 
 def test_decide_rejects_non_idempotent(run):
@@ -168,7 +181,7 @@ def test_d_check_budget(run):
 
 
 def test_d_check_budget_met_by_early_exit(run):
-    # The closure is full after 57,600 of the 13.8 M cells in its first pattern.
+    # The closure is full after 57,600 of the 13.8 M cells in its first grid.
     rc, out, err = run("d-check", path("xor3"), "--m", 4, "--closure-budget", 200000)
     assert (rc, err) == (0, "")
     assert out == run("d-check", path("xor3"), "--m", 4)[1]
@@ -181,7 +194,7 @@ def test_d_check_budget_on_proper_closure(run, egp3):
     # would spend.  The need comes from the genpow-free reference.
     seeds = brute_equal_pair_tuples(3, 2)
     ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, 2))
-    _, charges = per_pattern_charges(egp3, seeds, stop=ceiling, batch=1 << 16)
+    _, charges = per_grid_charges(egp3, seeds, stop=ceiling)
     need = sum(cells for _, cells, _, _ in charges)
     assert need == 2_025
     rc, out, _ = run("d-check", path("egp3"), "--m", 2, "--closure-budget", need)

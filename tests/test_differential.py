@@ -38,7 +38,7 @@ from genpow.subpower import _block_columns, _extender
 from tests.oracles import (
     brute_closure,
     numpy_closure,
-    per_pattern_charges,
+    per_grid_charges,
     random_op,
     random_table_op,
 )
@@ -148,7 +148,7 @@ def test_extend_budget_sweep_across_the_handover(monkeypatch):
             if extra is None:
                 continue
             one_block = all(_block_columns(op, n)[0] == n for op in algebra.operations)
-            widened, charges = per_pattern_charges(
+            widened, charges = per_grid_charges(
                 algebra, [decode_tuple(extra, k, n)], old=members
             )
             rounds = len({r for _, _, r, _ in charges})

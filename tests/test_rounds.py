@@ -1,16 +1,17 @@
-"""Closure rounds against a per-pattern reference.
+"""Closure rounds against a per-grid reference.
 
-A round that fits one grid batch and the step budget is evaluated whole;
-every other round runs argument pattern by argument pattern, charging the
-budget per batch.  closure and closure_extend run every round in numpy.
-In the exact search's extend (subpower._extender), when every operation is
-tabulated on A^n itself, every whole round runs on bit masks, OR-ing image
-masks from the operations' _image_tables, and only a round over the step
-budget hands the closure to numpy.  Sweeping the step budget across a
+closure and closure_extend run every round in numpy, as s grids per s-ary
+operation, each cut into batches of at most 2**16 cells and charged to the
+step budget batch by batch.  In the exact search's extend
+(subpower._extender), when every operation is tabulated on A^n itself,
+every round that fits the step budget runs whole on bit masks, OR-ing
+image masks from the operations' _image_tables, and a round that does not
+fit hands the closure to numpy.  Sweeping the step budget across a
 closure's whole cost sends its rounds down every way, and each budget must
 give the result or the refusal message the reference gives.
 """
 
+import itertools
 import random
 
 import pytest
@@ -30,10 +31,11 @@ from genpow import (
 )
 from genpow.subpower import _block_columns, _extender
 from tests.oracles import (
+    apply_op,
     brute_closure,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
-    per_pattern_charges,
+    per_grid_charges,
     random_op,
     random_table_op,
 )
@@ -88,7 +90,7 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                 encodings = rng.sample(range(space), min(count, space))
                 seeds = [decode_tuple(e, k, n) for e in encodings]
                 ts = TupleSet.from_tuples(k, n, seeds, limits=Limits(dense=dense))
-                members, charges = per_pattern_charges(alg, seeds)
+                members, charges = per_grid_charges(alg, seeds)
                 closed = closure(alg, ts)
                 assert set(closed) == members, (name, n, count)
                 assert_sweep(
@@ -100,7 +102,7 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                 if not outside:
                     continue
                 extra = rng.choice(outside)
-                members, charges = per_pattern_charges(
+                members, charges = per_grid_charges(
                     alg, [decode_tuple(extra, k, n)], old=members
                 )
                 assert_sweep(
@@ -109,6 +111,55 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                     ),
                     charges, members, space, (name, n, count, extra),
                 )
+
+
+def frontier_cells(algebra, old, seeds):
+    """Cells of each round of the semi-naive closure of `old | seeds`,
+    `old` already closed, from a full-rescan closure: the set known at
+    each round is the one before with the images of all its argument
+    combinations, and a round's cells are the combinations of its set
+    that are not combinations of the set before."""
+    before, known = set(old), set(old) | set(seeds)
+    width = len(next(iter(known)))
+    cells = []
+    while known != before:
+        cells.append(sum(len(known)**op.arity - len(before)**op.arity
+                         for op in algebra.operations))
+        images = {
+            tuple(apply_op(op, [row[c] for row in args]) for c in range(width))
+            for op in algebra.operations
+            for args in itertools.product(known, repeat=op.arity)
+        }
+        before, known = known, known | images
+    return cells
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_per_grid_reference_charges_each_frontier_combination_once(arity):
+    # A check of the reference that runs no genpow closure: with a stop no
+    # set reaches, the cells it charges in each round add up to the sum over
+    # operations of |old | new|**s - |old|**s.
+    rng = random.Random(arity)
+    rounds = []
+    for case in range(20):
+        k, n = rng.choice([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+        arities = [arity] + rng.sample([1, 2, 3], rng.randint(0, 1))
+        algebra = Algebra(k=k, operations=tuple(
+            random_table_op(k, s, rng, rng.random() < 0.5, name=f"f{j}")
+            for j, s in enumerate(arities)
+        ))
+        everything = list(itertools.product(range(k), repeat=n))
+        old = brute_closure(algebra, rng.sample(everything, rng.randint(0, 1)))
+        outside = [t for t in everything if t not in old]
+        if not outside:
+            continue
+        seeds = rng.sample(outside, min(len(outside), rng.randint(1, 2)))
+        members, charges = per_grid_charges(algebra, seeds, old=old, stop=k**n + 1)
+        cells = frontier_cells(algebra, old, seeds)
+        assert members == brute_closure(algebra, [*old, *seeds]), case
+        assert round_cells(charges) == cells, case
+        rounds.append(len(cells))
+    assert len(rounds) >= 15 and max(rounds) >= 2, rounds
 
 
 def mask(encodings):
@@ -165,13 +216,12 @@ def round_cells(charges):
     return [cells[r] for r in sorted(cells)]
 
 
-def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeypatch):
+def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(maj3, monkeypatch):
     # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
     # gives a proper subpower of 20 tuples after 3 rounds.  Each round fits
-    # one batch, so each is one numpy whole round, as every round of
-    # closure_extend is.
+    # one batch, so each of its 3 grids is one batch with one insertion.
     closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
-    members, charges = per_pattern_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
+    members, charges = per_grid_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
     cells = round_cells(charges)
     assert (len(closed), len(members), len(cells)) == (9, 20, 3)
     assert max(cells) <= genpow.subpower._CHUNK_CELLS
@@ -182,7 +232,7 @@ def test_whole_round_makes_s_grids_per_operation_and_one_insertion(maj3, monkeyp
     assert counted.handovers == [0]
     assert counted.tables == []
     assert counted.grids == [3] * 3 * len(cells)
-    assert len(counted.insertions) == len(cells)
+    assert len(counted.insertions) == 3 * len(cells)
 
 
 def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
@@ -191,7 +241,7 @@ def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
     # tabulated on A^3 itself, so in the search's extend every round runs
     # on bit masks.
     closed = closure(egp3, TupleSet.from_encodings(3, 3, [2, 26]))
-    members, charges = per_pattern_charges(egp3, [decode_tuple(6, 3, 3)], old=set(closed))
+    members, charges = per_grid_charges(egp3, [decode_tuple(6, 3, 3)], old=set(closed))
     cells = round_cells(charges)
     assert (len(closed), len(members), len(cells)) == (3, 12, 4)
     counted = Counted(monkeypatch)
@@ -253,7 +303,7 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
     # Three tuples of A^2 span it affinely.  Round 0 (27 cells) fills it,
     # and the closure stops before it charges round 1 (37 cells).
     seeds = [(0, 0), (0, 1), (1, 0)]
-    members, charges = per_pattern_charges(xor3, seeds)
+    members, charges = per_grid_charges(xor3, seeds)
     assert (len(members), round_cells(charges)) == (4, [27])
     charged = []
     charge = Limits.charge_steps
@@ -309,11 +359,11 @@ def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
     encodings, extra, size = HANDOVERS[case]
     seeds = [decode_tuple(e, 3, 4) for e in encodings]
     ts = TupleSet.from_tuples(3, 4, seeds, limits=Limits(dense=dense))
-    members, charges = per_pattern_charges(egp3, seeds)
+    members, charges = per_grid_charges(egp3, seeds)
     run = lambda b: closure(egp3, ts, limits=Limits(steps=b, dense=dense))
     if extra is not None:
         closed = closure(egp3, ts)
-        members, charges = per_pattern_charges(
+        members, charges = per_grid_charges(
             egp3, [decode_tuple(extra, 3, 4)], old=members
         )
         run = lambda b: closure_extend(
@@ -341,7 +391,7 @@ EXTENSIONS = [
 def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
     encodings, extra, size, rounds = EXTENSIONS[case]
     closed = closure(egp3, TupleSet.from_encodings(3, 4, encodings))
-    members, charges = per_pattern_charges(
+    members, charges = per_grid_charges(
         egp3, [decode_tuple(extra, 3, 4)], old=set(closed)
     )
     assert len(round_cells(charges)) == rounds
@@ -357,10 +407,9 @@ def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case)
 @pytest.mark.parametrize("m", [2, 3])
 def test_ceiling_budget_sweep_matches_per_pattern_reference(egp3, m):
     # d-check stops egp3's closure at |R_m| of its EGP pair {0, 1}, {1, 2}.
-    # The reference cuts patterns into the engine's 2**16-cell batches.
     seeds = brute_equal_pair_tuples(3, m)
     ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, m))
-    members, charges = per_pattern_charges(egp3, seeds, stop=ceiling, batch=1 << 16)
+    members, charges = per_grid_charges(egp3, seeds, stop=ceiling)
     need = sum(cells for _, cells, _, _ in charges)
     assert (len(members), need) == {2: (77, 2_025), 3: (721, 260_604)}[m]
     budgets = None

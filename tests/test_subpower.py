@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from genpow import (
     equal_pair_tuples,
     is_full,
 )
-from genpow.subpower import _grid_batches, _grid_results, _weights
-from tests.oracles import brute_closure, brute_equal_pair_tuples
+from genpow.subpower import _block_columns, _grid_batches, _grid_results, _weights
+from tests.oracles import brute_closure, brute_equal_pair_tuples, gf2_affine_rank
 
 
 def test_weights_are_cached_and_read_only():
@@ -205,6 +206,25 @@ def test_closure_matches_brute_force_on_corpus(corpus):
                 assert set(got) == want
 
 
+@pytest.mark.parametrize("count", [1, 3, 6])
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_xor3_closure_is_the_affine_span_at_large_n(xor3, n, count):
+    # xor3 closes a set to its affine span over GF(2).  From n = 27 on, 2**n
+    # is over the dense limit, so the closure is sparse; every layout here
+    # has more than one block.
+    rng = random.Random(n * 10 + count)
+    seeds = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(count)]
+    base, *others = [int("".join(map(str, t)), 2) for t in seeds]
+    span = {base}
+    for other in others:
+        span |= {x ^ other ^ base for x in span}
+    got = closure(xor3, TupleSet.from_tuples(2, n, seeds))
+    assert repr(got).endswith("dense)" if n < 27 else "sparse)")
+    assert _block_columns(xor3.operations[0], n)[0] < n
+    assert set(got.encodings().tolist()) == span
+    assert len(got) == 2 ** gf2_affine_rank(seeds)
+
+
 def small_algebras():
     tables = st.lists(st.integers(0, 1), min_size=4, max_size=4).map(tuple)
     return st.lists(tables, min_size=0, max_size=2).map(
@@ -306,13 +326,13 @@ def test_closure_step_budget(xor3):
 
 
 def test_closure_stops_at_full_power(xor3):
-    # The first argument pattern alone is 240**3 = 13.8 M cells, but its
-    # first 57,600-cell row already fills A^8.
+    # The first grid alone is 240**3 = 13.8 M cells, but its first
+    # 57,600-cell row already fills A^8.
     assert is_full(closure(xor3, equal_pair_tuples(2, 4), limits=Limits(steps=200_000)))
 
 
 # xor3 closes these seeds to their affine hull of 4 tuples in 64 cells:
-# 3**3 = 27 in round 0, then patterns of 9, 9, 3, 9, 3, 3, 1 in round 1.
+# 3**3 = 27 in round 0, then grids of 9, 12 and 16 cells in round 1.
 _HULL_SEEDS = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
 
 
@@ -327,7 +347,7 @@ def test_closure_budget_error_reports_progress(xor3):
     seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
     with pytest.raises(BudgetExceededError) as info:
         closure(xor3, seeds, limits=Limits(steps=50))
-    # The fourth pattern of round 1 would bring 48 applied steps to 57.
+    # The third grid of round 1 would take 48 applied steps to 64.
     assert "rounds completed: 1, tuples: 4 of 16, steps applied: 48" in str(info.value)
 
 
