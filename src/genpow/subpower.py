@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -385,18 +385,17 @@ def _grid_batches(
 
     The first axis is cut into runs of rows.  When one row of it alone
     exceeds the batch size, its rows are taken one at a time and the rest
-    of the grid is split the same way.  Yields each batch's groups with
-    its cell count.
+    of the grid is split the same way, lazily for each row.  Yields each
+    batch's groups with its cell count.
     """
     first, rest = digit_groups[0], digit_groups[1:]
     tail = math.prod(g.shape[0] for g in rest)
     if tail == 0:
         return
     if tail > _CHUNK_CELLS:
-        inner = list(_grid_batches(rest))
         for i in range(first.shape[0]):
             row = first[i : i + 1]
-            for batch, cells in inner:
+            for batch, cells in _grid_batches(rest):
                 yield [row, *batch], cells
         return
     rows_per = max(1, _CHUNK_CELLS // tail)
@@ -496,6 +495,73 @@ def _layouts(
     return tuple(_block_columns(op, n) for op in operations)
 
 
+# -- the symmetry of the designated pairs ----------------------------------
+#
+# In A^(2m) the group G of order 2**m * m! permutes the m designated pairs
+# (2j, 2j+1) and swaps the two coordinates inside each pair.  An encoding
+# is read as m base-k**2 pair values, pair 0 most significant.  Operations
+# act coordinatewise, so they commute with G, and the closure of G-invariant
+# seeds is G-invariant.
+
+
+def _pair_swap(k: int) -> np.ndarray:
+    """swap[a*k + b] = b*k + a: a pair value with its coordinates swapped."""
+    return np.arange(k * k, dtype=np.int64).reshape(k, k).T.ravel()
+
+
+def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
+    """Images of encodings in A^(2m) under the 2m - 1 generators of G, one
+    generator at a time: the swap inside pair 0, the transpositions of pair
+    0 with pair j for j = 1 .. m-1 (these m generate G), then the swaps
+    inside pairs 1 .. m-1."""
+    weights = _weights(k * k, m)
+    values = _digit_matrix(encodings, weights, k * k)
+    shift = _pair_swap(k)[values] - values
+    yield encodings + shift[:, 0] * weights[0]
+    for j in range(1, m):
+        yield encodings + (values[:, j] - values[:, 0]) * (weights[0] - weights[j])
+    for j in range(1, m):
+        yield encodings + shift[:, j] * weights[j]
+
+
+def _pair_symmetry(seeds: TupleSet, members: np.ndarray) -> int:
+    """m when the seeds, with encodings `members`, lie in A^(2m) and are
+    G-invariant, else 0.  The seeds are invariant iff each of m generators
+    of G maps them into themselves."""
+    if seeds.n % 2:
+        return 0
+    m = seeds.n // 2
+    images = _pair_images(members, seeds.k, m)
+    for image in islice(images, m):
+        if not seeds.contains_encodings(image).all():
+            return 0
+    return m
+
+
+def _orbit_representatives(encodings: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The least member of the orbit under G of each encoding in A^(2m),
+    each once, ascending: each pair's smaller coordinate goes first, then
+    the pairs are sorted."""
+    weights = _weights(k * k, m)
+    values = _digit_matrix(encodings, weights, k * k)
+    values = np.minimum(values, _pair_swap(k)[values])
+    values.sort(axis=1)
+    return np.unique(values @ weights)
+
+
+def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:
+    """Insert the orbits under G of the fresh encodings of A^(2m), which
+    `result` already holds, by closing them under the generators; return
+    every encoding added, fresh included.  Outside `fresh`, `result` must
+    hold whole orbits."""
+    added = [fresh]
+    while fresh.size:
+        images = _pair_images(fresh, result.k, m)
+        fresh = np.concatenate([result.add_encodings_array(image) for image in images])
+        added.append(fresh)
+    return np.concatenate(added)
+
+
 def _saturate(
     algebra: Algebra,
     result: TupleSet,
@@ -505,6 +571,7 @@ def _saturate(
     ceiling: int,
     steps: int = 0,
     rounds: int = 0,
+    pairs: int = 0,
 ) -> TupleSet:
     """Drive (old | new) to the closure fixed point inside `result`, from
     a closure that has applied `steps` steps in `rounds` rounds.
@@ -520,6 +587,15 @@ def _saturate(
     from grid s - 1 down to grid 0, in _grid_batches batches.  Each batch
     is charged and inserted on its own, so a refusal says how far the
     round got.
+
+    `pairs` = m > 0 says that n = 2m and that `old` and `new` are
+    G-invariant (see _pair_symmetry).  Then every set a round starts from
+    stays G-invariant, and an image with argument i in the frontier is
+    moved by some g in G to one with argument i the frontier's orbit
+    representative, while g maps old, the frontier and union to
+    themselves.  So grid i draws argument i from the frontier's orbit
+    representatives alone, only those cells are charged, and each batch's
+    fresh images are inserted with their whole orbits.
     """
     if not algebra.operations:
         return result
@@ -531,7 +607,8 @@ def _saturate(
     while new.size:
         union = np.concatenate([old, new])
         union.sort()
-        new_blocks = {b: _split_blocks(new, k, b, n) for b in widths}
+        drawn = _orbit_representatives(new, k, pairs) if pairs else new
+        new_blocks = {b: _split_blocks(drawn, k, b, n) for b in widths}
         union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
         produced: list[np.ndarray] = []
         for op, (b, columns) in zip(algebra.operations, layouts):
@@ -550,6 +627,8 @@ def _saturate(
                         steps, cells, rounds, (len(result), result.space)
                     )
                     fresh = result.add_encodings_array(_grid_results(columns, batch))
+                    if pairs and fresh.size:
+                        fresh = _insert_orbits(result, fresh, pairs)
                     if fresh.size:
                         produced.append(fresh)
         new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
@@ -756,11 +835,18 @@ def closure(
 
     `ceiling` is the size of a closed superset of the seeds known in
     advance, k**n by default; the closure stops as soon as it holds that
-    many tuples.
+    many tuples.  Seeds in A^(2m) that are invariant under permuting the
+    designated pairs (2j, 2j+1) and swapping inside them are closed by
+    orbit representatives (see _saturate), and only their cells are
+    charged to the step budget.
     """
     _check_universe(algebra, seeds)
     ceiling = seeds.space if ceiling is None else ceiling
-    return _saturate(algebra, seeds.copy(), [], seeds.encodings(), limits, ceiling)
+    members = seeds.encodings()
+    return _saturate(
+        algebra, seeds.copy(), [], members, limits, ceiling,
+        0, 0, _pair_symmetry(seeds, members),
+    )
 
 
 def closure_extend(

@@ -56,6 +56,22 @@ def grid_runs(sizes, batch):
     return [min(per, first - start) * tail for start in range(0, first, per)]
 
 
+def pair_group(m):
+    """Every permutation of the 2m coordinates of A^(2m) that permutes the
+    designated pairs (2j, 2j+1) and swaps coordinates inside them, as the
+    tuple of source coordinates: 2**m * m! of them."""
+    return [
+        tuple(c for j, flip in zip(order, flips) for c in (2 * j + flip, 2 * j + 1 - flip))
+        for order in itertools.permutations(range(m))
+        for flips in itertools.product((0, 1), repeat=m)
+    ]
+
+
+def pair_orbit(t, group):
+    """The images of a tuple under every permutation of the group."""
+    return {tuple(t[c] for c in g) for g in group}
+
+
 def per_grid_charges(algebra, seeds, old=(), stop=None):
     """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
     with the step-budget charges the engine's rounds make on the way.
@@ -69,6 +85,11 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
     otherwise it charges the cell count, then inserts those cells' images.
     Returns the set and the charges as (steps applied before, cells,
     rounds completed, tuples before).
+
+    A closure from scratch (`old` empty) of seeds of even width 2m that
+    every permutation of pair_group(m) maps into themselves draws argument
+    i only from the least tuple of each pair_orbit among the round's new
+    tuples, and inserts every image with its whole orbit.
     """
     current = set(old) | set(seeds)
     if not current:
@@ -76,12 +97,18 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
     width = len(next(iter(current)))
     if stop is None:
         stop = algebra.k**width
+    group = [tuple(range(width))]
+    if not old and width % 2 == 0:
+        pairs = pair_group(width // 2)
+        if all(pair_orbit(t, pairs) <= current for t in current):
+            group = pairs
     old = set(old)
     new = current - old
     steps = rounds = 0
     charges = []
     while new:
-        old_rows, new_rows, union_rows = sorted(old), sorted(new), sorted(old | new)
+        new_rows = sorted({min(pair_orbit(t, group)) for t in new})
+        old_rows, union_rows = sorted(old), sorted(old | new)
         produced = set()
         for op in algebra.operations:
             s = op.arity
@@ -98,8 +125,9 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
                             apply_op(op, [row[c] for row in args]) for c in range(width)
                         )
                         if image not in current:
-                            current.add(image)
-                            produced.add(image)
+                            orbit = pair_orbit(image, group)
+                            current |= orbit
+                            produced |= orbit
         rounds += 1
         old |= new
         new = produced

@@ -189,14 +189,17 @@ def test_d_check_budget_met_by_early_exit(run):
 
 def test_d_check_budget_on_proper_closure(run, egp3):
     # egp3 closes the 45 seeds to 77 of 81 tuples.  That is |R_2| for its
-    # EGP pair, so the closure stops there, after the first round's
-    # 45**2 = 2,025 cells instead of the 77**2 = 5,929 a fixed-point check
-    # would spend.  The need comes from the genpow-free reference.
+    # EGP pair, so the closure stops there, after the first round's cells
+    # instead of the 77**2 = 5,929 a fixed-point check would spend.  The
+    # seeds are invariant under permuting and swapping the designated
+    # pairs, so that round draws its first argument from their 15 orbit
+    # representatives: 15 * 45 = 675 cells.  The need comes from the
+    # genpow-free reference.
     seeds = brute_equal_pair_tuples(3, 2)
     ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, 2))
     _, charges = per_grid_charges(egp3, seeds, stop=ceiling)
     need = sum(cells for _, cells, _, _ in charges)
-    assert need == 2_025
+    assert need == 675
     rc, out, _ = run("d-check", path("egp3"), "--m", 2, "--closure-budget", need)
     assert rc == 0
     assert out.endswith("closure-count: 77\nspace: 81\nfull: no\n")
@@ -206,13 +209,32 @@ def test_d_check_budget_on_proper_closure(run, egp3):
 
 
 def test_d_check_stops_at_the_subset_pair_relation(run):
-    # At m = 4 the closure equals R_4 (6,545 tuples) after 26,788,320 of
-    # the 42,837,025 steps a fixed-point check spends.
-    budgeted = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 26_788_320)
+    # At m = 4 the closure equals R_4 (6,545 tuples) after 442,260 steps,
+    # with the first argument drawn from the 111 orbit representatives of
+    # the 5,265 seeds; a fixed-point check over every argument combination
+    # spends 42,837,025.
+    budgeted = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 442_260)
     assert budgeted == run("d-check", path("egp3"), "--m", 4)
     assert budgeted[1].endswith("closure-count: 6545\nspace: 6561\nfull: no\n")
-    rc, out, _ = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 26_788_319)
+    rc, out, _ = run("d-check", path("egp3"), "--m", 4, "--closure-budget", 442_259)
     assert (rc, out) == (4, "")
+
+
+def test_d_check_reaches_the_subset_pair_relation_at_m5(run):
+    # A fixed-point check over every argument combination needs about
+    # 2.5 * 10**9 steps here, over the default budget of 10**9; drawing the
+    # frontier argument from orbit representatives needs under 10**7.
+    rc, out, err = run("d-check", path("egp3"), "--m", 5)
+    relation = brute_subset_pair_relation(3, {0, 1}, {1, 2}, 5)
+    assert (rc, err) == (0, "")
+    assert out.endswith(f"closure-count: {len(relation)}\nspace: 59049\nfull: no\n")
+    assert len(relation) == 59_017
+
+
+def test_d_check_min2_fills_the_power_at_m8(run):
+    rc, out, err = run("d-check", path("min2"), "--m", 8)
+    assert (rc, err) == (0, "")
+    assert out.endswith("closure-count: 65536\nspace: 65536\nfull: yes\n")
 
 
 @pytest.mark.parametrize(

@@ -300,11 +300,13 @@ def test_mask_rounds_match_the_oracle(name, monkeypatch):
 
 
 def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
-    # Three tuples of A^2 span it affinely.  Round 0 (27 cells) fills it,
-    # and the closure stops before it charges round 1 (37 cells).
+    # Three tuples of A^2 span it affinely.  They are invariant under
+    # swapping the pair's coordinates, so round 0 draws its first argument
+    # from the 2 orbit representatives (2 * 3 * 3 = 18 cells) and fills
+    # A^2; the closure stops before it charges round 1 (37 cells).
     seeds = [(0, 0), (0, 1), (1, 0)]
     members, charges = per_grid_charges(xor3, seeds)
-    assert (len(members), round_cells(charges)) == (4, [27])
+    assert (len(members), round_cells(charges)) == (4, [18])
     charged = []
     charge = Limits.charge_steps
 
@@ -314,7 +316,7 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
 
     monkeypatch.setattr(Limits, "charge_steps", counted_charge)
     assert len(closure(xor3, TupleSet.from_tuples(2, 2, seeds))) == 4
-    assert charged == [27]
+    assert charged == [18]
 
 
 def test_mask_rounds_stop_at_the_full_power(xor3, monkeypatch):
@@ -407,14 +409,17 @@ def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case)
 @pytest.mark.parametrize("m", [2, 3])
 def test_ceiling_budget_sweep_matches_per_pattern_reference(egp3, m):
     # d-check stops egp3's closure at |R_m| of its EGP pair {0, 1}, {1, 2}.
+    # The seeds are invariant under permuting and swapping the designated
+    # pairs, so round 0 draws its first argument from their 15 (m = 2) or
+    # 46 (m = 3) orbit representatives.
     seeds = brute_equal_pair_tuples(3, m)
     ceiling = len(brute_subset_pair_relation(3, {0, 1}, {1, 2}, m))
     members, charges = per_grid_charges(egp3, seeds, stop=ceiling)
     need = sum(cells for _, cells, _, _ in charges)
-    assert (len(members), need) == {2: (77, 2_025), 3: (721, 260_604)}[m]
+    assert (len(members), need) == {2: (77, 675), 3: (721, 23_598)}[m]
     budgets = None
     if m == 3:
-        # 260,606 closures are too many for the suite; the reference's
+        # 23,600 closures are too many for the suite; the reference's
         # outcome changes only where a charge starts to fit, so check
         # there and one step either side.
         budgets = charge_edges(charges)
