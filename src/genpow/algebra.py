@@ -17,6 +17,7 @@ from .errors import (
     ElementRangeError,
     NotIdempotentError,
     TableDimensionError,
+    UniverseMismatchError,
 )
 
 # Tables of arity s hold k**s entries; the parser refuses anything beyond
@@ -127,6 +128,14 @@ def _require_idempotent(algebra: Algebra) -> None:
     if witness is not None:
         op, a, v = witness
         raise NotIdempotentError(op.name, op.arity, a, v)
+
+
+def _require_same_universe(name: str, k: int, other_name: str, other_k: int) -> None:
+    """Raise UniverseMismatchError unless two operands share a universe."""
+    if k != other_k:
+        raise UniverseMismatchError(
+            f"{name} universe {k} != {other_name} universe {other_k}"
+        )
 
 
 def is_idempotent(algebra: Algebra) -> bool:

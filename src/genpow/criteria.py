@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, _require_idempotent
+from .algebra import Algebra, OperationTable, _require_idempotent, _require_same_universe
 from .errors import BudgetExceededError, PreconditionError
 from .subpower import (
     LIMITS,
@@ -166,10 +166,7 @@ def projective_coordinate(op: OperationTable, pair: SubsetPair) -> Optional[int]
     forces the result into alpha, and likewise for beta.  The least such
     j is returned.
     """
-    if op.k != pair.k:
-        raise PreconditionError(
-            f"operation universe {op.k} != subset pair universe {pair.k}"
-        )
+    _require_same_universe("operation", op.k, "subset pair", pair.k)
     for j, graph in enumerate(_image_masks(op), start=1):
         if _reach(graph, pair.alpha) == pair.alpha and _reach(graph, pair.beta) == pair.beta:
             return j
@@ -279,7 +276,7 @@ def switch_tuples(k: int, n: int, r: int, *, limits: Limits = LIMITS) -> TupleSe
             f"need k >= 1, n >= 1, r >= 0, got k = {k}, n = {n}, r = {r}"
         )
     limits.check_switch_tuples(count_switch_tuples(k, n, r))
-    ts = TupleSet(k, n, limits=limits)
+    ts = TupleSet(k, n)
     prefixes = values = np.arange(k, dtype=np.int64)
     switches = np.zeros(k, dtype=np.int64)
     for _ in range(n - 1):
@@ -537,7 +534,7 @@ def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
 
 def _greedy_upper_bound(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
     space = algebra.k**n
-    closed = TupleSet(algebra.k, n, limits=limits)
+    closed = TupleSet(algebra.k, n)
     chosen: list[int] = []
     for e in range(space):
         if not closed.has_encoding(e):

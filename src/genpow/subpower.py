@@ -19,10 +19,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable
-from .errors import BudgetExceededError, PreconditionError, UniverseMismatchError
+from .algebra import Algebra, OperationTable, _require_same_universe
+from .errors import BudgetExceededError, PreconditionError
 
 _ENCODING_LIMIT = 1 << 62  # encodings must fit comfortably in int64
+_DENSE_LIMIT = 1 << 26  # largest k**n stored as a dense membership array
 _CHUNK_CELLS = 1 << 16  # grid cells per vectorized batch; int64 temporaries stay in cache
 _MASK_BITS = 4  # tuples per chunk of a bit mask in the exact search: one hex digit
 _HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -42,7 +43,6 @@ class Limits:
     exact: int = 256  # largest k**n the exact minimum-size search accepts
     nodes: int = 20_000  # search-tree nodes before the exact search gives up
     combinations: int = 10**7  # argument combinations per preservation scan
-    dense: int = 1 << 26  # largest k**n realized as a dense membership array
 
     def check_space(self, k: int, n: int) -> None:
         if k**n > self.space:
@@ -122,13 +122,14 @@ class TupleSet:
     """A subset of A^n with integer-encoded members.
 
     Membership storage is dense (one byte per point of the whole space)
-    when k**n fits under limits.dense, sparse (a set of encodings)
-    otherwise.  The two representations are observationally identical.
+    when k**n <= _DENSE_LIMIT, sparse (a set of encodings) otherwise.  The
+    two representations are observationally identical.  After __init__,
+    add_encodings_array is the only writer of the storage.
     """
 
     __slots__ = ("k", "n", "space", "_dense", "_sparse", "_count")
 
-    def __init__(self, k: int, n: int, *, limits: Limits = LIMITS):
+    def __init__(self, k: int, n: int):
         if k < 1:
             raise ValueError(f"universe size must be >= 1, got {k}")
         if n < 1:
@@ -141,7 +142,7 @@ class TupleSet:
         self.k = k
         self.n = n
         self.space = space
-        if space <= limits.dense:
+        if space <= _DENSE_LIMIT:
             self._dense: np.ndarray | None = np.zeros(space, dtype=bool)
             self._sparse: set[int] | None = None
         else:
@@ -152,31 +153,15 @@ class TupleSet:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_tuples(
-        cls,
-        k: int,
-        n: int,
-        tuples: Iterable[Sequence[int]],
-        *,
-        limits: Limits = LIMITS,
-    ) -> "TupleSet":
-        ts = cls(k, n, limits=limits)
-        for t in tuples:
-            ts.add(t)
+    def from_tuples(cls, k: int, n: int, tuples: Iterable[Sequence[int]]) -> "TupleSet":
+        ts = cls(k, n)
+        ts.add_encodings_array(ts._checked(map(ts.encode, tuples)))
         return ts
 
     @classmethod
-    def from_encodings(
-        cls,
-        k: int,
-        n: int,
-        encodings: Iterable[int],
-        *,
-        limits: Limits = LIMITS,
-    ) -> "TupleSet":
-        ts = cls(k, n, limits=limits)
-        for e in encodings:
-            ts.add_encoding(int(e))
+    def from_encodings(cls, k: int, n: int, encodings: Iterable[int]) -> "TupleSet":
+        ts = cls(k, n)
+        ts.add_encodings_array(ts._checked(encodings))
         return ts
 
     @classmethod
@@ -192,20 +177,17 @@ class TupleSet:
         scan_space batch's (rows, n) digit matrix to a boolean row mask.
         """
         batches = scan_space(k, n, limits=limits)
-        ts = cls(k, n, limits=limits)
+        ts = cls(k, n)
         for encodings, digits in batches:
             ts.add_encodings_array(encodings[predicate(digits)])
         return ts
 
     @classmethod
     def full(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
-        ts = cls(k, n, limits=limits)
-        if ts._dense is not None:
-            ts._dense[:] = True
-        else:
-            ts._sparse = set(range(ts.space))
-        ts._count = ts.space
-        return ts
+        """All of A^n; a space above the space budget is refused."""
+        return cls.from_mask(
+            k, n, lambda digits: np.ones(len(digits), dtype=bool), limits=limits
+        )
 
     def copy(self) -> "TupleSet":
         clone = TupleSet.__new__(TupleSet)
@@ -234,18 +216,16 @@ class TupleSet:
         return self.add_encoding(self.encode(t))
 
     def add_encoding(self, encoding: int) -> bool:
-        if not 0 <= encoding < self.space:
-            raise ValueError(f"encoding {encoding} outside [0, {self.space})")
-        if self._dense is not None:
-            if self._dense[encoding]:
-                return False
-            self._dense[encoding] = True
-        else:
-            if encoding in self._sparse:
-                return False
-            self._sparse.add(encoding)
-        self._count += 1
-        return True
+        return self.add_encodings_array(self._checked([encoding])).size == 1
+
+    def _checked(self, encodings: Iterable[int]) -> np.ndarray:
+        """The encodings as an int64 array; the first one outside
+        [0, space) is refused."""
+        values = list(map(int, encodings))
+        if values and not (min(values) >= 0 and max(values) < self.space):
+            bad = next(e for e in values if not 0 <= e < self.space)
+            raise ValueError(f"encoding {bad} outside [0, {self.space})")
+        return np.array(values, dtype=np.int64)
 
     def has_encoding(self, encoding: int) -> bool:
         if self._dense is not None:
@@ -292,13 +272,12 @@ class TupleSet:
             # Most batches are all known already; dedupe only the rest.
             fresh = arr[~self._dense[arr]]
             if fresh.size > 1:
-                fresh = np.unique(fresh)
+                fresh = _unique(fresh)
             self._dense[fresh] = True
         else:
-            sparse = self._sparse
-            fresh_list = [e for e in np.unique(arr).tolist() if e not in sparse]
-            sparse.update(fresh_list)
-            fresh = np.array(fresh_list, dtype=np.int64)
+            fresh = _unique(arr)
+            fresh = fresh[~self.contains_encodings(fresh)]
+            self._sparse.update(fresh.tolist())
         self._count += fresh.size
         return fresh
 
@@ -320,6 +299,16 @@ class TupleSet:
         symbols = np.array([str(a) for a in range(self.k)], dtype=object)
         for digits in self._digit_batches():
             yield from map(" ".join, symbols[digits].tolist())
+
+
+def _unique(arr: np.ndarray) -> np.ndarray:
+    """The distinct values of arr, ascending: a sort, then each element
+    that differs from its left neighbour.  On integer batches this beats
+    numpy's own unique, which hashes."""
+    arr = np.sort(arr)
+    keep = np.ones(arr.size, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
 
 
 def is_full(ts: TupleSet) -> bool:
@@ -546,7 +535,7 @@ def _orbit_representatives(encodings: np.ndarray, k: int, m: int) -> np.ndarray:
     values = _digit_matrix(encodings, weights, k * k)
     values = np.minimum(values, _pair_swap(k)[values])
     values.sort(axis=1)
-    return np.unique(values @ weights)
+    return _unique(values @ weights)
 
 
 def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:
@@ -709,7 +698,7 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     space = k**n
 
     def handover(known: int, old: int, new: int, steps: int, rounds: int) -> int:
-        result = TupleSet.from_encodings(k, n, _mask_members(known, space), limits=limits)
+        result = TupleSet.from_encodings(k, n, _mask_members(known, space))
         _saturate(
             algebra, result, _mask_members(old, space), _mask_members(new, space),
             limits, space, steps, rounds,
@@ -815,13 +804,6 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     return extend
 
 
-def _check_universe(algebra: Algebra, ts: TupleSet) -> None:
-    if algebra.k != ts.k:
-        raise UniverseMismatchError(
-            f"algebra universe {algebra.k} != tuple set universe {ts.k}"
-        )
-
-
 def closure(
     algebra: Algebra,
     seeds: TupleSet,
@@ -840,7 +822,7 @@ def closure(
     orbit representatives (see _saturate), and only their cells are
     charged to the step budget.
     """
-    _check_universe(algebra, seeds)
+    _require_same_universe("algebra", algebra.k, "tuple set", seeds.k)
     ceiling = seeds.space if ceiling is None else ceiling
     members = seeds.encodings()
     return _saturate(
@@ -861,9 +843,9 @@ def closure_extend(
     Cheaper than re-closing from scratch: only combinations touching the
     added tuples are enumerated.
     """
-    _check_universe(algebra, closed)
+    _require_same_universe("algebra", algebra.k, "tuple set", closed.k)
     result = closed.copy()
-    fresh = sorted(e for e in map(int, extra_encodings) if result.add_encoding(e))
-    if not fresh:
+    fresh = result.add_encodings_array(result._checked(extra_encodings))
+    if not fresh.size:
         return result
     return _saturate(algebra, result, closed.encodings(), fresh, limits, result.space)

@@ -20,7 +20,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, OperationTable, _require_idempotent, evaluate
+from .algebra import (
+    Algebra,
+    OperationTable,
+    _require_idempotent,
+    _require_same_universe,
+    evaluate,
+)
 from .criteria import SubsetPair, _format_subset, switch_tuples
 from .errors import GenpowError, PreconditionError
 from .subpower import (
@@ -55,10 +61,7 @@ class NiceRelation:
         object.__setattr__(self, "excluded", tuple(self.excluded))
         if not self.block_lengths or any(b < 1 for b in self.block_lengths):
             raise PreconditionError("block lengths must be positive and nonempty")
-        if self.base.k != self.k:
-            raise PreconditionError(
-                f"base universe {self.base.k} != relation universe {self.k}"
-            )
+        _require_same_universe("base", self.base.k, "relation", self.k)
         if self.base.n != sum(self.block_lengths):
             raise PreconditionError(
                 f"base arity {self.base.n} != total block length "
@@ -252,10 +255,7 @@ def cross_equality_witness(
     (x_1, y_1), and every other position to the z variable indexed by its
     excluded-tuple value.  Membership is inherited through that rewiring.
     """
-    if k != rel.k:
-        raise PreconditionError(
-            f"universe size {k} != relation universe {rel.k}"
-        )
+    _require_same_universe("witness", k, "relation", rel.k)
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     m = rel.m
@@ -290,7 +290,7 @@ def cross_equality_witness(
         seen += 1
 
     batches = scan_space(k, arity, limits=limits)
-    relation = TupleSet(k, arity, limits=limits)
+    relation = TupleSet(k, arity)
     cross_violation = None
     for encodings, digits in batches:
         member = rel.contains_digits(digits[:, position_vars])
@@ -347,10 +347,7 @@ def preserves_relation(
     """Brute-force preservation: every arity-many choice of members maps
     to a member under coordinatewise application.
     """
-    if op.k != rel.k:
-        raise PreconditionError(
-            f"operation universe {op.k} != relation universe {rel.k}"
-        )
+    _require_same_universe("operation", op.k, "relation", rel.k)
     members = rel.encodings()
     count = members.size
     if count == 0:
@@ -406,10 +403,7 @@ def projectivity_counterexample(
     directly, so no space beyond the operation's own k**s table is
     needed and `limits` is never charged.
     """
-    if op.k != pair.k:
-        raise PreconditionError(
-            f"operation universe {op.k} != subset pair universe {pair.k}"
-        )
+    _require_same_universe("operation", op.k, "subset pair", pair.k)
     _require_idempotent(Algebra(op.k, (op,)))
     k, s = op.k, op.arity
     alpha, beta = pair.alpha_elements(), pair.beta_elements()

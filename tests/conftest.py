@@ -1,3 +1,4 @@
+import contextlib
 import pathlib
 
 import pytest
@@ -56,6 +57,29 @@ def small_batch_closure(monkeypatch):
             return closure(algebra, seeds)
 
     return run
+
+
+@pytest.fixture
+def sparse():
+    """sparse(on): a context in which every TupleSet made keeps its members
+    in a set of encodings when `on`, whatever k**n is, and its storage is
+    chosen from k**n as usual otherwise."""
+
+    @contextlib.contextmanager
+    def storage(on=True):
+        with pytest.MonkeyPatch.context() as patch:
+            if on:
+                patch.setattr(genpow.subpower, "_DENSE_LIMIT", 0)
+            yield
+
+    return storage
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def backend(request, sparse):
+    """The test runs once on each TupleSet storage, named by the param."""
+    with sparse(request.param == "sparse"):
+        yield request.param
 
 
 @pytest.fixture(scope="session")

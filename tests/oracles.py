@@ -485,7 +485,7 @@ def reference_exact_minimum(algebra, n, limits):
         return None
 
     for target in range(1, space + 1):
-        found = extend([], TupleSet(algebra.k, n, limits=limits), target)
+        found = extend([], TupleSet(algebra.k, n), target)
         if found is not None:
             return tuple(found), nodes
     raise AssertionError("the full space generates itself")

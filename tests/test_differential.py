@@ -26,6 +26,7 @@ import pytest
 
 import genpow.subpower
 from genpow import (
+    LIMITS,
     Algebra,
     Limits,
     TupleSet,
@@ -46,7 +47,6 @@ from tests.test_rounds import assert_sweep
 
 ALGEBRAS = 200
 BRUTE_COMBINATIONS = 20_000
-BACKENDS = {"dense": Limits(), "sparse": Limits(dense=0)}
 
 
 def draw(seed):
@@ -104,26 +104,27 @@ def mask(members, k):
 
 
 @pytest.mark.parametrize("seed", range(ALGEBRAS))
-def test_closure_and_extend_match_the_oracle(seed):
+def test_closure_and_extend_match_the_oracle(seed, sparse):
     algebra, draws = extensions(seed, oracle)
     k = algebra.k
     for n, seeds, members, extra in draws:
         if extra is not None:
             widened = oracle(algebra, [*members, decode_tuple(extra, k, n)], n)
-        for backend, limits in BACKENDS.items():
-            ts = TupleSet.from_tuples(k, n, seeds, limits=limits)
-            closed = closure(algebra, ts, limits=limits)
-            assert set(closed) == members, (seed, n, backend)
-            if extra is not None:
-                grown = closure_extend(algebra, closed, [extra], limits=limits)
-                assert set(grown) == widened, (seed, n, backend, extra)
-                extend = _extender(algebra, n, limits)
-                assert extend(mask(members, k), extra) == mask(widened, k), (
-                    seed, n, backend, extra,
-                )
+        for backend in ("dense", "sparse"):
+            with sparse(backend == "sparse"):
+                ts = TupleSet.from_tuples(k, n, seeds)
+                closed = closure(algebra, ts)
+                assert set(closed) == members, (seed, n, backend)
+                if extra is not None:
+                    grown = closure_extend(algebra, closed, [extra])
+                    assert set(grown) == widened, (seed, n, backend, extra)
+                    extend = _extender(algebra, n, LIMITS)
+                    assert extend(mask(members, k), extra) == mask(widened, k), (
+                        seed, n, backend, extra,
+                    )
 
 
-def test_extend_budget_sweep_across_the_handover(monkeypatch):
+def test_extend_budget_sweep_across_the_handover(monkeypatch, sparse):
     """Every draw with a one-block layout whose extension by its extra
     tuple takes at least two rounds, so that a budget edge hands it over to
     numpy after at least one mask round, and every draw with a multi-block
@@ -159,14 +160,15 @@ def test_extend_budget_sweep_across_the_handover(monkeypatch):
             budgets = {0, need + 1} | {
                 steps + cells + d for steps, cells, _, _ in charges for d in (-1, 0, 1)
             }
-            for backend, dense in (("dense", Limits().dense), ("sparse", 0)):
+            for backend in ("dense", "sparse"):
                 carried.clear()
-                assert_sweep(
-                    lambda b: _extender(algebra, n, Limits(steps=b, dense=dense))(
-                        mask(members, k), extra
-                    ).bit_count(),
-                    charges, widened, k**n, (seed, n, backend), sorted(budgets),
-                )
+                with sparse(backend == "sparse"):
+                    assert_sweep(
+                        lambda b: _extender(algebra, n, Limits(steps=b))(
+                            mask(members, k), extra
+                        ).bit_count(),
+                        charges, widened, k**n, (seed, n, backend), sorted(budgets),
+                    )
                 # Only a budget edge hands a one-block closure over, and
                 # the sweep does so at every round; a multi-block closure
                 # goes over at once.

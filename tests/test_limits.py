@@ -25,7 +25,6 @@ def test_defaults():
         exact=256,
         nodes=20_000,
         combinations=10**7,
-        dense=1 << 26,
     )
     with pytest.raises(AttributeError):
         LIMITS.steps = 1

@@ -78,8 +78,8 @@ def assert_sweep(run, charges, members, space, case, budgets=None):
         assert got == expected(charges, members, space, budget), (*case, budget)
 
 
-@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
-def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
+@pytest.mark.parametrize("backend", ["dense", "sparse"], indirect=True)
+def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, backend):
     rng = random.Random(11)
     algebras = {**corpus, "non_idempotent": non_idem, **SEEDED}
     for name, alg in algebras.items():
@@ -89,12 +89,12 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
             for count in (1, 2, 3):
                 encodings = rng.sample(range(space), min(count, space))
                 seeds = [decode_tuple(e, k, n) for e in encodings]
-                ts = TupleSet.from_tuples(k, n, seeds, limits=Limits(dense=dense))
+                ts = TupleSet.from_tuples(k, n, seeds)
                 members, charges = per_grid_charges(alg, seeds)
                 closed = closure(alg, ts)
                 assert set(closed) == members, (name, n, count)
                 assert_sweep(
-                    lambda b: closure(alg, ts, limits=Limits(steps=b, dense=dense)),
+                    lambda b: closure(alg, ts, limits=Limits(steps=b)),
                     charges, members, space, (name, n, count),
                 )
                 # closure_extend's first round has tuples known before it.
@@ -107,7 +107,7 @@ def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, dense):
                 )
                 assert_sweep(
                     lambda b: closure_extend(
-                        alg, closed, [extra], limits=Limits(steps=b, dense=dense)
+                        alg, closed, [extra], limits=Limits(steps=b)
                     ),
                     charges, members, space, (name, n, count, extra),
                 )
@@ -219,7 +219,8 @@ def round_cells(charges):
 def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(maj3, monkeypatch):
     # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
     # gives a proper subpower of 20 tuples after 3 rounds.  Each round fits
-    # one batch, so each of its 3 grids is one batch with one insertion.
+    # one batch, so each of its 3 grids is one batch with one insertion;
+    # the extra tuple goes in first, as one bulk insertion of its own.
     closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
     members, charges = per_grid_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
     cells = round_cells(charges)
@@ -232,7 +233,8 @@ def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(maj3, monk
     assert counted.handovers == [0]
     assert counted.tables == []
     assert counted.grids == [3] * 3 * len(cells)
-    assert len(counted.insertions) == 3 * len(cells)
+    assert len(counted.insertions) == 1 + 3 * len(cells)
+    assert counted.insertions[0] == 1
 
 
 def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
@@ -355,21 +357,21 @@ def charge_edges(charges):
     }
 
 
-@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"], indirect=True)
 @pytest.mark.parametrize("case", range(len(HANDOVERS)))
-def test_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
+def test_budget_sweep_across_the_handover(egp3, monkeypatch, backend, case):
     encodings, extra, size = HANDOVERS[case]
     seeds = [decode_tuple(e, 3, 4) for e in encodings]
-    ts = TupleSet.from_tuples(3, 4, seeds, limits=Limits(dense=dense))
+    ts = TupleSet.from_tuples(3, 4, seeds)
     members, charges = per_grid_charges(egp3, seeds)
-    run = lambda b: closure(egp3, ts, limits=Limits(steps=b, dense=dense))
+    run = lambda b: closure(egp3, ts, limits=Limits(steps=b))
     if extra is not None:
         closed = closure(egp3, ts)
         members, charges = per_grid_charges(
             egp3, [decode_tuple(extra, 3, 4)], old=members
         )
         run = lambda b: closure_extend(
-            egp3, closed, [extra], limits=Limits(steps=b, dense=dense)
+            egp3, closed, [extra], limits=Limits(steps=b)
         )
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
@@ -388,16 +390,16 @@ EXTENSIONS = [
 ]
 
 
-@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("backend", ["dense", "sparse"], indirect=True)
 @pytest.mark.parametrize("case", range(len(EXTENSIONS)))
-def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, dense, case):
+def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, backend, case):
     encodings, extra, size, rounds = EXTENSIONS[case]
     closed = closure(egp3, TupleSet.from_encodings(3, 4, encodings))
     members, charges = per_grid_charges(
         egp3, [decode_tuple(extra, 3, 4)], old=set(closed)
     )
     assert len(round_cells(charges)) == rounds
-    run = lambda b: run_extend(egp3, 4, Limits(steps=b, dense=dense), closed, extra)
+    run = lambda b: run_extend(egp3, 4, Limits(steps=b), closed, extra)
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
     assert counted.handovers == []

@@ -13,7 +13,6 @@ import pytest
 
 import genpow.subpower
 from genpow import (
-    LIMITS,
     BudgetExceededError,
     Limits,
     TupleSet,
@@ -44,11 +43,6 @@ def small_batches(request, monkeypatch):
     monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", request.param)
 
 
-@pytest.fixture(params=[LIMITS, Limits(dense=0)], ids=["dense", "sparse"])
-def limits(request):
-    return request.param
-
-
 def test_scan_walks_the_space_in_order():
     for k, n in ((2, 1), (2, 5), (3, 4)):
         batches = list(scan_space(k, n))
@@ -65,16 +59,17 @@ def test_scan_refuses_before_the_first_batch():
         scan_space(2, 40)
 
 
-def test_iteration_decodes_in_ascending_order(limits):
+def test_iteration_decodes_in_ascending_order(backend):
     members = [(2, 0, 1), (0, 0, 0), (1, 2, 2), (0, 2, 1), (2, 2, 2)]
-    ts = TupleSet.from_tuples(3, 3, members, limits=limits)
+    ts = TupleSet.from_tuples(3, 3, members)
+    assert repr(ts).endswith(f"{backend})")
     assert list(ts) == sorted(members)
     assert list(ts.lines()) == [" ".join(map(str, t)) for t in sorted(members)]
 
 
 @pytest.mark.parametrize("k,m", [(1, 2), (2, 1), (2, 3), (3, 2)])
-def test_equal_pair_tuples(limits, k, m):
-    ts = equal_pair_tuples(k, m, limits=limits)
+def test_equal_pair_tuples(backend, k, m):
+    ts = equal_pair_tuples(k, m)
     assert list(ts) == sorted(brute_equal_pair_tuples(k, m))
 
 
@@ -88,17 +83,17 @@ def test_equal_pair_tuples(limits, k, m):
         (4, [0, 1, 3], [2, 3], 1),
     ],
 )
-def test_subset_pair_relation(limits, k, alpha, beta, n):
+def test_subset_pair_relation(backend, k, alpha, beta, n):
     pair = SubsetPair.from_elements(k, alpha, beta)
-    ts = subset_pair_relation(pair, n, limits=limits)
+    ts = subset_pair_relation(pair, n)
     assert list(ts) == sorted(brute_subset_pair_relation(k, alpha, beta, n))
 
 
 @pytest.mark.parametrize(
     "k,n,r", [(2, 1, 0), (2, 6, 0), (2, 6, 2), (2, 7, 6), (3, 4, 1), (3, 5, 3)]
 )
-def test_switch_tuples(limits, k, n, r):
-    ts = switch_tuples(k, n, r, limits=limits)
+def test_switch_tuples(backend, k, n, r):
+    ts = switch_tuples(k, n, r)
     assert list(ts) == sorted(brute_switch_tuples(k, n, r))
 
 
@@ -115,31 +110,31 @@ NICE_CASES = [
 
 
 @pytest.mark.parametrize("name,r,n", NICE_CASES)
-def test_nice_relation_pipeline(corpus, limits, name, r, n):
+def test_nice_relation_pipeline(corpus, backend, name, r, n):
     algebra = corpus[name]
     k = algebra.k
     closed = brute_closure(algebra, brute_switch_tuples(k, n, r))
     blocks, values = brute_collapse_runs(brute_fewest_switch_outsider(k, n, closed))
 
-    rel = nice_relation_from_nonswitchability(algebra, r, n, limits=limits)
+    rel = nice_relation_from_nonswitchability(algebra, r, n)
     assert set(rel.base) == closed
     assert (rel.block_lengths, rel.excluded) == (blocks, values)
 
     members = brute_block_members(k, blocks, closed)
-    assert list(rel.materialize(limits=limits)) == sorted(members)
+    assert list(rel.materialize()) == sorted(members)
 
     if rel.m % 2:
-        even = evenize_nice(rel, limits=limits)
+        even = evenize_nice(rel)
         expected, dropped = brute_evenize(k, members, rel.excluded)
         assert even.excluded == dropped
         assert list(even.base) == sorted(expected)
 
 
-def punctured(k, holes, limits):
+def punctured(k, holes):
     """All of A^m but the holes; the first hole is the excluded tuple."""
     m = len(holes[0])
     members = set(itertools.product(range(k), repeat=m)) - set(holes)
-    base = TupleSet.from_tuples(k, m, members, limits=limits)
+    base = TupleSet.from_tuples(k, m, members)
     rel = NiceRelation(k=k, block_lengths=(1,) * m, base=base, excluded=holes[0])
     return rel, members
 
@@ -152,23 +147,23 @@ def punctured(k, holes, limits):
         (3, [(1, 2, 0, 2, 1, 0, 1), (0, 1, 0, 1, 0, 1, 0)]),
     ],
 )
-def test_evenize_nice(limits, k, holes):
-    rel, members = punctured(k, holes, limits)
-    even = evenize_nice(rel, limits=limits)
+def test_evenize_nice(backend, k, holes):
+    rel, members = punctured(k, holes)
+    even = evenize_nice(rel)
     expected, dropped = brute_evenize(k, members, rel.excluded)
     assert even.excluded == dropped
     assert list(even.base) == sorted(expected)
 
 
 @pytest.mark.parametrize("source", ["pipeline", "punctured"])
-def test_cross_equality_relation(proj2, limits, source):
+def test_cross_equality_relation(proj2, backend, source):
     if source == "pipeline":
-        rel = nice_relation_from_nonswitchability(proj2, 7, 10, limits=limits)
+        rel = nice_relation_from_nonswitchability(proj2, 7, 10)
         members = brute_block_members(2, rel.block_lengths, set(rel.base))
     else:
         holes = [(0, 1) * 4 + (0,), (1, 0) * 4 + (1,)]
-        rel, members = punctured(2, holes, limits)
-    witness = cross_equality_witness(rel, 1, 2, limits=limits)
+        rel, members = punctured(2, holes)
+    witness = cross_equality_witness(rel, 1, 2)
     expected, excluded = brute_cross_equality(2, 1, members, rel.excluded)
     assert witness.excluded == excluded
     assert list(witness.relation) == sorted(expected)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import genpow.subpower
 
 from genpow import (
-    LIMITS,
     Algebra,
     BudgetExceededError,
     Limits,
@@ -55,9 +54,9 @@ def every_tuple(k, n):
     return list(itertools.product(range(k), repeat=n))
 
 
-@pytest.mark.parametrize("limits", [LIMITS, Limits(dense=0)], ids=["None", "0"])
-def test_tupleset_basics(limits):
-    ts = TupleSet(2, 3, limits=limits)
+@pytest.mark.parametrize("backend", ["dense", "sparse"], ids=["None", "0"], indirect=True)
+def test_tupleset_basics(backend):
+    ts = TupleSet(2, 3)
     assert len(ts) == 0
     assert ts.add((0, 1, 1))
     assert not ts.add((0, 1, 1))
@@ -69,14 +68,16 @@ def test_tupleset_basics(limits):
     assert list(ts.encodings()) == [3, 7]
 
 
-def test_dense_and_sparse_agree():
+def test_dense_and_sparse_agree(sparse):
     dense = TupleSet(3, 2)
-    sparse = TupleSet(3, 2, limits=Limits(dense=0))
+    with sparse():
+        in_set = TupleSet(3, 2)
+    assert (repr(dense)[-6:], repr(in_set)[-7:]) == ("dense)", "sparse)")
     for t in [(0, 1), (2, 2), (1, 0), (0, 1)]:
-        assert dense.add(t) == sparse.add(t)
-    assert dense == sparse
-    assert list(dense.encodings()) == list(sparse.encodings())
-    assert list(dense.lines()) == list(sparse.lines())
+        assert dense.add(t) == in_set.add(t)
+    assert dense == in_set
+    assert list(dense.encodings()) == list(in_set.encodings())
+    assert list(dense.lines()) == list(in_set.lines())
 
 
 def test_from_tuples_and_full():
@@ -102,12 +103,11 @@ def test_lines_sorted_lexicographically():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 16])
-@pytest.mark.parametrize("limits", [LIMITS, Limits(dense=0)], ids=["dense", "sparse"])
-def test_lines_match_the_per_tuple_format(k, limits):
+def test_lines_match_the_per_tuple_format(k, backend):
     # From k = 11 on, elements 10, 11, ... print with two digits.
     rng = np.random.default_rng(k)
     encodings = rng.choice(k**3, size=min(k**3, 40), replace=False)
-    ts = TupleSet.from_encodings(k, 3, encodings.tolist(), limits=limits)
+    ts = TupleSet.from_encodings(k, 3, encodings.tolist())
     assert list(ts.lines()) == [" ".join(str(a) for a in t) for t in ts]
     if k == 11:
         assert list(TupleSet.from_tuples(11, 2, [(10, 3)]).lines()) == ["10 3"]
@@ -131,14 +131,15 @@ def test_contains_encodings_vectorised():
     assert mask.tolist() == [True, False, True, False]
 
 
-def test_add_encodings_array_returns_fresh_only():
+def test_add_encodings_array_returns_fresh_only(sparse):
     ts = TupleSet.from_encodings(2, 3, [0, 3])
     fresh = ts.add_encodings_array(np.array([3, 5, 5, 7], dtype=np.int64))
     assert sorted(fresh.tolist()) == [5, 7]
     assert len(ts) == 4
     # A batch that repeats fresh encodings, unsorted, on both backends.
-    for limits in (LIMITS, Limits(dense=0)):
-        ts = TupleSet.from_encodings(2, 3, [0, 3], limits=limits)
+    for on in (False, True):
+        with sparse(on):
+            ts = TupleSet.from_encodings(2, 3, [0, 3])
         fresh = ts.add_encodings_array(np.array([6, 3, 1, 6, 0, 1, 6], dtype=np.int64))
         assert fresh.tolist() == [1, 6]
         assert ts.add_encodings_array(np.array([3, 6, 6], dtype=np.int64)).tolist() == []
@@ -313,10 +314,11 @@ def test_grid_batches_cover_the_grid_in_order(monkeypatch, cells):
     assert list(_grid_batches([groups[0], groups[1][:0], groups[2]])) == []
 
 
-def test_closure_dense_sparse_equivalent(egp3):
+def test_closure_dense_sparse_equivalent(egp3, sparse):
     dense = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)])
-    sparse = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)], limits=Limits(dense=0))
-    assert closure(egp3, dense) == closure(egp3, sparse)
+    with sparse():
+        in_set = TupleSet.from_tuples(3, 2, [(0, 2), (2, 1)])
+    assert closure(egp3, dense) == closure(egp3, in_set)
 
 
 def test_closure_step_budget(xor3):

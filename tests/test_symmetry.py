@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from genpow import LIMITS, Limits, TupleSet, closure, decode_tuple, encode_tuple
+from genpow import Limits, TupleSet, closure, decode_tuple, encode_tuple
 from genpow.subpower import _orbit_representatives, _pair_symmetry
 from tests.oracles import (
     brute_covering_pairs,
@@ -30,7 +30,6 @@ from tests.test_differential import draw, oracle
 from tests.test_rounds import assert_sweep, charge_edges
 
 SEEDED = 40
-BACKENDS = {"dense": Limits(), "sparse": Limits(dense=0)}
 
 
 def orbit_union(k, n, count, rng):
@@ -86,33 +85,34 @@ def test_detection_and_representatives_match_brute_force():
     assert min(checked.values()) >= 20, checked
 
 
-def check_closures(name, algebra, rng):
+def check_closures(name, algebra, rng, sparse):
     """Every symmetric seed set at every size, on both backends."""
     k = algebra.k
     for n in sizes(algebra):
         for kind, seeds in symmetric_seeds(k, n, rng).items():
             members = oracle(algebra, seeds, n)
-            for backend, limits in BACKENDS.items():
-                ts = TupleSet.from_tuples(k, n, seeds, limits=limits)
+            for backend in ("dense", "sparse"):
+                with sparse(backend == "sparse"):
+                    ts = TupleSet.from_tuples(k, n, seeds)
                 assert _pair_symmetry(ts, ts.encodings()) == n // 2, (name, n, kind)
-                closed = closure(algebra, ts, limits=limits)
+                closed = closure(algebra, ts)
                 assert set(closed) == members, (name, n, kind, backend)
 
 
-def test_symmetric_closures_of_the_corpus_match_the_oracle(corpus, non_idem):
+def test_symmetric_closures_of_the_corpus_match_the_oracle(corpus, non_idem, sparse):
     rng = random.Random(3)
     for name, algebra in {**corpus, "non_idempotent": non_idem}.items():
         if algebra.operations:
-            check_closures(name, algebra, rng)
+            check_closures(name, algebra, rng, sparse)
 
 
 @pytest.mark.parametrize("seed", range(SEEDED))
-def test_symmetric_closures_of_seeded_algebras_match_the_oracle(seed):
-    check_closures(seed, draw(seed), random.Random(seed))
+def test_symmetric_closures_of_seeded_algebras_match_the_oracle(seed, sparse):
+    check_closures(seed, draw(seed), random.Random(seed), sparse)
 
 
-@pytest.mark.parametrize("dense", [LIMITS.dense, 0], ids=["dense", "sparse"])
-def test_symmetric_budget_sweep_matches_the_reference(dense):
+@pytest.mark.parametrize("backend", ["dense", "sparse"], indirect=True)
+def test_symmetric_budget_sweep_matches_the_reference(backend):
     """Orbit unions at n = 2 and 4 with k**n <= 81, at every step budget
     where a reference charge starts to fit, one step either side, 0 and one
     past the whole cost."""
@@ -126,9 +126,9 @@ def test_symmetric_budget_sweep_matches_the_reference(dense):
                 continue
             seeds = orbit_union(k, n, rng.randint(1, 3), rng)
             members, charges = per_grid_charges(algebra, seeds)
-            ts = TupleSet.from_tuples(k, n, seeds, limits=Limits(dense=dense))
+            ts = TupleSet.from_tuples(k, n, seeds)
             assert_sweep(
-                lambda b: closure(algebra, ts, limits=Limits(steps=b, dense=dense)),
+                lambda b: closure(algebra, ts, limits=Limits(steps=b)),
                 charges, members, k**n, (seed, n), sorted(charge_edges(charges)),
             )
             swept += len(charges) > 0

@@ -11,7 +11,9 @@ from genpow import (
     OperationTable,
     PreconditionError,
     TupleSet,
+    UniverseMismatchError,
     closure,
+    closure_extend,
     cross_equality_witness,
     decide_egp_idempotent,
     egp_lower_bound,
@@ -20,6 +22,7 @@ from genpow import (
     min_generating_size,
     nice_relation_from_nonswitchability,
     preserves_relation,
+    projective_coordinate,
     projectivity_counterexample,
     subset_pair_relation,
     verify_nice,
@@ -321,6 +324,28 @@ def test_preserves_relation_rejections(min2):
         preserves_relation(op, sigma2, limits=Limits(combinations=10))
     with pytest.raises(PreconditionError):
         preserves_relation(op, TupleSet.full(3, 1))
+
+
+def test_every_universe_mismatch_raises_one_error(proj2, min2):
+    # One helper makes every check that two operands share a universe.
+    op, pair, three = min2.operation("min"), SubsetPair(3, 3, 6), TupleSet.full(3, 1)
+    rel = nice_relation_from_nonswitchability(proj2, 7, 9)
+    checks = [
+        (lambda: projective_coordinate(op, pair),
+         "operation universe 2 != subset pair universe 3"),
+        (lambda: projectivity_counterexample(op, pair),
+         "operation universe 2 != subset pair universe 3"),
+        (lambda: NiceRelation(k=3, block_lengths=(1,), base=TupleSet.full(2, 1), excluded=(0,)),
+         "base universe 2 != relation universe 3"),
+        (lambda: cross_equality_witness(rel, 1, 3), "witness universe 3 != relation universe 2"),
+        (lambda: preserves_relation(op, three), "operation universe 2 != relation universe 3"),
+        (lambda: closure(min2, three), "algebra universe 2 != tuple set universe 3"),
+        (lambda: closure_extend(min2, three, [0]), "algebra universe 2 != tuple set universe 3"),
+    ]
+    for check, message in checks:
+        with pytest.raises(UniverseMismatchError) as info:
+            check()
+        assert str(info.value) == message
 
 
 # -- counterexample matrices ------------------------------------------------
