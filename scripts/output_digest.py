@@ -3,10 +3,12 @@
 exit code and the sha256 of its stdout and of its stderr.
 
 The queries are decide, d-check (m = 1..3), switchable, growth (exact to
-n = 3 and 4, greedy to n = 3), the four witnesses and the three dumps on
-every file, each command that takes a closure budget once without one and
-once at each of BUDGETS.  Run it against two versions of genpow and diff the outputs to
-list every query whose answer, exit code or message changed:
+n = 3 and 4, greedy to n = 3), the four witnesses and the three closed
+dumps on every file, each command that takes a closure budget once without
+one and once at each of BUDGETS, then two unclosed dumps (switch and sigma)
+large enough that their rows span several export batches.  Run it against
+two versions of genpow and diff the outputs to list every query whose
+answer, exit code or message changed:
 
     PYTHONPATH=src python3 scripts/output_digest.py > new.jsonl
     PYTHONPATH=/path/to/other/src python3 scripts/output_digest.py > old.jsonl
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -58,6 +61,12 @@ def queries(path: str) -> list[list[str]]:
     for argv in budgeted:
         out.append(argv)
         out.extend(argv + ["--closure-budget", str(b)] for b in BUDGETS)
+    # Unclosed dumps of the least power with at least 2^15 tuples: at k = 2
+    # and 3 their rows fill 4 to 16 export batches of 2^16 digits.
+    n = next(n for n in itertools.count(1) if algebra.k**n >= 1 << 15)
+    half = -(-n // 2)
+    out.append(["dump", "switch", path, "--r", str(n // 2), "--n", str(n)])
+    out.append(["dump", "sigma", path, "--alpha", alpha, "--beta", beta, "--n", str(half)])
     return out
 
 

@@ -178,11 +178,16 @@ def _require(parser_name: str, **named) -> None:
         )
 
 
+def _text(lines: Sequence[str]) -> str:
+    """A handler's stdout: each line followed by a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _pair_from_args(algebra: Algebra, args) -> SubsetPair:
     return SubsetPair.from_elements(algebra.k, args.alpha, args.beta)
 
 
-def _cmd_validate(args, limits: Limits) -> list[str]:
+def _cmd_validate(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
     lines = [f"size: {algebra.k}", f"operations: {len(algebra.operations)}"]
     for op in algebra.operations:
@@ -194,25 +199,26 @@ def _cmd_validate(args, limits: Limits) -> list[str]:
         op, a, v = witness
         diag = ", ".join([str(a)] * op.arity)
         lines.append(f"idempotent: no ({op.name}({diag}) = {v})")
-    return lines
+    return _text(lines)
 
 
-def _cmd_decide(args, limits: Limits) -> list[str]:
+def _cmd_decide(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
-    return decide_egp_idempotent(algebra, limits=limits).render()
+    return _text(decide_egp_idempotent(algebra, limits=limits).render())
 
 
-def _cmd_d_check(args, limits: Limits) -> list[str]:
+def _cmd_d_check(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
-    return equal_pair_evidence(algebra, args.m, limits=limits).render()
+    return _text(equal_pair_evidence(algebra, args.m, limits=limits).render())
 
 
-def _cmd_switchable(args, limits: Limits) -> list[str]:
+def _cmd_switchable(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
-    return switch_generation_evidence(algebra, args.r, args.n, limits=limits).render()
+    evidence = switch_generation_evidence(algebra, args.r, args.n, limits=limits)
+    return _text(evidence.render())
 
 
-def _cmd_growth(args, limits: Limits) -> list[str]:
+def _cmd_growth(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
     profile = growth_profile(algebra, args.n_max, mode=args.mode, limits=limits)
     for row in profile.rows:
@@ -220,17 +226,17 @@ def _cmd_growth(args, limits: Limits) -> list[str]:
             print(f"n = {row.n} greedy: {row.reason}", file=sys.stderr)
     if profile.note:
         print(profile.note, file=sys.stderr)
-    return profile.to_csv().splitlines()
+    return profile.to_csv()
 
 
-def _cmd_witness(args, limits: Limits) -> list[str]:
+def _cmd_witness(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
     if args.kind == "nice":
         _require("witness nice", r=args.r, n=args.n)
         rel = nice_relation_from_nonswitchability(
             algebra, args.r, args.n, limits=limits
         )
-        return [
+        lines = [
             f"arity: {rel.m}",
             "block-lengths: " + " ".join(str(b) for b in rel.block_lengths),
             "excluded: " + " ".join(str(a) for a in rel.excluded),
@@ -239,13 +245,14 @@ def _cmd_witness(args, limits: Limits) -> list[str]:
             # The constructor refuses a relation that fails verify_nice.
             "nice: yes",
         ]
+        return _text(lines)
     if args.kind == "sigma":
         _require("witness sigma", r=args.r, n=args.n)
         rel = nice_relation_from_nonswitchability(
             algebra, args.r, args.n, limits=limits
         )
         witness = cross_equality_witness(rel, args.target, algebra.k, limits=limits)
-        return witness.render()
+        return _text(witness.render())
     if args.kind == "counterexample":
         _require("witness counterexample", op=args.op, alpha=args.alpha, beta=args.beta)
         try:
@@ -253,7 +260,7 @@ def _cmd_witness(args, limits: Limits) -> list[str]:
         except KeyError:
             raise PreconditionError(f"no operation named {args.op!r} in the file")
         pair = _pair_from_args(algebra, args)
-        return projectivity_counterexample(op, pair, limits=limits).render()
+        return _text(projectivity_counterexample(op, pair, limits=limits).render())
     _require("witness blocker", base=args.base, n_max=args.n_max)
     candidate = find_blocker_bounded(algebra, args.base, args.n_max, limits=limits)
     lines = [
@@ -264,10 +271,10 @@ def _cmd_witness(args, limits: Limits) -> list[str]:
         lines.append("candidate: none")
     else:
         lines.append(f"candidate: {_format_subset(candidate)}")
-    return lines
+    return _text(lines)
 
 
-def _cmd_dump(args, limits: Limits) -> list[str]:
+def _cmd_dump(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
     if args.kind == "d":
         _require("dump d", m=args.m)
@@ -280,7 +287,7 @@ def _cmd_dump(args, limits: Limits) -> list[str]:
         ts = subset_pair_relation(_pair_from_args(algebra, args), args.n, limits=limits)
     if args.closed:
         ts = closure(algebra, ts, limits=limits)
-    return list(ts.lines())
+    return ts.text()
 
 
 _HANDLERS = {
@@ -303,8 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             steps=getattr(args, "steps", LIMITS.steps),
             exact=getattr(args, "exact", LIMITS.exact),
         )
-        for line in _HANDLERS[args.command](args, limits):
-            print(line)
+        sys.stdout.write(_HANDLERS[args.command](args, limits))
         return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -185,9 +185,12 @@ class TupleSet:
     @classmethod
     def full(cls, k: int, n: int, *, limits: Limits = LIMITS) -> "TupleSet":
         """All of A^n; a space above the space budget is refused."""
-        return cls.from_mask(
-            k, n, lambda digits: np.ones(len(digits), dtype=bool), limits=limits
-        )
+        limits.check_space(k, n)
+        ts = cls(k, n)
+        for start in range(0, ts.space, _CHUNK_CELLS):
+            stop = min(start + _CHUNK_CELLS, ts.space)
+            ts.add_encodings_array(np.arange(start, stop, dtype=np.int64))
+        return ts
 
     def copy(self) -> "TupleSet":
         clone = TupleSet.__new__(TupleSet)
@@ -294,11 +297,34 @@ class TupleSet:
         kind = "dense" if self._dense is not None else "sparse"
         return f"TupleSet(k={self.k}, n={self.n}, size={self._count}, {kind})"
 
-    def lines(self) -> Iterator[str]:
-        """Export rows: base-k digits separated by spaces, ascending."""
-        symbols = np.array([str(a) for a in range(self.k)], dtype=object)
+    def text(self) -> str:
+        """Export rows: base-k digits in decimal separated by spaces, one
+        row per line, ascending; "" for the empty set.
+
+        Each batch of rows is rendered as one byte buffer: every digit
+        takes its symbol's width plus one separator byte (a space, or the
+        newline that ends its row), a cumulative sum of those widths gives
+        each digit's offset, and one scatter per character position writes
+        the symbols in.
+        """
+        symbols = [str(a).encode() for a in range(self.k)]
+        width = np.array([len(s) for s in symbols], dtype=np.int64)
+        table = np.frombuffer(b"".join(symbols), dtype=np.uint8)
+        first = np.cumsum(width) - width  # each symbol's offset in table
+        blocks = []
         for digits in self._digit_batches():
-            yield from map(" ".join, symbols[digits].tolist())
+            cell = (width + 1)[digits].ravel()
+            end = np.cumsum(cell)
+            start = end - cell
+            flat = digits.ravel()
+            buffer = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
+            buffer[start] = table[first][flat]
+            for c in range(1, int(width.max())):
+                longer = cell > c + 1
+                buffer[start[longer] + c] = table[first[flat[longer]] + c]
+            buffer[end[self.n - 1 :: self.n] - 1] = ord("\n")
+            blocks.append(buffer.tobytes())
+        return b"".join(blocks).decode("ascii")
 
 
 def _unique(arr: np.ndarray) -> np.ndarray:

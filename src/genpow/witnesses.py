@@ -55,6 +55,9 @@ class NiceRelation:
     block_lengths: tuple[int, ...]
     base: TupleSet = field(repr=False)
     excluded: tuple[int, ...]
+    # len(base) when verify_nice last accepted the relation, -1 before.  A
+    # TupleSet only grows, so an unchanged size means unchanged members.
+    _nice_at: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "block_lengths", tuple(self.block_lengths))
@@ -101,7 +104,8 @@ class NiceRelation:
 
 def verify_nice(rel: NiceRelation, *, limits: Limits = LIMITS) -> bool:
     """Exhaustively check both clauses: the excluded tuple really is out,
-    and every tuple with some adjacent equal pair really is in.
+    and every tuple with some adjacent equal pair really is in.  A relation
+    that passes is marked as checked at its current base.
     """
     batches = scan_space(rel.k, rel.m, limits=limits)
     if rel.contains(rel.excluded):
@@ -110,6 +114,7 @@ def verify_nice(rel: NiceRelation, *, limits: Limits = LIMITS) -> bool:
         adjacent = (digits[:, 1:] == digits[:, :-1]).any(axis=1)
         if not rel.contains_digits(digits[adjacent]).all():
             return False
+    object.__setattr__(rel, "_nice_at", len(rel.base))
     return True
 
 
@@ -264,7 +269,9 @@ def cross_equality_witness(
         raise PreconditionError(
             f"relation arity {m} must exceed 2*k^2*n^2 = {bound}"
         )
-    if not verify_nice(rel, limits=limits):
+    # A relation verify_nice accepted at its current base, such as one from
+    # nice_relation_from_nonswitchability, is not scanned again.
+    if rel._nice_at != len(rel.base) and not verify_nice(rel, limits=limits):
         raise PreconditionError("relation is not nice")
     u = rel.excluded
     pairs = [(u[2 * t], u[2 * t + 1]) for t in range(m // 2)]

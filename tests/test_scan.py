@@ -64,7 +64,20 @@ def test_iteration_decodes_in_ascending_order(backend):
     ts = TupleSet.from_tuples(3, 3, members)
     assert repr(ts).endswith(f"{backend})")
     assert list(ts) == sorted(members)
-    assert list(ts.lines()) == [" ".join(map(str, t)) for t in sorted(members)]
+    assert ts.text() == "".join(" ".join(map(str, t)) + "\n" for t in sorted(members))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 12])
+def test_text_matches_a_per_row_rendering(backend, k, n):
+    # From k = 11 on, symbols take one or two bytes, so rows vary in length.
+    space = list(itertools.product(range(k), repeat=n))
+    order = np.random.default_rng(100 * k + n).permutation(len(space))
+    for size in sorted({0, 1, min(len(space), 60), len(space) if len(space) <= 144 else 0}):
+        members = [space[i] for i in order[:size]]
+        ts = TupleSet.from_tuples(k, n, members)
+        expected = "".join(" ".join(map(str, t)) + "\n" for t in sorted(members))
+        assert ts.text() == expected
 
 
 @pytest.mark.parametrize("k,m", [(1, 2), (2, 1), (2, 3), (3, 2)])

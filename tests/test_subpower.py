@@ -77,7 +77,7 @@ def test_dense_and_sparse_agree(sparse):
         assert dense.add(t) == in_set.add(t)
     assert dense == in_set
     assert list(dense.encodings()) == list(in_set.encodings())
-    assert list(dense.lines()) == list(in_set.lines())
+    assert dense.text() == in_set.text()
 
 
 def test_from_tuples_and_full():
@@ -87,6 +87,18 @@ def test_from_tuples_and_full():
     assert is_full(TupleSet.full(2, 2))
     assert len(TupleSet.full(3, 3)) == 27
     assert TupleSet.from_encodings(2, 2, [0, 3]) == ts
+
+
+def test_full_builds_no_digits(backend, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("TupleSet.full built a digit matrix")
+
+    monkeypatch.setattr(genpow.subpower, "_digit_matrix", refuse)
+    monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", 64)
+    for k, n in ((1, 3), (2, 7), (3, 5)):
+        ts = TupleSet.full(k, n)
+        assert is_full(ts)
+        assert ts.encodings().tolist() == list(range(k**n))
 
 
 def test_copy_is_independent():
@@ -99,7 +111,7 @@ def test_copy_is_independent():
 
 def test_lines_sorted_lexicographically():
     ts = TupleSet.from_tuples(2, 2, [(1, 0), (0, 1), (0, 0)])
-    assert list(ts.lines()) == ["0 0", "0 1", "1 0"]
+    assert ts.text() == "0 0\n0 1\n1 0\n"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 16])
@@ -108,9 +120,9 @@ def test_lines_match_the_per_tuple_format(k, backend):
     rng = np.random.default_rng(k)
     encodings = rng.choice(k**3, size=min(k**3, 40), replace=False)
     ts = TupleSet.from_encodings(k, 3, encodings.tolist())
-    assert list(ts.lines()) == [" ".join(str(a) for a in t) for t in ts]
+    assert ts.text() == "".join(" ".join(str(a) for a in t) + "\n" for t in ts)
     if k == 11:
-        assert list(TupleSet.from_tuples(11, 2, [(10, 3)]).lines()) == ["10 3"]
+        assert TupleSet.from_tuples(11, 2, [(10, 3)]).text() == "10 3\n"
 
 
 def test_tupleset_rejects_out_of_range():

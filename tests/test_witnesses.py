@@ -1,8 +1,13 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
+import genpow.cli
+import genpow.witnesses
 
 from genpow import (
     BudgetExceededError,
@@ -29,6 +34,7 @@ from genpow import (
 )
 from genpow.criteria import SubsetPair
 from genpow.witnesses import NiceRelation
+from tests.conftest import corpus_path
 from tests.oracles import (
     brute_counterexample,
     brute_covering_pairs,
@@ -240,6 +246,29 @@ def test_cross_equality_witness_rejects_non_nice():
     bad = punctured(2, 9, [(0, 0, 0, 0, 0, 0, 0, 0, 0)])
     with pytest.raises(PreconditionError):
         cross_equality_witness(bad, 1, 2)
+
+
+def test_witness_sigma_verifies_its_nice_relation_once(monkeypatch):
+    calls = []
+
+    def counted(rel, **kwargs):
+        calls.append(rel.m)
+        return verify_nice(rel, **kwargs)
+
+    monkeypatch.setattr(genpow.witnesses, "verify_nice", counted)
+    argv = ["witness", "sigma", str(corpus_path("projections_k2")), "--r", "7", "--n", "9"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert genpow.cli.main(argv) == 0
+    assert calls == [9]
+    assert "excluded: 0 1 0 1\n" in out.getvalue()
+
+
+def test_cross_equality_witness_checks_a_grown_base_again(proj2):
+    rel = nice_relation_from_nonswitchability(proj2, 7, 9)
+    # The excluded tuple joins the base after the check: no longer nice.
+    rel.base.add(rel.expand(rel.excluded))
+    with pytest.raises(PreconditionError, match="relation is not nice"):
+        cross_equality_witness(rel, 1, 2)
 
 
 # -- subset-pair relations and preservation ---------------------------------
