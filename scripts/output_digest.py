@@ -2,13 +2,14 @@
 """Print one JSON line per CLI query over algebra files: the query, its
 exit code and the sha256 of its stdout and of its stderr.
 
-The queries are decide, d-check (m = 1..3), switchable, growth (exact to
-n = 3 and 4, greedy to n = 3), the four witnesses and the three closed
-dumps on every file, each command that takes a closure budget once without
-one and once at each of BUDGETS, then two unclosed dumps (switch and sigma)
-large enough that their rows span several export batches.  Run it against
-two versions of genpow and diff the outputs to list every query whose
-answer, exit code or message changed:
+The queries are decide, a witness given a flag its kind does not read,
+d-check (m = 1..3), switchable, growth (exact to n = 3 and 4, greedy to
+n = 3), the four witnesses and the three closed dumps on every file, each
+command that takes a closure budget once without one and once at each of
+BUDGETS, then two unclosed dumps (switch and sigma) large enough that
+their rows span several export batches.  Run it against two versions of
+genpow and diff the outputs to list every query whose answer, exit code
+or message changed:
 
     PYTHONPATH=src python3 scripts/output_digest.py > new.jsonl
     PYTHONPATH=/path/to/other/src python3 scripts/output_digest.py > old.jsonl
@@ -57,7 +58,9 @@ def queries(path: str) -> list[list[str]]:
         ["dump", "switch", path, "--r", "1", "--n", "3", "--closed"],
         ["dump", "sigma", path, "--alpha", alpha, "--beta", beta, "--n", "2", "--closed"],
     ]
-    out = [["decide", path]]
+    # A flag the kind does not read: a usage error (exit 1).
+    foreign = ["witness", "blocker", path, "--base", "0", "--n-max", "3", "--r", "1"]
+    out = [["decide", path], foreign]
     for argv in budgeted:
         out.append(argv)
         out.extend(argv + ["--closure-budget", str(b)] for b in BUDGETS)

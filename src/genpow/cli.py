@@ -9,6 +9,7 @@ validate, decide, d-check, switchable, growth, witness, dump.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -48,6 +49,11 @@ class UsageError(GenpowError):
 
 
 class _Parser(argparse.ArgumentParser):
+    # No flag is read from a prefix of its name: `witness blocker` would
+    # otherwise take `--n` for `--n-max`.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -84,8 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    budgets = _Parser(add_help=False)
-    budgets.add_argument(
+    # Flags shared by several commands, each declared once: the file and
+    # budgets of every command but validate and decide, the switch bound
+    # and power, and dump's --closed.
+    budgeted = _Parser(add_help=False)
+    budgeted.add_argument("file")
+    budgeted.add_argument(
         "--closure-budget",
         dest="steps",
         type=_budget,
@@ -93,13 +103,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="STEPS",
         help="abort closures after this many combination applications",
     )
-    budgets.add_argument(
+    budgeted.add_argument(
         "--exact-budget",
         dest="exact",
         type=_budget,
         default=LIMITS.exact,
         metavar="SIZE",
         help="largest k**n the exact minimum-size search accepts",
+    )
+    switches = _Parser(add_help=False, parents=[budgeted])
+    switches.add_argument("--r", type=int, required=True, help="switch bound")
+    switches.add_argument("--n", type=int, required=True, help="power")
+    closed = _Parser(add_help=False)
+    closed.add_argument(
+        "--closed",
+        action="store_true",
+        help="close the set under the file's operations before printing",
     )
 
     p = sub.add_parser("validate", help="parse a file and report its shape")
@@ -110,72 +129,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "d-check",
-        parents=[budgets],
+        parents=[budgeted],
         help="close the designated-equal-pair tuples of A^(2m)",
     )
-    p.add_argument("file")
     p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "switchable",
-        parents=[budgets],
+        parents=[switches],
         help="close the at-most-r-switch tuples of A^n",
     )
-    p.add_argument("file")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser(
-        "growth", parents=[budgets], help="generating-set sizes per power, CSV"
+        "growth", parents=[budgeted], help="generating-set sizes per power, CSV"
     )
-    p.add_argument("file")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
 
-    p = sub.add_parser(
-        "witness", parents=[budgets], help="materialize a constructive witness"
+    p = sub.add_parser("witness", help="materialize a constructive witness")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds.add_parser(
+        "nice", parents=[switches], help="nice relation from a failed switch check"
     )
-    p.add_argument("kind", choices=("nice", "sigma", "counterexample", "blocker"))
-    p.add_argument("file")
-    p.add_argument("--r", type=int, help="switch bound (nice, sigma)")
-    p.add_argument("--n", type=int, help="power to test (nice, sigma)")
+    p = kinds.add_parser("sigma", parents=[switches], help="cross-equality obstruction")
     p.add_argument(
-        "--target",
-        type=int,
-        default=1,
-        help="cross-equality parameter n (sigma; default 1)",
+        "--target", type=int, default=1, help="cross-equality parameter n (default 1)"
     )
-    p.add_argument("--op", help="operation name (counterexample)")
-    p.add_argument("--alpha", type=_element_list, help="subset, e.g. 0,1")
-    p.add_argument("--beta", type=_element_list, help="subset, e.g. 1,2")
-    p.add_argument("--base", type=_element_list, help="starting subset (blocker)")
-    p.add_argument("--n-max", type=int, help="largest power checked (blocker)")
+    p = kinds.add_parser(
+        "counterexample", parents=[budgeted], help="preservation-violation matrix"
+    )
+    p.add_argument("--op", required=True, help="operation name")
+    p.add_argument("--alpha", type=_element_list, required=True, help="subset, e.g. 0,1")
+    p.add_argument("--beta", type=_element_list, required=True, help="subset, e.g. 1,2")
+    p = kinds.add_parser("blocker", parents=[budgeted], help="greedy blocking subset")
+    p.add_argument("--base", type=_element_list, required=True, help="starting subset")
+    p.add_argument("--n-max", type=int, required=True, help="largest power checked")
 
-    p = sub.add_parser(
-        "dump", parents=[budgets], help="print a tuple set, one row per line"
-    )
-    p.add_argument("kind", choices=("d", "switch", "sigma"))
-    p.add_argument("file")
-    p.add_argument("--m", type=int, help="pair count (d)")
-    p.add_argument("--r", type=int, help="switch bound (switch)")
-    p.add_argument("--n", type=int, help="power (switch, sigma)")
-    p.add_argument("--alpha", type=_element_list, help="subset (sigma)")
-    p.add_argument("--beta", type=_element_list, help="subset (sigma)")
-    p.add_argument(
-        "--closed",
-        action="store_true",
-        help="close the set under the file's operations before printing",
-    )
+    p = sub.add_parser("dump", help="print a tuple set, one row per line")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("d", parents=[budgeted, closed], help="equal-pair seeds")
+    p.add_argument("--m", type=int, required=True, help="pair count")
+    kinds.add_parser("switch", parents=[switches, closed], help="switch seeds")
+    p = kinds.add_parser("sigma", parents=[budgeted, closed], help="subset-pair relation")
+    p.add_argument("--alpha", type=_element_list, required=True, help="subset")
+    p.add_argument("--beta", type=_element_list, required=True, help="subset")
+    p.add_argument("--n", type=int, required=True, help="power")
     return parser
 
 
-def _require(parser_name: str, **named) -> None:
-    missing = [f"--{flag.replace('_', '-')}" for flag, v in named.items() if v is None]
-    if missing:
-        raise UsageError(
-            f"genpow {parser_name}: the following arguments are required: "
-            + ", ".join(missing)
-        )
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses, built on its first call, not at import."""
+    return build_parser()
 
 
 def _text(lines: Sequence[str]) -> str:
@@ -231,11 +236,13 @@ def _cmd_growth(args, limits: Limits) -> str:
 
 def _cmd_witness(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
-    if args.kind == "nice":
-        _require("witness nice", r=args.r, n=args.n)
+    if args.kind in ("nice", "sigma"):
         rel = nice_relation_from_nonswitchability(
             algebra, args.r, args.n, limits=limits
         )
+        if args.kind == "sigma":
+            witness = cross_equality_witness(rel, args.target, algebra.k, limits=limits)
+            return _text(witness.render())
         lines = [
             f"arity: {rel.m}",
             "block-lengths: " + " ".join(str(b) for b in rel.block_lengths),
@@ -246,22 +253,13 @@ def _cmd_witness(args, limits: Limits) -> str:
             "nice: yes",
         ]
         return _text(lines)
-    if args.kind == "sigma":
-        _require("witness sigma", r=args.r, n=args.n)
-        rel = nice_relation_from_nonswitchability(
-            algebra, args.r, args.n, limits=limits
-        )
-        witness = cross_equality_witness(rel, args.target, algebra.k, limits=limits)
-        return _text(witness.render())
     if args.kind == "counterexample":
-        _require("witness counterexample", op=args.op, alpha=args.alpha, beta=args.beta)
         try:
             op = algebra.operation(args.op)
         except KeyError:
             raise PreconditionError(f"no operation named {args.op!r} in the file")
         pair = _pair_from_args(algebra, args)
         return _text(projectivity_counterexample(op, pair, limits=limits).render())
-    _require("witness blocker", base=args.base, n_max=args.n_max)
     candidate = find_blocker_bounded(algebra, args.base, args.n_max, limits=limits)
     lines = [
         f"base: {_format_subset(sorted(set(args.base)))}",
@@ -277,13 +275,10 @@ def _cmd_witness(args, limits: Limits) -> str:
 def _cmd_dump(args, limits: Limits) -> str:
     algebra = load_algebra(args.file)
     if args.kind == "d":
-        _require("dump d", m=args.m)
         ts = equal_pair_tuples(algebra.k, args.m, limits=limits)
     elif args.kind == "switch":
-        _require("dump switch", r=args.r, n=args.n)
         ts = switch_tuples(algebra.k, args.n, args.r, limits=limits)
     else:
-        _require("dump sigma", alpha=args.alpha, beta=args.beta, n=args.n)
         ts = subset_pair_relation(_pair_from_args(algebra, args), args.n, limits=limits)
     if args.closed:
         ts = closure(algebra, ts, limits=limits)
@@ -302,9 +297,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # validate and decide take no budget flags and run on the defaults.
         limits = Limits(
             steps=getattr(args, "steps", LIMITS.steps),

@@ -301,30 +301,20 @@ class TupleSet:
         """Export rows: base-k digits in decimal separated by spaces, one
         row per line, ascending; "" for the empty set.
 
-        Each batch of rows is rendered as one byte buffer: every digit
-        takes its symbol's width plus one separator byte (a space, or the
-        newline that ends its row), a cumulative sum of those widths gives
-        each digit's offset, and one scatter per character position writes
-        the symbols in.
+        Every digit takes a cell of w + 1 bytes, w the width of k - 1: its
+        symbol, zero bytes after a shorter symbol, then a space, or the
+        newline that ends its row.  A batch of rows is one gather from the
+        table of the k cells; the zero bytes are dropped at the end.
         """
-        symbols = [str(a).encode() for a in range(self.k)]
-        width = np.array([len(s) for s in symbols], dtype=np.int64)
-        table = np.frombuffer(b"".join(symbols), dtype=np.uint8)
-        first = np.cumsum(width) - width  # each symbol's offset in table
+        w = len(str(self.k - 1))
+        symbols = "".join(str(a).ljust(w, "\0") + " " for a in range(self.k))
+        table = np.frombuffer(symbols.encode(), dtype=f"V{w + 1}")
         blocks = []
         for digits in self._digit_batches():
-            cell = (width + 1)[digits].ravel()
-            end = np.cumsum(cell)
-            start = end - cell
-            flat = digits.ravel()
-            buffer = np.full(int(end[-1]), ord(" "), dtype=np.uint8)
-            buffer[start] = table[first][flat]
-            for c in range(1, int(width.max())):
-                longer = cell > c + 1
-                buffer[start[longer] + c] = table[first[flat[longer]] + c]
-            buffer[end[self.n - 1 :: self.n] - 1] = ord("\n")
-            blocks.append(buffer.tobytes())
-        return b"".join(blocks).decode("ascii")
+            cells = table[digits].view(np.uint8)  # (rows, n * (w + 1)) bytes
+            cells[:, -1] = ord("\n")
+            blocks.append(cells.tobytes())
+        return b"".join(blocks).translate(None, b"\0").decode("ascii")
 
 
 def _unique(arr: np.ndarray) -> np.ndarray:

@@ -537,6 +537,85 @@ def test_bad_element_list(run):
     assert "comma-separated" in err
 
 
+# Each witness and dump kind: a valid argv, a flag that only another kind
+# reads, and the usage error when its required flags are missing.
+KINDS = {
+    "witness nice": (["--r", "1", "--n", "3"], ["--op", "f"], "--r, --n"),
+    "witness sigma": (["--r", "1", "--n", "4"], ["--base", "0"], "--r, --n"),
+    "witness counterexample": (
+        ["--op", "f", "--alpha", "0,1", "--beta", "1,2"],
+        ["--n", "3"],
+        "--op, --alpha, --beta",
+    ),
+    "witness blocker": (["--base", "0", "--n-max", "3"], ["--r", "1"], "--base, --n-max"),
+    "dump d": (["--m", "2"], ["--r", "1"], "--m"),
+    "dump switch": (["--r", "1", "--n", "3"], ["--m", "2"], "--r, --n"),
+    "dump sigma": (
+        ["--alpha", "0,1", "--beta", "1,2", "--n", "2"],
+        ["--m", "2"],
+        "--alpha, --beta, --n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_flag_of_another_kind_is_a_usage_error(run, kind):
+    flags, foreign, _ = KINDS[kind]
+    command, name = kind.split()
+    assert run(command, name, path("egp3"), *flags)[0] in (0, 3)
+    rc, out, err = run(command, name, path("egp3"), *flags, *foreign)
+    assert (rc, out) == (1, "")
+    assert err == f"genpow: unrecognized arguments: {' '.join(foreign)}\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_missing_flags_of_a_kind(run, kind):
+    required = KINDS[kind][2]
+    assert run(*kind.split(), path("egp3")) == (
+        1,
+        "",
+        f"genpow {kind}: the following arguments are required: {required}\n",
+    )
+
+
+def test_a_flag_prefix_is_not_read_as_the_flag(run):
+    # witness blocker reads --n-max and no --n.
+    rc, out, err = run(
+        "witness", "blocker", path("egp3"), "--base", "0", "--n-max", 3, "--n", 4
+    )
+    assert (rc, out, err) == (1, "", "genpow: unrecognized arguments: --n 4\n")
+
+
+def test_an_option_before_the_kind_is_a_usage_error(run):
+    rc, out, err = run("witness", "--r", 1, "nice", path("egp3"), "--n", 3)
+    assert (rc, out) == (1, "")
+    assert err.startswith("genpow witness: ")
+
+
+def test_main_builds_its_parser_once(run, monkeypatch):
+    queries = [
+        ("validate", path("egp3")),
+        ("d-check", path("xor3"), "--m", 2),
+        ("witness", "blocker", path("egp3"), "--base", "0", "--n-max", 2),
+        ("dump", "d", path("min2")),
+        ("dump", "switch", path("min2"), "--r", 0, "--n", 3),
+    ]
+    fresh = []
+    for argv in queries:
+        genpow.cli._parser.cache_clear()
+        fresh.append(run(*argv))
+    build, calls = genpow.cli.build_parser, []
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(genpow.cli, "build_parser", counting_build)
+    genpow.cli._parser.cache_clear()
+    assert [run(*argv) for argv in queries] == fresh
+    assert len(calls) == 1
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])

@@ -50,13 +50,15 @@ def test_output_digest_hashes_each_query():
     proc = run(ROOT / "scripts" / "output_digest.py", "algebras/projections_k2.json")
     assert proc.returncode == 0
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    # decide, then 15 budgeted queries, each unbudgeted and at 8 budgets,
-    # then the two unclosed dumps.
-    assert len(lines) == 1 + 15 * 9 + 2
+    # decide, a foreign-flag witness, then 15 budgeted queries, each
+    # unbudgeted and at 8 budgets, then the two unclosed dumps.
+    assert len(lines) == 2 + 15 * 9 + 2
     assert lines[-1]["query"] == (
         "dump sigma algebras/projections_k2.json --alpha 0 --beta 1 --n 8"
     )
     assert lines[0]["query"] == "decide algebras/projections_k2.json"
+    assert lines[1]["query"].endswith("--n-max 3 --r 1")
+    assert lines[1]["exit"] == 1
     assert {line["exit"] for line in lines} <= {0, 1, 3, 4}
     direct = run("-m", "genpow", "d-check", "algebras/projections_k2.json", "--m", 2)
     entry = next(
