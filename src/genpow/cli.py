@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse would skip an unknown option before a witness or dump
+        # kind and read the option's value as the kind.
+        if args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            for action in self._actions:
+                if action.dest == "kind":
+                    self.error(
+                        f"option {args[0].split('=')[0]} goes after the kind "
+                        f"({', '.join(action.choices)})"
+                    )
+        return super().parse_known_args(args, namespace)
+
 
 def _element_list(text: str) -> tuple[int, ...]:
     try:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .subpower import (
     Limits,
     TupleSet,
     _extender,
+    _mask_members,
     closure,
     closure_extend,
     decode_tuple,
@@ -437,6 +438,38 @@ class GeneratingSet:
         return tuple(decode_tuple(e, self.k, self.n) for e in self.encodings)
 
 
+def _forced_mask(algebra: Algebra, n: int) -> int:
+    """Bit x is set iff tuple x of A^n is forced: no basic operation
+    produces it from argument tuples that all differ from it.  Every
+    generating set of A^n holds every forced tuple.
+
+    An s-ary f makes x from arguments that all differ from x iff each
+    coordinate i has a row a of f's table with f(a) = x_i whose slot mask
+    {j : a_j != x_i} joins the others' to 2**s - 1.  So per operation the
+    tuples' prefixes carry the set of slot unions they can reach, bit u
+    set iff union u is, one coordinate at a time; a prefix that reaches
+    the full union keeps it, but every coordinate is still visited.
+    """
+    k, unmade = algebra.k, 0
+    for op in algebra.operations:
+        masks = [set() for _ in range(k)]  # slot masks of the rows f maps to v
+        for args, v in zip(itertools.product(range(k), repeat=op.arity), op.table):
+            masks[v].add(sum(1 << j for j, a in enumerate(args) if a != v))
+        states = 1 << op.arity
+
+        @cache
+        def step(reach: int, v: int) -> int:
+            unions = {u | m for u in _mask_members(reach, states) for m in masks[v]}
+            return sum(1 << u for u in unions)
+
+        layer = [1]  # the empty prefix reaches the empty union
+        for _ in range(n):
+            layer = [step(reach, v) for reach in layer for v in range(k)]
+        full = 1 << states - 1
+        unmade |= sum(1 << x for x, reach in enumerate(layer) if reach & full)
+    return ((1 << k**n) - 1) ^ unmade
+
+
 class _ExactSearch:
     """One exact search: its node count and its closure memo.
 
@@ -465,6 +498,17 @@ class _ExactSearch:
     limits.space membership bits in all; past that it stores nothing
     more.  It is freed with the search object when _exact_minimum returns
     or raises.
+
+    Every generating set holds the forced tuples (_forced_mask).  So at
+    the last pick of an iteration, a node whose closed set and pick leave
+    a forced tuple out cannot answer: it is counted and checked against
+    the node budget, and then skipped with no lookup, closure or child
+    call.  That child would have returned None, and its closure could not
+    have been refused, since the test is on only while the step budget
+    covers sum (k**n)**arity, the most any closure of A^n is charged.  A
+    skipped slot is not stored; the next iteration, where that node is
+    interior, computes and stores it.  Visit order, node counts, answers
+    and refusals are again those of the search without the test.
     """
 
     def __init__(self, algebra: Algebra, n: int, limits: Limits):
@@ -476,6 +520,10 @@ class _ExactSearch:
         self.width = -(-self.space // 8)  # bytes per stored set
         self.room = limits.space // 8  # bytes the memo may still take
         self.memo: dict[int, list] = {}
+        # Under this bound no closure is refused by steps: a round charges
+        # |union|**s - |old|**s per operation, which telescopes.
+        affordable = sum(self.space**op.arity for op in algebra.operations) <= limits.steps
+        self.forced = _forced_mask(algebra, n) if affordable else 0
 
     def _reserve(self, size: int) -> bool:
         if size > self.room:
@@ -503,6 +551,9 @@ class _ExactSearch:
             if self._reserve(w):
                 self.memo[closed] = entry
         lo, row = entry
+        # At the last pick, a forced tuple outside the closed set and the
+        # pick is outside the child, which is then not full.
+        missing = self.forced & ~closed if len(chosen) + 1 == target else 0
         while free:
             low = free & -free
             free ^= low
@@ -510,6 +561,9 @@ class _ExactSearch:
             self.nodes += 1
             self.limits.check_nodes(self.nodes, self.space)
             i = (slot - lo) * w
+            slot += 1
+            if missing & ~low:
+                continue
             if 0 <= i < len(row):
                 child = int.from_bytes(row[i : i + w], "little")
             else:
@@ -519,7 +573,6 @@ class _ExactSearch:
             found = self.extend(chosen + [e], child, target)
             if found is not None:
                 return found
-            slot += 1
         return None
 
 

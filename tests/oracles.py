@@ -238,6 +238,31 @@ def planted_op(k, arity, alpha, beta, j, rng, idempotent=False, name="f"):
     return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
 
 
+def random_nu_op(k, arity, rng, name="f"):
+    """A random near-unanimity table of arity >= 3: f(y, x, ..., x) = ...
+    = f(x, ..., x, y) = x, and so f(x, ..., x) = x; the other entries are
+    drawn."""
+    table = []
+    for args in itertools.product(range(k), repeat=arity):
+        majority = [a for a in set(args) if args.count(a) >= arity - 1]
+        table.append(majority[0] if majority else rng.randrange(k))
+    return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
+
+
+def random_maltsev_op(k, rng, name="p"):
+    """A random ternary Mal'tsev table: p(x, y, y) = x = p(y, y, x), and
+    so p(x, x, x) = x; the other entries are drawn."""
+    table = []
+    for x, y, z in itertools.product(range(k), repeat=3):
+        if y == z:
+            table.append(x)
+        elif x == y:
+            table.append(z)
+        else:
+            table.append(rng.randrange(k))
+    return OperationTable(name=name, arity=3, k=k, table=tuple(table))
+
+
 def brute_equal_pair_tuples(k, m):
     out = set()
     for t in itertools.product(range(k), repeat=2 * m):
@@ -452,6 +477,27 @@ def brute_cross_equality(k, n, members, excluded):
         if tuple(v[x] for x in variable) in members
     }
     return relation, (a,) * n + (b,) * n + tuple(range(k))
+
+
+def brute_forced_tuples(algebra, n):
+    """The forced tuples of A^n: those x that no application of an
+    operation to argument tuples of A^n, every one of them different from
+    x, yields.  Every application is evaluated once, vectorized like
+    numpy_preserves; (k**n)**arity * n cells per operation."""
+    k, space = algebra.k, algebra.k**n
+    weights = np.power(k, np.arange(n - 1, -1, -1), dtype=np.int64)
+    digits = np.arange(space, dtype=np.int64)[:, None] // weights % k
+    made = np.zeros(space, dtype=bool)
+    for op in algebra.operations:
+        index, arguments = 0, []
+        for pos in range(op.arity):
+            shape = [1] * op.arity
+            shape[pos] = space
+            index = index * k + digits.reshape(shape + [n])
+            arguments.append(np.arange(space).reshape(shape))
+        images = np.asarray(op.table, dtype=np.int64)[index] @ weights
+        made[images[np.logical_and.reduce([images != a for a in arguments])]] = True
+    return {tuple(int(a) for a in digits[x]) for x in np.flatnonzero(~made)}
 
 
 def reference_exact_minimum(algebra, n, limits):

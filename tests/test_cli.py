@@ -592,6 +592,34 @@ def test_an_option_before_the_kind_is_a_usage_error(run):
     assert err.startswith("genpow witness: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("witness", "--r", 1, "nice", path("egp3"), "--n", 3),
+         "genpow witness: option --r goes after the kind "
+         "(nice, sigma, counterexample, blocker)\n"),
+        (("witness", "--closure-budget=5", "blocker", path("egp3")),
+         "genpow witness: option --closure-budget goes after the kind "
+         "(nice, sigma, counterexample, blocker)\n"),
+        (("dump", "--n", 3, "switch", path("egp3"), "--r", 1),
+         "genpow dump: option --n goes after the kind (d, switch, sigma)\n"),
+    ],
+)
+def test_an_option_before_the_kind_is_named(run, argv, message):
+    # argparse alone skipped the option and read its value as the kind:
+    # "argument kind: invalid choice: '1'".
+    assert run(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["witness", "dump"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_before_the_kind(command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, flag])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: genpow {command} [-h]")
+
+
 def test_main_builds_its_parser_once(run, monkeypatch):
     queries = [
         ("validate", path("egp3")),

@@ -32,6 +32,8 @@ from tests.oracles import (
     elements,
     planted_op,
     random_idempotent_binary,
+    random_maltsev_op,
+    random_nu_op,
     random_table_op,
 )
 
@@ -236,3 +238,42 @@ def test_decide_answers_when_the_first_pair_lies_in_an_early_chunk():
     assert str(info.value) == (
         "projectivity test needs 6 coordinate choices, over the space budget of 5"
     )
+
+
+def with_random_idempotent_op(k, op, rng):
+    """The algebra of op, with a random idempotent operation beside it
+    half the time."""
+    ops = (op,)
+    if rng.random() < 0.5:
+        ops += (random_table_op(k, rng.randint(1, 2), rng, True, "g"),)
+    return Algebra(k=k, operations=ops)
+
+
+def assert_pgp(algebra):
+    decision = decide_egp_idempotent(algebra)
+    a, _, _, scanned = brute_first_projective_pair(algebra)
+    assert (decision.verdict, decision.pairs_checked) == ("PGP", scanned), algebra
+    assert a is None and scanned == pgp_pairs(algebra.k)
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_every_near_unanimity_algebra_is_pgp(seed):
+    """A near-unanimity operation is projective for no covering pair: with
+    x in alpha - beta and y in beta - alpha, putting y at coordinate j and
+    x elsewhere gives x, outside beta.  So decide says PGP."""
+    for s in range(seed, seed + 50):
+        rng = random.Random(s)
+        k = 2 + s % 3
+        op = random_nu_op(k, 3 + s // 3 % 2, rng)
+        assert_pgp(with_random_idempotent_op(k, op, rng))
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_every_maltsev_algebra_is_pgp(seed):
+    """A Mal'tsev operation is projective for no covering pair:
+    p(y, y, x) = x rules out coordinates 1 and 2, and p(x, y, y) = x rules
+    out coordinate 3.  So decide says PGP."""
+    for s in range(seed, seed + 50):
+        rng = random.Random(s)
+        k = 2 + s % 3
+        assert_pgp(with_random_idempotent_op(k, random_maltsev_op(k, rng), rng))

@@ -180,6 +180,49 @@ def test_large_corpus_rows_match_at_the_default_budgets():
     assert results["min2", 4] == (7, 11, 13, 14, 15)
 
 
+def search_outcome(search):
+    """The encodings a search returns with its node count, or the message
+    it refuses with."""
+    try:
+        for target in range(1, search.space + 1):
+            found = search.extend([], 0, target)
+            if found is not None:
+                return tuple(found), search.nodes
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("egp3", 2), ("egp3", 3), ("min2", 3), ("min2", 4), ("non_idempotent", 3)],
+)
+def test_forced_test_at_its_step_guard_edge(name, n):
+    """The last pick is tested against the forced tuples only while no
+    closure can be refused by steps: at a step budget of sum (k**n)**arity
+    and not one below.  On both sides the search gives the reference's
+    answer after the reference's nodes, or its refusal."""
+    algebra = ALGEBRAS[name]
+    edge = sum((algebra.k**n) ** op.arity for op in algebra.operations)
+    for steps in (edge, edge - 1):
+        search = _ExactSearch(algebra, n, Limits(steps=steps))
+        assert (search.forced != 0) is (steps == edge)
+        expected = outcome(reference_exact_minimum, algebra, n, Limits(steps=steps))
+        assert search_outcome(search) == expected, steps
+
+
+def test_egp3_search_closes_at_most_3000_sets():
+    """egp3 at n = 3 is still refused at node 20,001, the benchmark's
+    greedy row, but it closes at most 3,000 sets on the way where it
+    closed 15,743 without the forced test: most closures were last picks
+    of the last, refused iteration."""
+    search = _ExactSearch(ALGEBRAS["egp3"], 3, Limits())
+    calls = []
+    close = search.close
+    search.close = lambda *args: calls.append(1) or close(*args)
+    assert search_outcome(search) == "exact search exceeded 20000 nodes at k**n = 27"
+    assert search.nodes == 20_001 and len(calls) <= 3000
+
+
 def mask_of(encodings):
     return sum(1 << e for e in encodings)
 
