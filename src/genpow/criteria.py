@@ -477,7 +477,7 @@ class _ExactSearch:
     member; it is closed by one more tuple with _extender's extend, which
     takes and returns such masks.  On a one-block layout its rounds run on
     the masks too, so a node makes no member list and no TupleSet unless
-    a round is over the step budget.
+    its closure is over the step budget.
 
     Iterative deepening re-walks every shallower tree, and different picks
     often close to the same set, so many closures repeat.  The memo maps a
@@ -505,10 +505,12 @@ class _ExactSearch:
     the node budget, and then skipped with no lookup, closure or child
     call.  That child would have returned None, and its closure could not
     have been refused, since the test is on only while the step budget
-    covers sum (k**n)**arity, the most any closure of A^n is charged.  A
-    skipped slot is not stored; the next iteration, where that node is
-    interior, computes and stores it.  Visit order, node counts, answers
-    and refusals are again those of the search without the test.
+    covers sum (k**n)**arity, the most any closure of A^n is charged.  If
+    the closed set leaves two out, every pick leaves one out, and all the
+    slots are counted and checked at once.  A skipped slot is not stored;
+    the next iteration, where that node is interior, computes and stores
+    it.  Visit order, node counts, answers and refusals are again those of
+    the search without the test.
     """
 
     def __init__(self, algebra: Algebra, n: int, limits: Limits):
@@ -554,6 +556,11 @@ class _ExactSearch:
         # At the last pick, a forced tuple outside the closed set and the
         # pick is outside the child, which is then not full.
         missing = self.forced & ~closed if len(chosen) + 1 == target else 0
+        if missing & (missing - 1):
+            # Every slot is skipped; a refusal leaves the count at budget + 1.
+            self.nodes = min(self.nodes + free.bit_count(), self.limits.nodes + 1)
+            self.limits.check_nodes(self.nodes, self.space)
+            return None
         while free:
             low = free & -free
             free ^= low

@@ -574,12 +574,9 @@ def _saturate(
     new: np.ndarray | list[int],
     limits: Limits,
     ceiling: int,
-    steps: int = 0,
-    rounds: int = 0,
     pairs: int = 0,
 ) -> TupleSet:
-    """Drive (old | new) to the closure fixed point inside `result`, from
-    a closure that has applied `steps` steps in `rounds` rounds.
+    """Drive (old | new) to the closure fixed point inside `result`.
 
     `old` must already be closed as a standalone set; every member of
     both must already be present in `result`.  Both are ascending.
@@ -609,6 +606,7 @@ def _saturate(
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
     widths = {b for b, _ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
+    steps = rounds = 0
     while new.size:
         union = np.concatenate([old, new])
         union.sort()
@@ -702,28 +700,24 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     round runs on masks: it ORs the images of _saturate's grids from the
     operations' _image_tables, built here once per search and freed with
     it, at most 2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS
-    entries for an s-ary operation.  A mask round makes one ceiling check
-    and one charge, and runs only when the whole round fits the step
-    budget, where _saturate could not have refused any of its batches.  A
-    round that does not fit, or a multi-block layout from the start, hands
-    the closure to _saturate at the start of the round, in a TupleSet of
-    the tuples known, with its steps and rounds carried.  Either way its
-    results and refusals are those of closure_extend.
+    entries for an s-ary operation.  Mask rounds run while the sum of their
+    cells fits the step budget, where _saturate could not have refused any
+    of their batches.  When the next round would not fit, or on a
+    multi-block layout, handover closes `closed` and e in _saturate from
+    round 0, replaying any mask rounds at the same charges, so results and
+    refusals are closure_extend's.
     """
     k = algebra.k
     space = k**n
 
-    def handover(known: int, old: int, new: int, steps: int, rounds: int) -> int:
-        result = TupleSet.from_encodings(k, n, _mask_members(known, space))
-        _saturate(
-            algebra, result, _mask_members(old, space), _mask_members(new, space),
-            limits, space, steps, rounds,
-        )
+    def handover(closed: int, e: int) -> int:
+        result = TupleSet.from_encodings(k, n, _mask_members(closed | 1 << e, space))
+        _saturate(algebra, result, _mask_members(closed, space), [e], limits, space)
         # Distinct members' bits: their sum is the closure's mask.
         return sum(map((1).__lshift__, result.encodings().tolist()))
 
     if not all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
-        return lambda closed, e: handover(closed | 1 << e, closed, 1 << e, 0, 0)
+        return handover
 
     # The grids of a _saturate round, as (table, chunked, head, rest).
     # Grid i of an s-ary operation draws argument i from the frontier, the
@@ -786,17 +780,15 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
         union_get = itemgetter(0, *closed_entries, e_entry)
         union_list = old_list + [e] if listed else None
         frontier = [e]
-        steps = rounds = 0
+        steps = 0
         while True:
             size, before = known.bit_count(), old.bit_count()
-            cells = 0
-            for s in arities:
-                cells += size**s - before**s
-            if steps + cells > limits.steps:
-                return handover(known, old, new, steps, rounds)
             if size == space:
                 return known
-            steps = limits.charge_steps(steps, cells, rounds, (size, space))
+            for s in arities:
+                steps += size**s - before**s
+            if steps > limits.steps:
+                return handover(closed, e)
             if union_get is None:
                 union_get = getter(known)
                 union_list = _mask_members(known, space) if listed else None
@@ -815,7 +807,6 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
             known |= new
             old_get, old_list, union_get = union_get, union_list, None
             frontier = _mask_members(new, space)
-            rounds += 1
 
     return extend
 
@@ -841,10 +832,8 @@ def closure(
     _require_same_universe("algebra", algebra.k, "tuple set", seeds.k)
     ceiling = seeds.space if ceiling is None else ceiling
     members = seeds.encodings()
-    return _saturate(
-        algebra, seeds.copy(), [], members, limits, ceiling,
-        0, 0, _pair_symmetry(seeds, members),
-    )
+    pairs = _pair_symmetry(seeds, members)
+    return _saturate(algebra, seeds.copy(), [], members, limits, ceiling, pairs)
 
 
 def closure_extend(

@@ -14,9 +14,9 @@ exact search's extend (subpower._extender) works on bit masks and runs
 every round on them when every operation is tabulated on A^n itself, and
 the draw spans both layouts.  extend must give the same closure as
 closure_extend, and the same refusal at every step budget where a charge
-starts to fit, also when a budget hands a closure over to numpy after some
-mask rounds and when a layout is multi-block, where numpy runs every
-round.
+starts to fit, also when a budget hands a closure over to numpy, which
+closes it whole from round 0 after any mask rounds, and when a layout is
+multi-block, where numpy runs every round.
 """
 
 import functools
@@ -133,9 +133,9 @@ def test_extend_budget_sweep_across_the_handover(monkeypatch, sparse):
     carried = []
     saturate = genpow.subpower._saturate
 
-    def counted(*args):
-        carried.append(args[7] if len(args) > 7 else 0)
-        return saturate(*args)
+    def counted(algebra, result, old, new, *args):
+        carried.append((tuple(map(int, old)), tuple(map(int, new))))
+        return saturate(algebra, result, old, new, *args)
 
     monkeypatch.setattr(genpow.subpower, "_saturate", counted)
     # Each budget makes its own extend; build each image table once.
@@ -169,13 +169,11 @@ def test_extend_budget_sweep_across_the_handover(monkeypatch, sparse):
                         ).bit_count(),
                         charges, widened, k**n, (seed, n, backend), sorted(budgets),
                     )
-                # Only a budget edge hands a one-block closure over, and
-                # the sweep does so at every round; a multi-block closure
-                # goes over at once.
-                if one_block:
-                    assert set(range(rounds)) <= set(carried), (seed, n, carried)
-                else:
-                    assert set(carried) == {0}, (seed, n, carried)
+                # A one-block closure goes over only at a budget edge, a
+                # multi-block one at once; either way numpy closes it
+                # whole, from the closed set and the extra tuple.
+                start = tuple(sorted(encode_tuple(t, k) for t in members))
+                assert set(carried) == {(start, (extra,))}, (seed, n, carried)
     assert swept["handover"] >= 50 and swept["multi-block"] >= 50, swept
 
 

@@ -1,5 +1,6 @@
-"""The Limits value: its defaults, the messages of its checks, and a guard
-that every budget is stated and enforced there and nowhere else.
+"""The Limits value: its defaults, the messages of its checks, a guard
+that every budget is stated and enforced there and nowhere else, and one
+that a single closure driver charges every step.
 """
 
 import ast
@@ -66,15 +67,25 @@ def test_checks_pass_at_the_budget():
     assert limits.charge_steps(48, 9, 1, (0, 16)) == 57
 
 
-def _raises_budget_error(node: ast.Raise) -> bool:
+def _raises_budget_error(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Raise) and node.exc):
+        return False
     target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
     return name == "BudgetExceededError"
 
 
-def _budget_raise_scopes():
-    """(file, line, enclosing class/function names) of every
-    `raise BudgetExceededError` in the package source."""
+def _charges_steps(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "charge_steps"
+    )
+
+
+def _scopes(matches):
+    """(file, line, enclosing class/function names) of every statement or
+    expression of the package source that `matches`."""
     found = []
 
     def visit(node, scope, path):
@@ -82,7 +93,7 @@ def _budget_raise_scopes():
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Raise) and child.exc and _raises_budget_error(child):
+            elif matches(child):
                 found.append((path.name, child.lineno, scope))
             visit(child, inner, path)
 
@@ -92,7 +103,7 @@ def _budget_raise_scopes():
 
 
 def test_budget_errors_are_raised_only_by_limits():
-    found = _budget_raise_scopes()
+    found = _scopes(_raises_budget_error)
     # TupleSet.__init__ refuses a space whose encodings overflow int64: a
     # limit of the representation, not a budget.
     stray = [
@@ -103,6 +114,15 @@ def test_budget_errors_are_raised_only_by_limits():
     ]
     assert stray == []
     assert any(scope[0] == "Limits" for _, _, scope in found)
+
+
+def test_steps_are_charged_only_by_saturate():
+    # The exact search's mask rounds sum their cells without charging;
+    # one closure driver charges every batch.
+    found = _scopes(_charges_steps)
+    assert [(name, scope) for name, _, scope in found] == [
+        ("subpower.py", ("_saturate",))
+    ]
 
 
 FORBIDDEN = re.compile(r"budget|\w+_budget|dense_threshold|chunk_cells")

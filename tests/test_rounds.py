@@ -5,10 +5,11 @@ operation, each cut into batches of at most 2**16 cells and charged to the
 step budget batch by batch.  In the exact search's extend
 (subpower._extender), when every operation is tabulated on A^n itself,
 every round that fits the step budget runs whole on bit masks, OR-ing
-image masks from the operations' _image_tables, and a round that does not
-fit hands the closure to numpy.  Sweeping the step budget across a
-closure's whole cost sends its rounds down every way, and each budget must
-give the result or the refusal message the reference gives.
+image masks from the operations' _image_tables, and when a round does not
+fit the whole closure goes to numpy from round 0.  Sweeping the step
+budget across a closure's whole cost sends its rounds down every way, and
+each budget must give the result or the refusal message the reference
+gives.
 """
 
 import itertools
@@ -175,11 +176,11 @@ def run_extend(algebra, n, limits, closed, extra):
 
 class Counted:
     """Counts the grids _grid_results evaluates, the insertions into a
-    TupleSet, the calls of the numpy rounds in _saturate with the rounds they
-    carry in, and the image tables built."""
+    TupleSet, the calls of the numpy rounds in _saturate with the sets
+    (old, new) they start from, as encodings, and the image tables built."""
 
     def __init__(self, monkeypatch):
-        self.grids, self.insertions, self.handovers, self.tables = [], [], [], []
+        self.grids, self.insertions, self.saturates, self.tables = [], [], [], []
         grid_results = genpow.subpower._grid_results
         insert = TupleSet.add_encodings_array
         saturate = genpow.subpower._saturate
@@ -197,10 +198,9 @@ class Counted:
             self.insertions.append(arr.size)
             return insert(ts, arr)
 
-        def counted_saturate(*args, **kwargs):
-            rounds = args[7] if len(args) > 7 else kwargs.get("rounds", 0)
-            self.handovers.append(rounds)
-            return saturate(*args, **kwargs)
+        def counted_saturate(algebra, result, old, new, *args):
+            self.saturates.append((tuple(map(int, old)), tuple(map(int, new))))
+            return saturate(algebra, result, old, new, *args)
 
         monkeypatch.setattr(genpow.subpower, "_grid_results", counted_grid)
         monkeypatch.setattr(TupleSet, "add_encodings_array", counted_insert)
@@ -230,7 +230,7 @@ def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(maj3, monk
     widened = closure_extend(maj3, closed, [8])
     monkeypatch.undo()
     assert set(widened) == members
-    assert counted.handovers == [0]
+    assert counted.saturates == [(tuple(closed.encodings().tolist()), (8,))]
     assert counted.tables == []
     assert counted.grids == [3] * 3 * len(cells)
     assert len(counted.insertions) == 1 + 3 * len(cells)
@@ -250,7 +250,7 @@ def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
     widened = run_extend(egp3, 3, LIMITS, closed, 6)
     monkeypatch.undo()
     assert {decode_tuple(e, 3, 3) for e in widened} == members
-    assert counted.grids == counted.insertions == counted.handovers == []
+    assert counted.grids == counted.insertions == counted.saturates == []
     assert counted.tables == [("f", 3)]
 
 
@@ -297,7 +297,7 @@ def test_mask_rounds_match_the_oracle(name, monkeypatch):
             checked += 1
     monkeypatch.undo()
     assert checked >= 2 * n_max, checked
-    assert counted.grids == counted.insertions == counted.handovers == []
+    assert counted.grids == counted.insertions == counted.saturates == []
     assert len(counted.tables) == n_max * len(algebra.operations)
 
 
@@ -323,24 +323,35 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
 
 def test_mask_rounds_stop_at_the_full_power(xor3, monkeypatch):
     # {00, 01} is closed under xor3; extending it by 10 fills A^2 in round
-    # 0 (3**3 - 2**3 = 19 cells), and extend stops before it charges
-    # round 1, as closure does.
-    charged = []
-    charge = Limits.charge_steps
+    # 0 (3**3 - 2**3 = 19 cells).  At a budget of 19, extend stops before
+    # it sums round 1, as closure_extend stops before it charges it, and
+    # the mask rounds call no Limits method.  At 18, extend hands the
+    # closure to _saturate from {00, 01} and 10, which fills A^2 in the
+    # round's first batch of 4 cells, as closure_extend does.
+    closed = TupleSet.from_encodings(2, 2, [0, 1])
+    assert len(closure_extend(xor3, closed, [2], limits=Limits(steps=18))) == 4
+    fits, over = (_extender(xor3, 2, Limits(steps=b)) for b in (19, 18))
+    called = []
 
-    def counted_charge(limits, steps, cells, rounds, result):
-        charged.append(cells)
-        return charge(limits, steps, cells, rounds, result)
+    def recorded(name, method):
+        def record(*args):
+            called.append(name)
+            return method(*args)
+        return record
 
-    extend = _extender(xor3, 2, LIMITS)
-    monkeypatch.setattr(Limits, "charge_steps", counted_charge)
-    assert extend(mask([0, 1]), 2) == mask(range(4))
-    assert charged == [19]
+    for name, method in vars(Limits).items():
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(Limits, name, recorded(name, method))
+    counted = Counted(monkeypatch)
+    assert fits(mask([0, 1]), 2) == mask(range(4))
+    assert called == counted.saturates == []
+    assert over(mask([0, 1]), 2) == mask(range(4))
+    assert counted.saturates == [((0, 1), (2,))]
 
 
 # egp3 closures in A^4 of several rounds: (seeds, extra tuple or None,
 # tuples).  closure and closure_extend run them in numpy alone, in one
-# _saturate call from round 0.
+# _saturate call.
 HANDOVERS = [
     ([3, 11, 18, 54], None, 23),
     ([24, 32, 60, 74, 78, 80], None, 25),
@@ -376,14 +387,14 @@ def test_budget_sweep_across_the_handover(egp3, monkeypatch, backend, case):
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
     monkeypatch.undo()
-    assert counted.handovers == [0] and counted.tables == []
+    assert len(counted.saturates) == 1 and counted.tables == []
     assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
 
 
 # Extensions of egp3 closures in A^4 by one tuple in the search's extend:
 # (seeds, extra tuple, tuples, rounds).  With the step budget to spare
 # every round runs on masks; a budget that cannot afford round r hands the
-# closure to numpy with r rounds carried.
+# whole closure to numpy, from the closed set and the extra tuple.
 EXTENSIONS = [
     ([1, 54, 57, 62, 80], 0, 32, 3),
     ([3, 11, 18, 54], 29, 29, 2),
@@ -402,10 +413,10 @@ def test_extend_budget_sweep_across_the_handover(egp3, monkeypatch, backend, cas
     run = lambda b: run_extend(egp3, 4, Limits(steps=b), closed, extra)
     counted = Counted(monkeypatch)
     assert len(run(LIMITS.steps)) == len(members) == size
-    assert counted.handovers == []
+    assert counted.saturates == []
     assert_sweep(run, charges, members, 81, ("egp3", case), charge_edges(charges))
     monkeypatch.undo()
-    assert set(counted.handovers) == set(range(rounds))
+    assert set(counted.saturates) == {(tuple(closed.encodings().tolist()), (extra,))}
 
 
 @pytest.mark.parametrize("m", [2, 3])

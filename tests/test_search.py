@@ -223,6 +223,23 @@ def test_egp3_search_closes_at_most_3000_sets():
     assert search.nodes == 20_001 and len(calls) <= 3000
 
 
+def test_wholly_skipped_last_picks_are_checked_at_once(monkeypatch):
+    """A last pick whose closed set leaves out two forced tuples skips
+    every slot, so its slots are counted and checked against the node
+    budget in one step.  egp3 at n = 3 is still refused at node 20,001,
+    after about 5,600 node checks instead of one per node."""
+    checks = []
+    check = Limits.check_nodes
+    monkeypatch.setattr(
+        Limits, "check_nodes",
+        lambda limits, nodes, space: checks.append(nodes) or check(limits, nodes, space),
+    )
+    search = _ExactSearch(ALGEBRAS["egp3"], 3, Limits())
+    assert search_outcome(search) == "exact search exceeded 20000 nodes at k**n = 27"
+    assert search.nodes == checks[-1] == 20_001
+    assert len(checks) <= 6000
+
+
 def mask_of(encodings):
     return sum(1 << e for e in encodings)
 
