@@ -470,6 +470,14 @@ def _forced_mask(algebra: Algebra, n: int) -> int:
     return ((1 << k**n) - 1) ^ unmade
 
 
+# What a memo entry costs beside its child's k**n bits: the dict slot, the
+# (closed, e) key tuple and the child int's header; the closed int is shared
+# with the entry that made it.  tracemalloc read 120-170 bytes per entry
+# over k**n / 8 (CPython 3.11, k**n from 27 to 4096), so at its room the
+# memo holds about limits.space / 8 bytes.
+_MEMO_ENTRY_BITS = 150 * 8
+
+
 class _ExactSearch:
     """One exact search: its node count and its closure memo.
 
@@ -481,23 +489,14 @@ class _ExactSearch:
 
     Iterative deepening re-walks every shallower tree, and different picks
     often close to the same set, so many closures repeat.  The memo maps a
-    closed set's bit mask to a row [lo, children]: the closures of the set
-    with each tuple outside it, `width` bytes each, for the slots lo,
-    lo + 1, ... of those tuples in encoding order.  A node is counted and
-    checked against the node budget before its lookup, and extend runs
-    only on a miss.  Each call has its own step budget, so a stored
-    closure came from a call that succeeded and would succeed again: visit
-    order, node counts, answers and refusals are those of a search without
-    the memo.
-
-    Only visited nodes are stored.  A row starts at the first slot of the
-    first visit of its set and grows at its end; a later visit that starts
-    before lo, as some searches make, computes the closures below lo
-    without storing them.  The memo holds at most one set per node plus
-    one key per row, `width` bytes of budget each, and at most
-    limits.space membership bits in all; past that it stores nothing
-    more.  It is freed with the search object when _exact_minimum returns
-    or raises.
+    closed set's mask and a pick, (closed, e), to the mask of their
+    closure.  A node is counted and checked against the node budget before
+    its lookup, and extend runs only on a miss.  Each call has its own
+    step budget, so a stored closure came from a call that succeeded and
+    would succeed again: visit order, node counts, answers and refusals
+    are those of a search without the memo.  It stores at most `room`
+    closures, and past that nothing more; it is freed with the search
+    object when _exact_minimum returns or raises.
 
     Every generating set holds the forced tuples (_forced_mask).  So at
     the last pick of an iteration, a node whose closed set and pick leave
@@ -507,10 +506,10 @@ class _ExactSearch:
     have been refused, since the test is on only while the step budget
     covers sum (k**n)**arity, the most any closure of A^n is charged.  If
     the closed set leaves two out, every pick leaves one out, and all the
-    slots are counted and checked at once.  A skipped slot is not stored;
-    the next iteration, where that node is interior, computes and stores
-    it.  Visit order, node counts, answers and refusals are again those of
-    the search without the test.
+    picks are counted and checked at once.  A skipped closure is not
+    stored; the next iteration, where that node is interior, computes and
+    stores it.  Visit order, node counts, answers and refusals are again
+    those of the search without the test.
     """
 
     def __init__(self, algebra: Algebra, n: int, limits: Limits):
@@ -519,19 +518,12 @@ class _ExactSearch:
         self.full = (1 << self.space) - 1
         self.close = _extender(algebra, n, limits)
         self.nodes = 0
-        self.width = -(-self.space // 8)  # bytes per stored set
-        self.room = limits.space // 8  # bytes the memo may still take
-        self.memo: dict[int, list] = {}
+        self.memo: dict[tuple[int, int], int] = {}
+        self.room = limits.space // (self.space + _MEMO_ENTRY_BITS)
         # Under this bound no closure is refused by steps: a round charges
         # |union|**s - |old|**s per operation, which telescopes.
         affordable = sum(self.space**op.arity for op in algebra.operations) <= limits.steps
         self.forced = _forced_mask(algebra, n) if affordable else 0
-
-    def _reserve(self, size: int) -> bool:
-        if size > self.room:
-            return False
-        self.room -= size
-        return True
 
     def extend(self, chosen: list[int], closed: int, target: int) -> Optional[list[int]]:
         """A generating set of at most `target` picks that extends `chosen`,
@@ -541,42 +533,31 @@ class _ExactSearch:
         if len(chosen) == target:
             return None
         # Anything a minimum set picks next is outside the closure of what
-        # it already picked; slot i is the i-th such tuple.
-        free = self.full ^ closed
+        # it already picked, and above its last pick.
         start = chosen[-1] + 1 if chosen else 0
-        slot = (free & ((1 << start) - 1)).bit_count()
-        free = free >> start << start
-        w = self.width
-        entry = self.memo.get(closed)
-        if entry is None:
-            entry = [slot, bytearray()]
-            if self._reserve(w):
-                self.memo[closed] = entry
-        lo, row = entry
+        free = (self.full ^ closed) >> start << start
         # At the last pick, a forced tuple outside the closed set and the
         # pick is outside the child, which is then not full.
         missing = self.forced & ~closed if len(chosen) + 1 == target else 0
         if missing & (missing - 1):
-            # Every slot is skipped; a refusal leaves the count at budget + 1.
+            # Every pick is skipped; a refusal leaves the count at budget + 1.
             self.nodes = min(self.nodes + free.bit_count(), self.limits.nodes + 1)
             self.limits.check_nodes(self.nodes, self.space)
             return None
+        memo = self.memo
         while free:
             low = free & -free
             free ^= low
             e = low.bit_length() - 1
             self.nodes += 1
             self.limits.check_nodes(self.nodes, self.space)
-            i = (slot - lo) * w
-            slot += 1
             if missing & ~low:
                 continue
-            if 0 <= i < len(row):
-                child = int.from_bytes(row[i : i + w], "little")
-            else:
+            child = memo.get((closed, e))
+            if child is None:
                 child = self.close(closed, e)
-                if i == len(row) and self._reserve(w):
-                    row += child.to_bytes(w, "little")
+                if len(memo) < self.room:
+                    memo[closed, e] = child
             found = self.extend(chosen + [e], child, target)
             if found is not None:
                 return found

@@ -38,7 +38,8 @@ class Limits:
     """
 
     space: int = 1 << 26  # largest k**n a scan or enumerating constructor accepts, also
-    # the projectivity test's coordinate choices and the exact search's memo bits
+    # the projectivity test's coordinate choices and the exact search's memo
+    # bits, k**n plus a fixed overhead per stored closure
     steps: int = 10**9  # closure combination applications, per closure call
     exact: int = 256  # largest k**n the exact minimum-size search accepts
     nodes: int = 20_000  # search-tree nodes before the exact search gives up
@@ -249,10 +250,9 @@ class TupleSet:
         """Digit matrices of the members, ascending, in batches of at most
         _CHUNK_CELLS digits."""
         members = self.encodings()
-        weights = _weights(self.k, self.n)
         rows = max(1, _CHUNK_CELLS // self.n)
         for start in range(0, members.size, rows):
-            yield _digit_matrix(members[start : start + rows], weights, self.k)
+            yield _split_blocks(members[start : start + rows], self.k, 1, self.n)
 
     def encodings(self) -> np.ndarray:
         """All member encodings, ascending, as an int64 array."""
@@ -370,16 +370,10 @@ def scan_space(
 
 def _scan_batches(k: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     space = k**n
-    weights = _weights(k, n)
     rows = max(1, _CHUNK_CELLS // n)
     for start in range(0, space, rows):
         encodings = np.arange(start, min(start + rows, space), dtype=np.int64)
-        yield encodings, _digit_matrix(encodings, weights, k)
-
-
-def _digit_matrix(encodings: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Shape (len(encodings), n) matrix of base-k digits."""
-    return (encodings[:, None] // weights[None, :]) % k
+        yield encodings, _split_blocks(encodings, k, 1, n)
 
 
 def _grid_batches(
@@ -448,7 +442,7 @@ def _power_table(op: OperationTable, width: int) -> np.ndarray:
     k = op.k
     table = np.array(op.table, dtype=np.min_scalar_type(k - 1))
     if width > 1:
-        digits = _digit_matrix(np.arange(k**width, dtype=np.int64), _weights(k, width), k)
+        digits = _split_blocks(np.arange(k**width, dtype=np.int64), k, 1, width)
         images = _grid_results([(table, k)] * width, [digits] * op.arity)
         table = images.astype(np.min_scalar_type(k**width - 1))
     table.flags.writeable = False
@@ -476,10 +470,13 @@ def _block_columns(op: OperationTable, n: int) -> tuple[int, list[tuple[np.ndarr
 
 def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
     """Shape (len(encodings), ceil(n/b)) matrix of base-k**b blocks,
-    most significant first.  With b = n the encoding is the only block."""
+    most significant first: the digits at b = 1, the pair values at b = 2.
+    With b = n the encoding is the only block.  The one place encodings
+    are divided into blocks."""
     if b == n:
         return encodings[:, None]
-    return _digit_matrix(encodings, _weights(k**b, -(-n // b)), k**b)
+    base = k**b
+    return (encodings[:, None] // _weights(base, -(-n // b))[None, :]) % base
 
 
 def _grid_images(op: OperationTable, members: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -520,7 +517,7 @@ def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
     0 with pair j for j = 1 .. m-1 (these m generate G), then the swaps
     inside pairs 1 .. m-1."""
     weights = _weights(k * k, m)
-    values = _digit_matrix(encodings, weights, k * k)
+    values = _split_blocks(encodings, k, 2, 2 * m)
     shift = _pair_swap(k)[values] - values
     yield encodings + shift[:, 0] * weights[0]
     for j in range(1, m):
@@ -547,11 +544,10 @@ def _orbit_representatives(encodings: np.ndarray, k: int, m: int) -> np.ndarray:
     """The least member of the orbit under G of each encoding in A^(2m),
     each once, ascending: each pair's smaller coordinate goes first, then
     the pairs are sorted."""
-    weights = _weights(k * k, m)
-    values = _digit_matrix(encodings, weights, k * k)
+    values = _split_blocks(encodings, k, 2, 2 * m)
     values = np.minimum(values, _pair_swap(k)[values])
     values.sort(axis=1)
-    return _unique(values @ weights)
+    return _unique(values @ _weights(k * k, m))
 
 
 def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The Limits value: its defaults, the messages of its checks, a guard
-that every budget is stated and enforced there and nowhere else, and one
-that a single closure driver charges every step.
+that every budget is stated and enforced there and nowhere else, one that
+a single closure driver charges every step, and one that a single function
+divides encodings into blocks.
 """
 
 import ast
@@ -123,6 +124,34 @@ def test_steps_are_charged_only_by_saturate():
     assert [(name, scope) for name, _, scope in found] == [
         ("subpower.py", ("_saturate",))
     ]
+
+
+def _divides_by_weights():
+    """Every function of the package source that calls _weights and also
+    floor-divides or takes a remainder, as (file, function name)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            inner = list(ast.walk(node))
+            calls = any(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_weights"
+                for c in inner
+            )
+            divides = any(
+                isinstance(op, ast.BinOp) and isinstance(op.op, (ast.FloorDiv, ast.Mod))
+                for op in inner
+            )
+            if calls and divides:
+                found.append((path.name, node.name))
+    return found
+
+
+def test_encodings_are_divided_into_blocks_only_by_split_blocks():
+    # Digits, pair values and power-table blocks all come from one divmod
+    # path; the other users of _weights only multiply by it.
+    assert _divides_by_weights() == [("subpower.py", "_split_blocks")]
 
 
 FORBIDDEN = re.compile(r"budget|\w+_budget|dense_threshold|chunk_cells")

@@ -2,10 +2,12 @@
 tests/oracles.py, budget by budget, and the growth rows against their
 closed forms.
 
-The search keeps a closure memo per call.  It must visit the same nodes in
-the same order as the reference, so at every node budget and every step
-budget it gives the reference's answer or the reference's refusal, and the
-memo must be gone once the search returns or raises.
+The search keeps a closure memo per call, from a closed set's membership
+mask and a pick to the mask of their closure.  It must visit the same nodes
+in the same order as the reference, so at every node budget and every step
+budget it gives the reference's answer or the reference's refusal.  While
+the memo has room it closes no (closed set, pick) twice, it stops storing
+at its room, and it must be gone once the search returns or raises.
 """
 
 import functools
@@ -27,7 +29,7 @@ from genpow import (
     load_algebra,
     min_generating_size,
 )
-from genpow.criteria import _ExactSearch
+from genpow.criteria import _MEMO_ENTRY_BITS, _ExactSearch
 from tests.conftest import corpus_path
 from tests.oracles import (
     CLOSED_FORM_GROWTH,
@@ -250,94 +252,62 @@ def members_of(mask, space):
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 def test_packed_bits_round_trip(xor3, backend, sparse):
-    """The search holds a closed set as its membership mask and the memo
-    stores it in `width` bytes, ceil(k**n / 8); a random set comes back
-    from the stored bytes with the members it had."""
+    """The search holds a closed set as its membership mask, one bit per
+    tuple; a random set comes back from its mask with the members it
+    had."""
     rng = random.Random(7)
     with sparse(backend == "sparse"):
         for n in (1, 3, 4, 9):
             members = rng.sample(range(2**n), rng.randrange(2**n + 1))
             ts = TupleSet.from_encodings(2, n, members)
-            width = _ExactSearch(xor3, n, Limits()).width
-            stored = mask_of(ts.encodings().tolist()).to_bytes(width, "little")
-            assert len(stored) == -(-(2**n) // 8)
-            back = members_of(int.from_bytes(stored, "little"), 2**n)
-            assert TupleSet.from_encodings(2, n, back) == ts
+            mask = mask_of(ts.encodings().tolist())
+            assert mask.bit_length() <= 2**n
+            assert TupleSet.from_encodings(2, n, members_of(mask, 2**n)) == ts
         found = package(xor3, 3, Limits())
     # The search gives the same answer on either backend.
     assert found == package(xor3, 3, Limits())
 
 
 def test_every_stored_closure_is_its_parent_closed_with_its_pick(xor3):
-    """A memo row [lo, children] holds the closures of its parent set with
-    the tuples outside it, from slot lo on.  At xor3 n = 4 some parent
-    sets are reached from picks with different last elements, so their
-    rows start at different slots and some grow at the front; every stored
-    closure must still be that of the parent and its tuple."""
+    """The memo maps (closed, e) to the closure of the closed set and the
+    tuple e.  At xor3 n = 4 some closed sets are reached from picks with
+    different last elements, so their closures are looked up from
+    different first picks; every stored closure must still be that of
+    its set and its tuple."""
     search = _ExactSearch(xor3, 4, Limits())
     assert next(t for t in range(1, 17) if search.extend([], 0, t)) == 5
-    w = search.width
-    stored = 0
-    for mask, (lo, row) in search.memo.items():
+    for (mask, e), child in search.memo.items():
         parent = TupleSet.from_encodings(2, 4, members_of(mask, 16))
-        outside = [e for e in range(16) if not parent.has_encoding(e)]
-        assert len(row) % w == 0 and lo + len(row) // w <= len(outside)
-        for i in range(len(row) // w):
-            child = int.from_bytes(row[i * w : (i + 1) * w], "little")
-            e = outside[lo + i]
-            grown = closure_extend(xor3, parent, [e])
-            assert child == mask_of(grown.encodings().tolist()), (mask, e)
-            stored += 1
+        assert not parent.has_encoding(e)
+        grown = closure_extend(xor3, parent, [e])
+        assert child == mask_of(grown.encodings().tolist()), (mask, e)
     # One stored closure per closure the search computed.
-    assert stored == 1297
+    assert len(search.memo) == 1297
 
 
-def test_a_visit_below_a_row_start_computes_without_storing(xor3):
-    """A row starts where the first visit of its set starts.  A later
-    visit from a lower slot counts every node, computes the closures
-    below the row's start and leaves the row as it was."""
-    search = _ExactSearch(xor3, 4, Limits())
-    calls = []
-    close = search.close
-    search.close = lambda *args: calls.append(1) or close(*args)
-    # xor3 is idempotent, so {9} is closed; slot 9 holds tuple 10.
-    parent = 1 << 9
-    assert search.extend([9], parent, 2) is None
-    assert list(search.memo) == [parent]
-    lo, row = search.memo[parent]
-    assert (lo, len(row), len(calls)) == (9, 6 * search.width, 6)
-    before = bytes(row)
-    assert search.extend([1], parent, 2) is None
-    # Slots 2..8 are computed and 9..14 found in the row.
-    assert (search.nodes, len(calls)) == (6 + 13, 6 + 7)
-    assert search.memo[parent][0] == 9 and bytes(search.memo[parent][1]) == before
+# A binary operation on k = 3 whose search revisits closed sets from picks
+# below where it first visited them.
+K3_BINARY = Algebra(k=3, operations=(OperationTable("f", 2, 3, (0, 1, 0, 0, 1, 0, 2, 1, 2)),))
 
 
-def test_searches_do_visit_a_set_below_its_row_start():
-    """The visit below a row's start happens in a real search: this binary
-    operation on k = 3 makes three at n = 2, after the picks (2, 3),
-    (0, 2, 3) and (1, 2, 3), and the search still gives the reference's
+@pytest.mark.parametrize(
+    "algebra, n, calls", [(K3_BINARY, 2, 92), (ALGEBRAS["xor3"], 4, 1297)], ids=["k3", "xor3"]
+)
+def test_no_closure_is_computed_twice_while_the_memo_has_room(algebra, n, calls):
+    """While the memo has room, a closed set and a pick are closed at most
+    once.  K3_BINARY at n = 2 revisits closed sets after the picks (2, 3),
+    (0, 2, 3) and (1, 2, 3), from picks below their first visit's, and
+    still closes each (closed, e) once; both searches give the reference's
     answer after the reference's number of nodes."""
-    op = OperationTable("f", 2, 3, (0, 1, 0, 0, 1, 0, 2, 1, 2))
-    algebra = Algebra(k=3, operations=(op,))
-    search = _ExactSearch(algebra, 2, Limits())
-    below = []
-    extend = search.extend
-
-    def spy(chosen, closed, target):
-        entry = search.memo.get(closed)
-        if entry is not None and closed != search.full and len(chosen) < target:
-            start = chosen[-1] + 1 if chosen else 0
-            slot = ((search.full ^ closed) & ((1 << start) - 1)).bit_count()
-            if slot < entry[0]:
-                below.append(tuple(chosen))
-        return extend(chosen, closed, target)
-
-    search.extend = spy
-    found = next(filter(None, (search.extend([], 0, t) for t in range(1, 10))))
-    assert below == [(2, 3), (0, 2, 3), (1, 2, 3)]
-    assert (tuple(found), search.nodes) == reference_exact_minimum(algebra, 2, Limits())
-    assert (tuple(found), search.nodes) == ((1, 3, 4, 8), 299)
+    search = _ExactSearch(algebra, n, Limits())
+    made = []
+    close = search.close
+    search.close = lambda closed, e: made.append((closed, e)) or close(closed, e)
+    found = search_outcome(search)
+    assert len(made) == len(set(made)) == len(search.memo) == calls
+    assert found == reference_exact_minimum(algebra, n, Limits())
+    if algebra is K3_BINARY:
+        assert found == ((1, 3, 4, 8), 299)
 
 
 def _refused_search(algebra, n, limits):
@@ -348,36 +318,28 @@ def _refused_search(algebra, n, limits):
     return search, str(info.value)
 
 
-def _memo_bytes(search):
-    """The budget the memo has taken: `width` bytes per key and per stored
-    closure."""
-    return sum(search.width + len(row) for _, row in search.memo.values())
-
-
 def test_memo_grows_with_the_nodes_visited_not_with_the_space(xor3):
     """At k**n = 4096 a search refused at 300 nodes stores at most one
-    set per node plus one key per row, `width` = 512 bytes each: about
-    0.3 MB, where one row with a slot for every tuple outside the empty
-    set would take 2 MB."""
+    closure per node it visited, far below the room of the default space
+    budget: k**n bits and _MEMO_ENTRY_BITS per closure."""
     limits = Limits(exact=4096, nodes=300)
     search, refusal = _refused_search(xor3, 12, limits)
     assert refusal == "exact search exceeded 300 nodes at k**n = 4096"
     assert search.nodes == 301
-    stored = _memo_bytes(search)
-    assert 0 < stored <= (2 * search.nodes + 1) * search.width
-    assert stored + search.room == limits.space // 8
+    assert 0 < len(search.memo) <= search.nodes
+    assert search.room == limits.space // (4096 + _MEMO_ENTRY_BITS) == 12_671
 
 
 def test_memo_stays_within_the_space_budget(xor3):
-    """With room for ten sets the memo stops storing at ten, and the
+    """With room for ten closures the memo stops storing at ten, and the
     search visits the same nodes and is refused the same way."""
-    limits = Limits(exact=4096, nodes=300, space=10 * 4096)
+    limits = Limits(exact=4096, nodes=300, space=10 * (4096 + _MEMO_ENTRY_BITS) + 1)
     search, refusal = _refused_search(xor3, 12, limits)
     assert refusal == "exact search exceeded 300 nodes at k**n = 4096"
-    assert search.room < search.width
-    assert _memo_bytes(search) == 10 * search.width
-    # With room for the root's key alone, no closure is stored.
+    assert search.room == len(search.memo) == 10
+    # With no room, no closure is stored.
     tiny = Limits(space=16)
+    assert _ExactSearch(xor3, 4, tiny).room == 0
     assert package(xor3, 4, tiny) == reference(xor3, 4, tiny) == package(xor3, 4, Limits())
 
 

@@ -93,7 +93,7 @@ def test_full_builds_no_digits(backend, monkeypatch):
     def refuse(*args):
         raise AssertionError("TupleSet.full built a digit matrix")
 
-    monkeypatch.setattr(genpow.subpower, "_digit_matrix", refuse)
+    monkeypatch.setattr(genpow.subpower, "_split_blocks", refuse)
     monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", 64)
     for k, n in ((1, 3), (2, 7), (3, 5)):
         ts = TupleSet.full(k, n)
