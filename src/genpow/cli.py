@@ -204,8 +204,7 @@ def _pair_from_args(algebra: Algebra, args) -> SubsetPair:
     return SubsetPair.from_elements(algebra.k, args.alpha, args.beta)
 
 
-def _cmd_validate(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_validate(algebra: Algebra, args, limits: Limits) -> str:
     lines = [f"size: {algebra.k}", f"operations: {len(algebra.operations)}"]
     for op in algebra.operations:
         lines.append(f"  {op.name}: arity {op.arity}")
@@ -219,24 +218,20 @@ def _cmd_validate(args, limits: Limits) -> str:
     return _text(lines)
 
 
-def _cmd_decide(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_decide(algebra: Algebra, args, limits: Limits) -> str:
     return _text(decide_egp_idempotent(algebra, limits=limits).render())
 
 
-def _cmd_d_check(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_d_check(algebra: Algebra, args, limits: Limits) -> str:
     return _text(equal_pair_evidence(algebra, args.m, limits=limits).render())
 
 
-def _cmd_switchable(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_switchable(algebra: Algebra, args, limits: Limits) -> str:
     evidence = switch_generation_evidence(algebra, args.r, args.n, limits=limits)
     return _text(evidence.render())
 
 
-def _cmd_growth(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_growth(algebra: Algebra, args, limits: Limits) -> str:
     profile = growth_profile(algebra, args.n_max, mode=args.mode, limits=limits)
     for row in profile.rows:
         if row.reason:
@@ -246,8 +241,7 @@ def _cmd_growth(args, limits: Limits) -> str:
     return profile.to_csv()
 
 
-def _cmd_witness(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_witness(algebra: Algebra, args, limits: Limits) -> str:
     if args.kind in ("nice", "sigma"):
         rel = nice_relation_from_nonswitchability(
             algebra, args.r, args.n, limits=limits
@@ -284,8 +278,7 @@ def _cmd_witness(args, limits: Limits) -> str:
     return _text(lines)
 
 
-def _cmd_dump(args, limits: Limits) -> str:
-    algebra = load_algebra(args.file)
+def _cmd_dump(algebra: Algebra, args, limits: Limits) -> str:
     if args.kind == "d":
         ts = equal_pair_tuples(algebra.k, args.m, limits=limits)
     elif args.kind == "switch":
@@ -316,7 +309,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             steps=getattr(args, "steps", LIMITS.steps),
             exact=getattr(args, "exact", LIMITS.exact),
         )
-        sys.stdout.write(_HANDLERS[args.command](args, limits))
+        algebra = load_algebra(args.file)
+        sys.stdout.write(_HANDLERS[args.command](algebra, args, limits))
         return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

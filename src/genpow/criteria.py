@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -290,20 +290,23 @@ def switch_tuples(k: int, n: int, r: int, *, limits: Limits = LIMITS) -> TupleSe
 
 
 @dataclass(frozen=True)
-class SwitchEvidence:
-    """Closure check: do the bounded-switch tuples generate the power?"""
+class ClosureEvidence:
+    """Closure check: do the seeds generate the power they live in?
 
-    n: int
-    r: int
+    `params` holds the check's (name, value) pairs in print order.
+    """
+
+    params: tuple[tuple[str, int], ...]
     seed_count: int
     closure_count: int
     space: int
-    full: bool
+
+    @property
+    def full(self) -> bool:
+        return self.closure_count == self.space
 
     def render(self) -> list[str]:
-        return [
-            f"n: {self.n}",
-            f"r: {self.r}",
+        return [f"{name}: {value}" for name, value in self.params] + [
             f"seed-count: {self.seed_count}",
             f"closure-count: {self.closure_count}",
             f"space: {self.space}",
@@ -317,18 +320,11 @@ def switch_generation_evidence(
     n: int,
     *,
     limits: Limits = LIMITS,
-) -> SwitchEvidence:
+) -> ClosureEvidence:
     """Close the at-most-r-switch tuples of A^n and record the outcome."""
     seeds = switch_tuples(algebra.k, n, r, limits=limits)
     closed = closure(algebra, seeds, limits=limits)
-    return SwitchEvidence(
-        n=n,
-        r=r,
-        seed_count=len(seeds),
-        closure_count=len(closed),
-        space=seeds.space,
-        full=is_full(closed),
-    )
+    return ClosureEvidence((("n", n), ("r", r)), len(seeds), len(closed), seeds.space)
 
 
 def is_r_switchable_at(
@@ -340,26 +336,6 @@ def is_r_switchable_at(
 ) -> bool:
     """True iff the at-most-r-switch tuples generate all of A^n."""
     return switch_generation_evidence(algebra, r, n, limits=limits).full
-
-
-@dataclass(frozen=True)
-class DGenEvidence:
-    """Closure check: do the equal-pair tuples generate the power A^(2m)?"""
-
-    m: int
-    seed_count: int
-    closure_count: int
-    space: int
-    full: bool
-
-    def render(self) -> list[str]:
-        return [
-            f"m: {self.m}",
-            f"seed-count: {self.seed_count}",
-            f"closure-count: {self.closure_count}",
-            f"space: {self.space}",
-            f"full: {'yes' if self.full else 'no'}",
-        ]
 
 
 def _equal_pair_ceiling(
@@ -387,7 +363,7 @@ def equal_pair_evidence(
     m: int,
     *,
     limits: Limits = LIMITS,
-) -> DGenEvidence:
+) -> ClosureEvidence:
     """Close the tuples of A^(2m) with some designated equal pair.
 
     Fullness at some m at least k is polynomial-growth evidence; staying
@@ -399,13 +375,7 @@ def equal_pair_evidence(
     seeds = equal_pair_tuples(algebra.k, m, limits=limits)
     ceiling = _equal_pair_ceiling(algebra, seeds, m, limits)
     closed = closure(algebra, seeds, limits=limits, ceiling=ceiling)
-    return DGenEvidence(
-        m=m,
-        seed_count=len(seeds),
-        closure_count=len(closed),
-        space=seeds.space,
-        full=is_full(closed),
-    )
+    return ClosureEvidence((("m", m),), len(seeds), len(closed), seeds.space)
 
 
 def equal_pair_generates(algebra: Algebra, m: int, *, limits: Limits = LIMITS) -> bool:
@@ -428,6 +398,9 @@ class GeneratingSet:
     mode: str
     # Ascending generator encodings; a range when every tuple is needed.
     encodings: Sequence[int] = field(repr=False)
+    # Why a row of an exact growth profile is greedy: the exact search's
+    # refusal, by space or by search-tree size.  Not part of the CSV.
+    reason: Optional[str] = None
 
     @property
     def size(self) -> int:
@@ -621,19 +594,9 @@ def min_generating_size(
 
 
 @dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    size: int
-    mode: str
-    # Why a row of an exact profile is greedy: the exact search's refusal,
-    # by space or by search-tree size.  Not part of the CSV.
-    reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class GrowthProfile:
     k: int
-    rows: tuple[GrowthRow, ...]
+    rows: tuple[GeneratingSet, ...]
     note: Optional[str] = None
 
     def to_csv(self) -> str:
@@ -675,5 +638,5 @@ def growth_profile(
         except BudgetExceededError as exc:
             note = f"rows from n = {n} omitted: {exc}"
             break
-        rows.append(GrowthRow(n=gs.n, size=gs.size, mode=gs.mode, reason=reason))
+        rows.append(replace(gs, reason=reason))
     return GrowthProfile(k=algebra.k, rows=tuple(rows), note=note)

@@ -615,8 +615,7 @@ def _saturate(
             # Grid i draws argument i from the new frontier, the earlier
             # ones from `old` and the later ones from `old | new`: together
             # every combination that touches the frontier, each once.
-            # While `old` is empty only grid 0 has cells.
-            for i in range(s - 1 if old.size else 0, -1, -1):
+            for i in range(s - 1, -1, -1):
                 groups = [old_blocks[b]] * i + [new_blocks[b]]
                 groups += [union_blocks[b]] * (s - 1 - i)
                 for batch, cells in _grid_batches(groups):
@@ -847,6 +846,4 @@ def closure_extend(
     _require_same_universe("algebra", algebra.k, "tuple set", closed.k)
     result = closed.copy()
     fresh = result.add_encodings_array(result._checked(extra_encodings))
-    if not fresh.size:
-        return result
     return _saturate(algebra, result, closed.encodings(), fresh, limits, result.space)

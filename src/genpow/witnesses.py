@@ -226,12 +226,15 @@ class CrossEqualityWitness:
 
     k: int
     n: int
-    arity: int
     pair_used: tuple[int, int]
     multiplicity: int
     relation: TupleSet = field(repr=False)
     excluded: tuple[int, ...]
     position_vars: tuple[int, ...] = field(repr=False)
+
+    @property
+    def arity(self) -> int:
+        return self.relation.n
 
     def render(self) -> list[str]:
         return [
@@ -319,7 +322,6 @@ def cross_equality_witness(
     return CrossEqualityWitness(
         k=k,
         n=n,
-        arity=arity,
         pair_used=(a, b),
         multiplicity=top,
         relation=relation,
@@ -376,10 +378,13 @@ class ProjectivityCounterexample:
     """
 
     op_name: str
-    arity: int
     pair: SubsetPair
     rows: tuple[tuple[int, ...], ...]
     image: tuple[int, ...]
+
+    @property
+    def arity(self) -> int:
+        return len(self.rows[0])
 
     def render(self) -> list[str]:
         lines = [
@@ -451,7 +456,7 @@ def projectivity_counterexample(
             "internal error: counterexample image is a relation member"
         )
     return ProjectivityCounterexample(
-        op_name=op.name, arity=s, pair=pair, rows=tuple(rows), image=image
+        op_name=op.name, pair=pair, rows=tuple(rows), image=image
     )
 
 

@@ -69,6 +69,26 @@ def test_output_digest_hashes_each_query():
     assert entry["stderr"] == hashlib.sha256(b"").hexdigest()
 
 
+def test_output_digest_matches_the_pinned_stdout_and_exit_codes():
+    """Every digest query over the corpus gives the exit code and stdout
+    hash in output_digest.pin.jsonl.  stderr is not pinned.  A change that
+    alters stdout by design re-pins the file from the script's output with
+    each line's "stderr" key dropped."""
+    proc = run(ROOT / "scripts" / "output_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    got = {}
+    for line in proc.stdout.splitlines():
+        entry = json.loads(line)
+        got[entry["query"]] = (entry["exit"], entry["stdout"])
+    pinned = {}
+    for line in (ROOT / "tests" / "output_digest.pin.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        pinned[entry["query"]] = (entry["exit"], entry["stdout"])
+    changed = [query for query in pinned if got.get(query) != pinned[query]]
+    extra = [query for query in got if query not in pinned]
+    assert not changed and not extra, {"changed": changed, "unpinned": extra}
+
+
 def test_bench_record_folds_results_into_one_file(tmp_path):
     machine = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
     paths = []
