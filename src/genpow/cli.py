@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     # Flags shared by several commands, each declared once: the file and
-    # budgets of every command but validate and decide, the switch bound
-    # and power, and dump's --closed.
+    # closure budget of every command but validate and decide, the switch
+    # bound and power, and dump's --closed.
     budgeted = _Parser(add_help=False)
     budgeted.add_argument("file")
     budgeted.add_argument(
@@ -114,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=LIMITS.steps,
         metavar="STEPS",
         help="abort closures after this many combination applications",
-    )
-    budgeted.add_argument(
-        "--exact-budget",
-        dest="exact",
-        type=_budget,
-        default=LIMITS.exact,
-        metavar="SIZE",
-        help="largest k**n the exact minimum-size search accepts",
     )
     switches = _Parser(add_help=False, parents=[budgeted])
     switches.add_argument("--r", type=int, required=True, help="switch bound")
@@ -157,6 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
+    p.add_argument(
+        "--exact-budget",
+        dest="exact",
+        type=_budget,
+        default=LIMITS.exact,
+        metavar="SIZE",
+        help="largest k**n the exact minimum-size search accepts",
+    )
 
     p = sub.add_parser("witness", help="materialize a constructive witness")
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -304,7 +304,7 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        # validate and decide take no budget flags and run on the defaults.
+        # A budget a command takes no flag for runs on its default.
         limits = Limits(
             steps=getattr(args, "steps", LIMITS.steps),
             exact=getattr(args, "exact", LIMITS.exact),

@@ -178,7 +178,6 @@ def projective_coordinate(op: OperationTable, pair: SubsetPair) -> Optional[int]
 class EgpDecision:
     """Outcome of the exact dichotomy decision for an idempotent algebra."""
 
-    k: int
     egp: bool
     pair: Optional[SubsetPair]
     coordinates: tuple[tuple[str, int], ...] = ()
@@ -223,10 +222,10 @@ def _projectivity_scan(algebra: Algebra, limits: Limits = LIMITS) -> EgpDecision
             if a != full and a <= best[0] and (b := _reach(graph, full ^ a)) != full:
                 best = min(best, (a, b))
     if best[0] == full:
-        return EgpDecision(k, False, None, pairs_checked=(3**k - 2 ** (k + 1) + 1) // 2)
+        return EgpDecision(False, None, pairs_checked=(3**k - 2 ** (k + 1) + 1) // 2)
     pair = SubsetPair(k, *best)
     coordinates = tuple((op.name, projective_coordinate(op, pair)) for op in algebra.operations)
-    return EgpDecision(k, True, pair, coordinates, _pair_rank(k, *best))
+    return EgpDecision(True, pair, coordinates, _pair_rank(k, *best))
 
 
 def decide_egp_idempotent(algebra: Algebra, *, limits: Limits = LIMITS) -> EgpDecision:
@@ -595,7 +594,6 @@ def min_generating_size(
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    k: int
     rows: tuple[GeneratingSet, ...]
     note: Optional[str] = None
 
@@ -639,4 +637,4 @@ def growth_profile(
             note = f"rows from n = {n} omitted: {exc}"
             break
         rows.append(replace(gs, reason=reason))
-    return GrowthProfile(k=algebra.k, rows=tuple(rows), note=note)
+    return GrowthProfile(rows=tuple(rows), note=note)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice
 from operator import add, itemgetter, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -227,11 +227,17 @@ class TupleSet:
         [0, space) is refused."""
         values = list(map(int, encodings))
         if values and not (min(values) >= 0 and max(values) < self.space):
-            bad = next(e for e in values if not 0 <= e < self.space)
-            raise ValueError(f"encoding {bad} outside [0, {self.space})")
+            self._refuse(values)
         return np.array(values, dtype=np.int64)
 
+    def _refuse(self, encodings: Iterable[int]) -> NoReturn:
+        """Raise for the first of the encodings outside [0, space)."""
+        bad = next(e for e in encodings if not 0 <= e < self.space)
+        raise ValueError(f"encoding {bad} outside [0, {self.space})")
+
     def has_encoding(self, encoding: int) -> bool:
+        if not 0 <= encoding < self.space:
+            self._refuse([encoding])
         if self._dense is not None:
             return bool(self._dense[encoding])
         return encoding in self._sparse
@@ -261,6 +267,11 @@ class TupleSet:
         return np.array(sorted(self._sparse), dtype=np.int64)
 
     def contains_encodings(self, arr: np.ndarray) -> np.ndarray:
+        """Membership of each encoding of an int64 array.  Read as unsigned,
+        a negative encoding is above the space too, so one max finds any
+        encoding outside [0, space)."""
+        if arr.size and arr.view(np.uint64).max() >= self.space:
+            self._refuse(arr.tolist())
         if self._dense is not None:
             return self._dense[arr]
         sparse = self._sparse
@@ -595,8 +606,6 @@ def _saturate(
     representatives alone, only those cells are charged, and each batch's
     fresh images are inserted with their whole orbits.
     """
-    if not algebra.operations:
-        return result
     k, n = result.k, result.n
     layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
@@ -747,11 +756,7 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
 
     def entries(mask: int) -> list[int]:
         """Entries of an image-table row whose OR is the images of the
-        mask's members: one per nonzero chunk, or one per member when they
-        are few."""
-        if mask.bit_count() * 8 < space:
-            return [x // _MASK_BITS << _MASK_BITS | 1 << x % _MASK_BITS
-                    for x in _mask_members(mask, space)]
+        mask's members: one per nonzero chunk."""
         digits = format(mask, digits_format).encode().translate(_HEX_VALUES)
         return list(map(add, compress(offsets, digits), compress(digits, digits)))
 

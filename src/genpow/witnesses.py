@@ -36,6 +36,7 @@ from .subpower import (
     _grid_images,
     _weights,
     closure,
+    decode_tuple,
     is_full,
     scan_space,
 )
@@ -133,8 +134,8 @@ def nice_relation_from_nonswitchability(
     quotient with an adjacent equal pair expands to fewer switches than
     the minimum, so it lies in the closure: the quotient is nice.
     """
-    # Taken first so that an over-budget space is refused before the closure.
-    batches = scan_space(algebra.k, n, limits=limits)
+    # Checked first so that an over-budget space is refused before the closure.
+    limits.check_space(algebra.k, n)
     seeds = switch_tuples(algebra.k, n, r, limits=limits)
     closed = closure(algebra, seeds, limits=limits)
     if is_full(closed):
@@ -142,36 +143,21 @@ def nice_relation_from_nonswitchability(
             f"algebra generates its power from {r}-switch tuples at n = {n}; "
             "no witness exists"
         )
-    best: Optional[tuple[int, ...]] = None
-    best_switches = n
-    for encodings, digits in batches:
-        outside = digits[~closed.contains_encodings(encodings)]
-        if not outside.size:
-            continue
-        switches = (outside[:, 1:] != outside[:, :-1]).sum(axis=1)
-        # argmin takes the first minimum, the least encoding in this batch;
-        # an earlier batch keeps a tie.
-        i = int(np.argmin(switches))
-        if switches[i] < best_switches:
-            best, best_switches = tuple(outside[i].tolist()), int(switches[i])
-    assert best is not None
-    blocks: list[int] = []
-    values: list[int] = []
-    for a in best:
-        if values and values[-1] == a:
-            blocks[-1] += 1
-        else:
-            blocks.append(1)
-            values.append(a)
+    # The closure holds every tuple with at most r switches, so the first
+    # level j that leaves a tuple out leaves out only j-switch tuples; its
+    # encodings ascend, so the first one out is the least.
+    for j in range(r + 1, n):
+        level = switch_tuples(algebra.k, n, j, limits=limits).encodings()
+        outside = level[~closed.contains_encodings(level)]
+        if outside.size:
+            break
+    assert outside.size, (r, n)
+    best = decode_tuple(int(outside[0]), algebra.k, n)
+    values, blocks = zip(*((a, len(list(run))) for a, run in itertools.groupby(best)))
     # The excluded tuple is outside the seed set, so it has more than r
     # switches and the quotient arity exceeds r + 1.
     assert len(values) >= r + 2, (best, r)
-    rel = NiceRelation(
-        k=algebra.k,
-        block_lengths=tuple(blocks),
-        base=closed,
-        excluded=tuple(values),
-    )
+    rel = NiceRelation(k=algebra.k, block_lengths=blocks, base=closed, excluded=values)
     if not verify_nice(rel, limits=limits):
         raise GenpowError(
             "internal error: collapsed non-switchability witness failed "
@@ -224,13 +210,10 @@ class CrossEqualityWitness:
     tuple with x_i = y_j for some i, j.
     """
 
-    k: int
-    n: int
     pair_used: tuple[int, int]
     multiplicity: int
     relation: TupleSet = field(repr=False)
     excluded: tuple[int, ...]
-    position_vars: tuple[int, ...] = field(repr=False)
 
     @property
     def arity(self) -> int:
@@ -320,13 +303,7 @@ def cross_equality_witness(
             f"missing: {cross_violation}"
         )
     return CrossEqualityWitness(
-        k=k,
-        n=n,
-        pair_used=(a, b),
-        multiplicity=top,
-        relation=relation,
-        excluded=excluded,
-        position_vars=tuple(position_vars),
+        pair_used=(a, b), multiplicity=top, relation=relation, excluded=excluded
     )
 
 

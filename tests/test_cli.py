@@ -263,6 +263,22 @@ def test_negative_budget_is_a_usage_error(run, flag):
     assert "budget must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        (["d-check"], ["--m", 1]),
+        (["switchable"], ["--r", 0, "--n", 2]),
+        (["witness", "nice"], ["--r", 0, "--n", 2]),
+        (["dump", "d"], ["--m", 1]),
+    ],
+)
+def test_exact_budget_is_a_growth_flag(run, command, flags):
+    # Only growth runs the exact search; elsewhere the flag is unread.
+    rc, out, err = run(*command, path("xor3"), *flags, "--exact-budget", 5)
+    assert (rc, out) == (1, "")
+    assert err == "genpow: unrecognized arguments: --exact-budget 5\n"
+
+
 def test_zero_budgets_are_legal(run):
     rc, out, _ = run("growth", path("xor3"), "--n-max", 2, "--exact-budget", 0)
     assert rc == 0

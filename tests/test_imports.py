@@ -1,6 +1,7 @@
 """Guards that every imported name is used, in the package, its tests and
-its scripts, and that every top-level definition of the package is
-referenced somewhere outside its own definition."""
+its scripts, that every top-level definition of the package is
+referenced somewhere outside its own definition, and that every field of
+its dataclasses is read somewhere."""
 
 import ast
 import collections
@@ -111,3 +112,67 @@ def test_no_unreferenced_definitions():
         for path in sorted(folder.glob("*.py"))
     ]
     assert _unreferenced(modules, others) == []
+
+
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) of every field of each top-level dataclass."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            out.extend(
+                (node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return out
+
+
+def _unread_fields(modules: list[ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Class.field of every dataclass field in modules that no reader loads
+    as an attribute.  Fields are matched by name alone, so a field is
+    taken as read when any attribute of that name is, and a dead field
+    with a common name such as `k` goes unseen."""
+    loaded = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{cls}.{name}"
+        for tree in modules
+        for cls, name in _dataclass_fields(tree)
+        if name not in loaded
+    ]
+
+
+def test_guard_finds_an_unread_field():
+    module = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    size: int\n"
+        "    spare: tuple = field(repr=False)\n"
+        "    def render(self):\n"
+        "        return [self.size]\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    mode: str\n"
+        "class Plain:\n"
+        "    unread: int\n"
+    )
+    user = ast.parse("row = Row('exact')\nrow.spare = 1\nprint(row.mode)\n")
+    assert _unread_fields([module], [module, user]) == ["Report.spare"]
+
+
+def test_every_dataclass_field_is_read():
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    readers = modules + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (TESTS, SCRIPTS, BENCH)
+        for path in sorted(folder.glob("*.py"))
+    ]
+    assert _unread_fields(modules, readers) == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import genpow.subpower
+import genpow.witnesses
 from genpow import (
     BudgetExceededError,
     Limits,
@@ -141,6 +142,28 @@ def test_nice_relation_pipeline(corpus, backend, name, r, n):
         expected, dropped = brute_evenize(k, members, rel.excluded)
         assert even.excluded == dropped
         assert list(even.base) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "name,r,n", [("egp3", 0, 4), ("min2", 1, 6), ("projections_k2", 2, 7)]
+)
+def test_nice_relation_takes_the_first_level_with_an_outsider(
+    corpus, backend, monkeypatch, name, r, n
+):
+    # A closure that holds every tuple with at most r + 1 switches leaves the
+    # first level searched, r + 1, with no outsider; the witness comes from
+    # the next one.
+    algebra = corpus[name]
+    k = algebra.k
+    monkeypatch.setattr(
+        genpow.witnesses, "closure", lambda algebra, seeds, limits: switch_tuples(k, n, r + 1)
+    )
+    expected = brute_collapse_runs(
+        brute_fewest_switch_outsider(k, n, brute_switch_tuples(k, n, r + 1))
+    )
+    rel = nice_relation_from_nonswitchability(algebra, r, n)
+    assert (rel.block_lengths, rel.excluded) == expected
+    assert rel.m == r + 3
 
 
 def punctured(k, holes):

@@ -192,6 +192,19 @@ def test_out_of_range_encodings_are_refused_with_one_message(xor3, backend, bad)
     assert ts.encodings().tolist() == [1]
 
 
+@pytest.mark.parametrize("bad", [-1, 8, 13])
+def test_membership_outside_the_space_is_refused(backend, bad):
+    # Both storages refuse alike, naming the first encoding outside [0, 8):
+    # a dense array must not read -1 as its last cell.
+    ts = TupleSet.from_encodings(2, 3, [7])
+    message = re.escape(f"encoding {bad} outside [0, 8)")
+    with pytest.raises(ValueError, match=message):
+        ts.has_encoding(bad)
+    with pytest.raises(ValueError, match=message):
+        ts.contains_encodings(np.array([7, bad, 9, 0], dtype=np.int64))
+    assert ts.contains_encodings(np.array([7, 0], dtype=np.int64)).tolist() == [True, False]
+
+
 def test_full_is_refused_above_the_space_budget():
     # full goes through the space scan, which refuses 2**27 tuples before
     # it makes a batch.

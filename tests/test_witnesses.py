@@ -145,6 +145,21 @@ def test_nice_from_nonswitchability_egp3(egp3):
     assert verify_nice(rel)
 
 
+def test_nice_from_nonswitchability_scans_only_the_quotient(egp3, monkeypatch):
+    # The outsider comes from the switch levels, so the one space scanned
+    # tuple by tuple is A^m of the quotient, in verify_nice.
+    scanned = []
+    scan_space = genpow.witnesses.scan_space
+
+    def spy(k, n, **kwargs):
+        scanned.append((k, n))
+        return scan_space(k, n, **kwargs)
+
+    monkeypatch.setattr(genpow.witnesses, "scan_space", spy)
+    rel = nice_relation_from_nonswitchability(egp3, 2, 7)
+    assert scanned == [(3, rel.m)] == [(3, 4)]
+
+
 def test_nice_base_is_closed_and_preserved(min2):
     rel = nice_relation_from_nonswitchability(min2, 1, 3)
     assert verify_nice(rel)
