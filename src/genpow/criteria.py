@@ -493,7 +493,7 @@ class _ExactSearch:
         self.memo: dict[tuple[int, int], int] = {}
         self.room = limits.space // (self.space + _MEMO_ENTRY_BITS)
         # Under this bound no closure is refused by steps: a round charges
-        # |union|**s - |old|**s per operation, which telescopes.
+        # at most |union|**s - |old|**s per operation, which telescopes.
         affordable = sum(self.space**op.arity for op in algebra.operations) <= limits.steps
         self.forced = _forced_mask(algebra, n) if affordable else 0
 

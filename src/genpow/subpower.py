@@ -499,13 +499,25 @@ def _grid_images(op: OperationTable, members: np.ndarray, n: int) -> Iterator[np
         yield _grid_results(columns, batch)
 
 
+def _is_symmetric(op: OperationTable) -> bool:
+    """True iff op's table is invariant under every permutation of its
+    arguments: under swapping arguments 0 and 1 and under the cyclic
+    shift, which generate them all.  A unary op is symmetric."""
+    table = np.array(op.table).reshape((op.k,) * op.arity)
+    return op.arity == 1 or (
+        np.array_equal(table, table.swapaxes(0, 1))
+        and np.array_equal(table, np.moveaxis(table, 0, -1))
+    )
+
+
 @lru_cache(maxsize=64)
 def _layouts(
     operations: tuple[OperationTable, ...], n: int, chunk_cells: int
-) -> tuple[tuple[int, list[tuple[np.ndarray, int]]], ...]:
-    """_block_columns of each operation on A^n.  Keyed on the batch size
-    too, because the block width depends on it."""
-    return tuple(_block_columns(op, n) for op in operations)
+) -> tuple[tuple[int, list[tuple[np.ndarray, int]], bool], ...]:
+    """_block_columns of each operation on A^n, with whether the operation
+    is symmetric.  Keyed on the batch size too, because the block width
+    depends on it."""
+    return tuple((*_block_columns(op, n), _is_symmetric(op)) for op in operations)
 
 
 # -- the symmetry of the designated pairs ----------------------------------
@@ -540,7 +552,9 @@ def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
 def _pair_symmetry(seeds: TupleSet, members: np.ndarray) -> int:
     """m when the seeds, with encodings `members`, lie in A^(2m) and are
     G-invariant, else 0.  The seeds are invariant iff each of m generators
-    of G maps them into themselves."""
+    of G maps them into themselves.  With m > 0, _saturate draws each
+    grid's frontier argument from orbit representatives, and a symmetric
+    operation's one grid is not cut into prefix runs (see _round_grids)."""
     if seeds.n % 2:
         return 0
     m = seeds.n // 2
@@ -574,6 +588,43 @@ def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate(added)
 
 
+def _round_grids(
+    s: int,
+    symmetric: bool,
+    pairs: int,
+    old: np.ndarray,
+    new: np.ndarray,
+    union: np.ndarray,
+) -> Iterator[list[np.ndarray]]:
+    """The argument groups of each grid a _saturate round runs for an
+    s-ary operation, from the blocks of old, of the frontier's drawn
+    tuples and of union.
+
+    Grid i of s grids, from s - 1 down to 0, draws argument i from the
+    frontier, the earlier ones from `old` and the later ones from `union`:
+    together every combination that touches the frontier, each once.  A
+    symmetric operation runs one grid.  Read `old` followed by the frontier
+    as one sequence; every multiset of arguments that touches the frontier
+    has a frontier member at its latest position, and that member goes
+    first.  So the frontier is cut into runs of R = max(1, _CHUNK_CELLS //
+    |union|**(s-1)) rows, each run is argument 0, and the others range
+    over the sequence up to the end of the run.  With pair symmetry the
+    others range over all of `union`, since moving argument 0 to its orbit
+    representative does not keep the prefix.
+    """
+    if not symmetric:
+        for i in range(s - 1, -1, -1):
+            yield [old] * i + [new] + [union] * (s - 1 - i)
+    elif pairs or s == 1:
+        yield [new] + [union] * (s - 1)
+    else:
+        sequence = np.concatenate([old, new])
+        rows = max(1, _CHUNK_CELLS // len(sequence) ** (s - 1))
+        for start in range(0, len(new), rows):
+            prefix = sequence[: len(old) + start + rows]
+            yield [new[start : start + rows]] + [prefix] * (s - 1)
+
+
 def _saturate(
     algebra: Algebra,
     result: TupleSet,
@@ -592,10 +643,11 @@ def _saturate(
     least fixed point, so once the result holds `ceiling` tuples it is
     that superset, and final; the check comes before each charge.
 
-    A round runs, for each operation in order, the s grids of an s-ary one
-    from grid s - 1 down to grid 0, in _grid_batches batches.  Each batch
-    is charged and inserted on its own, so a refusal says how far the
-    round got.
+    A round runs, for each operation in order, its _round_grids: the s
+    grids of an s-ary one, or one grid cut into runs of frontier rows
+    when the operation is symmetric (see _is_symmetric).  Each grid goes
+    in _grid_batches batches, and each batch is charged and inserted on
+    its own, so a refusal says how far the round got.
 
     `pairs` = m > 0 says that n = 2m and that `old` and `new` are
     G-invariant (see _pair_symmetry).  Then every set a round starts from
@@ -609,7 +661,7 @@ def _saturate(
     k, n = result.k, result.n
     layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
-    widths = {b for b, _ in layouts}
+    widths = {b for b, _, _ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
     steps = rounds = 0
     while new.size:
@@ -619,14 +671,11 @@ def _saturate(
         new_blocks = {b: _split_blocks(drawn, k, b, n) for b in widths}
         union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
         produced: list[np.ndarray] = []
-        for op, (b, columns) in zip(algebra.operations, layouts):
-            s = op.arity
-            # Grid i draws argument i from the new frontier, the earlier
-            # ones from `old` and the later ones from `old | new`: together
-            # every combination that touches the frontier, each once.
-            for i in range(s - 1, -1, -1):
-                groups = [old_blocks[b]] * i + [new_blocks[b]]
-                groups += [union_blocks[b]] * (s - 1 - i)
+        for op, (b, columns, symmetric) in zip(algebra.operations, layouts):
+            grids = _round_grids(
+                op.arity, symmetric, pairs, old_blocks[b], new_blocks[b], union_blocks[b]
+            )
+            for groups in grids:
                 for batch, cells in _grid_batches(groups):
                     if len(result) == ceiling:
                         return result
@@ -658,7 +707,9 @@ def _mask_members(mask: int, space: int) -> list[int]:
     return list(compress(range(space), bits))
 
 
-def _image_tables(op: OperationTable, n: int) -> tuple[list[list[int]], list[list[int]]]:
+def _image_tables(
+    op: OperationTable, n: int, symmetric: bool
+) -> tuple[list[list[int]], list[list[int]]]:
     """Image masks of op on A^n, for applying it to whole bit masks of
     tuples chunk by chunk (the "Four Russians" method).
 
@@ -666,9 +717,9 @@ def _image_tables(op: OperationTable, n: int) -> tuple[list[list[int]], list[lis
     base-k**n index of an assignment of the others: entry
     (c << _MASK_BITS) + v is the OR of 1 << f(..., x) over the encodings
     x = c * _MASK_BITS + b with bit b of v set.  first[p] is the same for
-    the first argument; a unary op has only `last`, with the one row p = 0.
-    Each row has ceil(k**n / _MASK_BITS) << _MASK_BITS entries, built from
-    _power_table(op, n).
+    the first argument; a unary or symmetric op has only `last`, with the
+    one row p = 0 when unary.  Each row has ceil(k**n / _MASK_BITS) <<
+    _MASK_BITS entries, built from _power_table(op, n).
     """
     space = op.k**n
     images = _power_table(op, n).tolist()
@@ -691,7 +742,7 @@ def _image_tables(op: OperationTable, n: int) -> tuple[list[list[int]], list[lis
         return list(map(shared, entries, entries))
 
     last = [row(images[p * space : (p + 1) * space]) for p in range(rows)]
-    first = [row(images[p::rows]) for p in range(rows)] if op.arity > 1 else []
+    first = [] if symmetric else [row(images[p::rows]) for p in range(rows)]
     return last, first
 
 
@@ -704,12 +755,14 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     round runs on masks: it ORs the images of _saturate's grids from the
     operations' _image_tables, built here once per search and freed with
     it, at most 2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS
-    entries for an s-ary operation.  Mask rounds run while the sum of their
-    cells fits the step budget, where _saturate could not have refused any
-    of their batches.  When the next round would not fit, or on a
-    multi-block layout, handover closes `closed` and e in _saturate from
-    round 0, replaying any mask rounds at the same charges, so results and
-    refusals are closure_extend's.
+    entries for an s-ary operation, half that for a symmetric one.  Mask
+    rounds run while the sum of their cells fits the step budget, where
+    _saturate could not have refused any of their batches: a round's cells
+    are _saturate's, or for a symmetric operation |new| * |union|**(s-1),
+    at least the cells of its runs.  When the next round would not fit, or
+    on a multi-block layout, handover closes `closed` and e in _saturate
+    from round 0, replaying any mask rounds at charges no larger, so
+    results and refusals are closure_extend's.
     """
     k = algebra.k
     space = k**n
@@ -720,7 +773,8 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
         # Distinct members' bits: their sum is the closure's mask.
         return sum(map((1).__lshift__, result.encodings().tolist()))
 
-    if not all(b == n for b, _ in _layouts(algebra.operations, n, _CHUNK_CELLS)):
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    if not all(b == n for b, _, _ in layouts):
         return handover
 
     # The grids of a _saturate round, as (table, chunked, head, rest).
@@ -730,21 +784,26 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     # through its image table: the last argument, or the first in grid
     # s - 1, whose last is the small frontier.  Sets are 0 = old,
     # 1 = the frontier, 2 = union and 3 = [0], the row of a unary table;
-    # head is the first set listed and rest the others.  While `old` is
-    # empty only grid 0 has cells.
-    grids, first_grids = [], []
-    for op in algebra.operations:
+    # head is the first set listed and rest the others.  A symmetric
+    # operation keeps grid 0 alone, with every later argument from `union`.
+    # While `old` is empty only grid 0 has cells.
+    grids, first_grids, charged = [], [], []
+    for op, (_, _, symmetric) in zip(algebra.operations, layouts):
         s = op.arity
-        last, first = _image_tables(op, n)
+        last, first = _image_tables(op, n, symmetric)
         if s == 1:
-            grids.append((last, 1, 3, ()))
+            op_grids = [(last, 1, 3, ())]
         else:
-            for i in range(s - 1):
+            op_grids = []
+            for i in range(1 if symmetric else s - 1):
                 ids = (0,) * i + (1,) + (2,) * (s - 2 - i)
-                grids.append((last, 2, ids[0], ids[1:]))
+                op_grids.append((last, 2, ids[0], ids[1:]))
+        if first:
             ids = (0,) * (s - 2) + (1,)
-            grids.append((first, 0, ids[0], ids[1:]))
-        first_grids.append(grids[-s])
+            op_grids.append((first, 0, ids[0], ids[1:]))
+        grids += op_grids
+        first_grids.append(op_grids[0])
+        charged.append((s, symmetric))
     arities = [op.arity for op in algebra.operations]
     listed = max(arities) > 2  # a grid lists members of `old` and `union`
     unary = min(arities) == 1  # a grid ORs the chunks of the frontier
@@ -785,8 +844,12 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
             size, before = known.bit_count(), old.bit_count()
             if size == space:
                 return known
-            for s in arities:
-                steps += size**s - before**s
+            # |union|**s - |old|**s cells for an s-ary operation, or
+            # |new| * |union|**(s-1) for a symmetric one.
+            for s, symmetric in charged:
+                steps += (
+                    (size - before) * size ** (s - 1) if symmetric else size**s - before**s
+                )
             if steps > limits.steps:
                 return handover(closed, e)
             if union_get is None:

@@ -72,7 +72,17 @@ def pair_orbit(t, group):
     return {tuple(t[c] for c in g) for g in group}
 
 
-def per_grid_charges(algebra, seeds, old=(), stop=None):
+def is_symmetric(op):
+    """Does op ignore the order of its arguments?  Checked on every
+    argument tuple under every permutation of it."""
+    return all(
+        apply_op(op, perm) == apply_op(op, args)
+        for args in itertools.product(range(op.k), repeat=op.arity)
+        for perm in itertools.permutations(args)
+    )
+
+
+def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
     with the step-budget charges the engine's rounds make on the way.
 
@@ -80,16 +90,24 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
     0: grid i takes arguments 0 .. i-1 from the tuples known before the
     round, argument i from the round's new tuples and the later ones from
     both.  While nothing was known before, only grid 0 runs.  A grid is
-    charged as its grid_runs of 2**16 cells.  Before each charge the loop
+    charged as its grid_runs of `batch` cells, the engine's 2**16 unless
+    a test shrinks both.  Before each charge the loop
     stops if the set holds `stop` tuples (the whole space by default);
     otherwise it charges the cell count, then inserts those cells' images.
     Returns the set and the charges as (steps applied before, cells,
     rounds completed, tuples before).
 
+    An operation that is_symmetric runs one grid per run instead: the
+    sequence of the known tuples followed by the new ones, each part
+    ascending, is cut after every R = max(1, batch // len**(s-1)) new
+    tuples; a run's new tuples are argument 0, and the others range over
+    the sequence up to the end of the run.
+
     A closure from scratch (`old` empty) of seeds of even width 2m that
     every permutation of pair_group(m) maps into themselves draws argument
     i only from the least tuple of each pair_orbit among the round's new
-    tuples, and inserts every image with its whole orbit.
+    tuples, and inserts every image with its whole orbit.  A symmetric
+    operation then runs grid 0 alone, over the whole sequence.
     """
     current = set(old) | set(seeds)
     if not current:
@@ -102,6 +120,7 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
         pairs = pair_group(width // 2)
         if all(pair_orbit(t, pairs) <= current for t in current):
             group = pairs
+    symmetric = [is_symmetric(op) for op in algebra.operations]
     old = set(old)
     new = current - old
     steps = rounds = 0
@@ -109,13 +128,26 @@ def per_grid_charges(algebra, seeds, old=(), stop=None):
     while new:
         new_rows = sorted({min(pair_orbit(t, group)) for t in new})
         old_rows, union_rows = sorted(old), sorted(old | new)
+        sequence = old_rows + new_rows
         produced = set()
-        for op in algebra.operations:
+        for op, whole in zip(algebra.operations, symmetric):
             s = op.arity
-            for i in reversed(range(s if old else 1)):
-                groups = [old_rows] * i + [new_rows] + [union_rows] * (s - 1 - i)
+            if not whole:
+                grids = [
+                    [old_rows] * i + [new_rows] + [union_rows] * (s - 1 - i)
+                    for i in reversed(range(s if old else 1))
+                ]
+            elif len(group) > 1:
+                grids = [[new_rows] + [union_rows] * (s - 1)]
+            else:
+                per = max(1, batch // len(sequence) ** (s - 1))
+                grids = [
+                    [new_rows[a : a + per]] + [sequence[: len(old_rows) + a + per]] * (s - 1)
+                    for a in range(0, len(new_rows), per)
+                ]
+            for groups in grids:
                 combos = itertools.product(*groups)
-                for cells in grid_runs([len(group) for group in groups], 1 << 16):
+                for cells in grid_runs([len(group) for group in groups], batch):
                     if len(current) == stop:
                         return frozenset(current), charges
                     charges.append((steps, cells, rounds, len(current)))
@@ -235,6 +267,19 @@ def planted_op(k, arity, alpha, beta, j, rng, idempotent=False, name="f"):
             and (v in beta or args[j - 1] not in beta)
         ]
         table.append(rng.choice(allowed))
+    return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
+
+
+def random_symmetric_op(k, arity, rng, name="f"):
+    """A random table drawn on sorted argument tuples: every reordering of
+    an argument tuple takes the value drawn for the sorted one."""
+    drawn = {}
+    table = []
+    for args in itertools.product(range(k), repeat=arity):
+        key = tuple(sorted(args))
+        if key not in drawn:
+            drawn[key] = rng.randrange(k)
+        table.append(drawn[key])
     return OperationTable(name=name, arity=arity, k=k, table=tuple(table))
 
 

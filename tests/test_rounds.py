@@ -23,6 +23,7 @@ from genpow import (
     Algebra,
     BudgetExceededError,
     Limits,
+    OperationTable,
     TupleSet,
     closure,
     closure_extend,
@@ -36,6 +37,7 @@ from tests.oracles import (
     brute_closure,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
+    is_symmetric,
     per_grid_charges,
     random_op,
     random_table_op,
@@ -119,13 +121,17 @@ def frontier_cells(algebra, old, seeds):
     `old` already closed, from a full-rescan closure: the set known at
     each round is the one before with the images of all its argument
     combinations, and a round's cells are the combinations of its set
-    that are not combinations of the set before."""
+    that are not combinations of the set before, or for a symmetric
+    operation those whose first argument is not in the set before."""
     before, known = set(old), set(old) | set(seeds)
     width = len(next(iter(known)))
     cells = []
     while known != before:
-        cells.append(sum(len(known)**op.arity - len(before)**op.arity
-                         for op in algebra.operations))
+        cells.append(sum(
+            (len(known) - len(before)) * len(known)**(op.arity - 1)
+            if is_symmetric(op) else len(known)**op.arity - len(before)**op.arity
+            for op in algebra.operations
+        ))
         images = {
             tuple(apply_op(op, [row[c] for row in args]) for c in range(width))
             for op in algebra.operations
@@ -139,7 +145,8 @@ def frontier_cells(algebra, old, seeds):
 def test_per_grid_reference_charges_each_frontier_combination_once(arity):
     # A check of the reference that runs no genpow closure: with a stop no
     # set reaches, the cells it charges in each round add up to the sum over
-    # operations of |old | new|**s - |old|**s.
+    # operations of |old | new|**s - |old|**s, or |new| * |old | new|**(s-1)
+    # for a symmetric one, whose sets here are too small to cut into runs.
     rng = random.Random(arity)
     rounds = []
     for case in range(20):
@@ -186,9 +193,9 @@ class Counted:
         saturate = genpow.subpower._saturate
         image_tables = genpow.subpower._image_tables
 
-        def counted_table(op, n):
+        def counted_table(op, n, *args):
             self.tables.append((op.name, n))
-            return image_tables(op, n)
+            return image_tables(op, n, *args)
 
         def counted_grid(columns, groups):
             self.grids.append(len(groups))
@@ -216,25 +223,49 @@ def round_cells(charges):
     return [cells[r] for r in sorted(cells)]
 
 
-def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(maj3, monkeypatch):
-    # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
-    # gives a proper subpower of 20 tuples after 3 rounds.  Each round fits
-    # one batch, so each of its 3 grids is one batch with one insertion;
-    # the extra tuple goes in first, as one bulk insertion of its own.
-    closed = closure(maj3, TupleSet.from_encodings(2, 5, [7, 14, 21, 26, 27, 30]))
-    members, charges = per_grid_charges(maj3, [decode_tuple(8, 2, 5)], old=set(closed))
+# if-then-else, ite(x, y, z) = y if x else z: a ternary operation that is
+# not symmetric.
+ITE = Algebra(k=2, operations=(
+    OperationTable(name="ite", arity=3, k=2, table=(0, 1, 0, 1, 0, 0, 1, 1)),
+))
+
+
+def assert_round_grids(monkeypatch, algebra, seeds, extra, sizes, per_round):
+    """Closes the seeds in A^5, checks the closure's size, the extension's
+    size and rounds against `sizes`, and that closure_extend by `extra`
+    makes `per_round` grids a round, each one batch with one insertion,
+    after the extra tuple's own bulk insertion."""
+    closed = closure(algebra, TupleSet.from_encodings(2, 5, seeds))
+    members, charges = per_grid_charges(
+        algebra, [decode_tuple(extra, 2, 5)], old=set(closed)
+    )
     cells = round_cells(charges)
-    assert (len(closed), len(members), len(cells)) == (9, 20, 3)
+    assert (len(closed), len(members), len(cells)) == sizes
     assert max(cells) <= genpow.subpower._CHUNK_CELLS
     counted = Counted(monkeypatch)
-    widened = closure_extend(maj3, closed, [8])
+    widened = closure_extend(algebra, closed, [extra])
     monkeypatch.undo()
     assert set(widened) == members
-    assert counted.saturates == [(tuple(closed.encodings().tolist()), (8,))]
+    assert counted.saturates == [(tuple(closed.encodings().tolist()), (extra,))]
     assert counted.tables == []
-    assert counted.grids == [3] * 3 * len(cells)
-    assert len(counted.insertions) == 1 + 3 * len(cells)
+    assert counted.grids == [3] * per_round * len(cells)
+    assert len(counted.insertions) == 1 + per_round * len(cells)
     assert counted.insertions[0] == 1
+
+
+def test_round_makes_s_grids_per_operation_and_one_insertion_per_grid(monkeypatch):
+    # The closure of these seeds under ite in A^5 has 4 tuples; adding 16
+    # gives a proper subpower of 16 tuples after 3 rounds.  Each round fits
+    # one batch, so each of its 3 grids is one batch with one insertion.
+    assert_round_grids(monkeypatch, ITE, [11, 14, 15], 16, (4, 16, 3), 3)
+
+
+def test_symmetric_round_makes_one_grid_per_operation(maj3, monkeypatch):
+    # The closure of these seeds in majority3's A^5 has 9 tuples; adding 8
+    # gives a proper subpower of 20 tuples after 3 rounds.  maj ignores the
+    # order of its arguments, so each round runs one grid, whose frontier
+    # rows are one run: 100, 3,249 and 400 cells.
+    assert_round_grids(monkeypatch, maj3, [7, 14, 21, 26, 27, 30], 8, (9, 20, 3), 1)
 
 
 def test_tiny_rounds_make_no_grid(egp3, monkeypatch):
@@ -321,16 +352,8 @@ def test_tiny_rounds_stop_at_the_full_power(xor3, monkeypatch):
     assert charged == [18]
 
 
-def test_mask_rounds_stop_at_the_full_power(xor3, monkeypatch):
-    # {00, 01} is closed under xor3; extending it by 10 fills A^2 in round
-    # 0 (3**3 - 2**3 = 19 cells).  At a budget of 19, extend stops before
-    # it sums round 1, as closure_extend stops before it charges it, and
-    # the mask rounds call no Limits method.  At 18, extend hands the
-    # closure to _saturate from {00, 01} and 10, which fills A^2 in the
-    # round's first batch of 4 cells, as closure_extend does.
-    closed = TupleSet.from_encodings(2, 2, [0, 1])
-    assert len(closure_extend(xor3, closed, [2], limits=Limits(steps=18))) == 4
-    fits, over = (_extender(xor3, 2, Limits(steps=b)) for b in (19, 18))
+def record_limits(monkeypatch):
+    """The names of the public Limits methods called from here on."""
     called = []
 
     def recorded(name, method):
@@ -342,10 +365,46 @@ def test_mask_rounds_stop_at_the_full_power(xor3, monkeypatch):
     for name, method in vars(Limits).items():
         if callable(method) and not name.startswith("_"):
             monkeypatch.setattr(Limits, name, recorded(name, method))
+    return called
+
+
+def test_mask_rounds_stop_at_the_full_power(monkeypatch):
+    # {00, 01} is closed under ite; extending it by 10 fills A^2 in round
+    # 0 (3**3 - 2**3 = 19 cells).  At a budget of 19, extend stops before
+    # it sums round 1, as closure_extend stops before it charges it, and
+    # the mask rounds call no Limits method.  At 18, extend hands the
+    # closure to _saturate from {00, 01} and 10, which fills A^2 in the
+    # round's first batch of 4 cells, as closure_extend does.
+    closed = TupleSet.from_encodings(2, 2, [0, 1])
+    assert len(closure_extend(ITE, closed, [2], limits=Limits(steps=18))) == 4
+    fits, over = (_extender(ITE, 2, Limits(steps=b)) for b in (19, 18))
+    called = record_limits(monkeypatch)
     counted = Counted(monkeypatch)
     assert fits(mask([0, 1]), 2) == mask(range(4))
     assert called == counted.saturates == []
     assert over(mask([0, 1]), 2) == mask(range(4))
+    assert counted.saturates == [((0, 1), (2,))]
+
+
+def test_symmetric_mask_round_charges_one_grid(xor3, monkeypatch):
+    # xor3 ignores the order of its arguments, so extending the closed
+    # {00, 01} by 10 runs one grid, 10 against all three tuples twice:
+    # 1 * 3**2 = 9 cells, one batch.  At a budget of 9 the mask round fills
+    # A^2 and calls no Limits method; at 8 extend hands the closure to
+    # _saturate, which refuses that batch as closure_extend does.
+    closed = TupleSet.from_encodings(2, 2, [0, 1])
+    assert len(closure_extend(xor3, closed, [2], limits=Limits(steps=9))) == 4
+    with pytest.raises(BudgetExceededError) as refused:
+        closure_extend(xor3, closed, [2], limits=Limits(steps=8))
+    assert "tuples: 3 of 4, steps applied: 0)" in str(refused.value)
+    fits, over = (_extender(xor3, 2, Limits(steps=b)) for b in (9, 8))
+    called = record_limits(monkeypatch)
+    counted = Counted(monkeypatch)
+    assert fits(mask([0, 1]), 2) == mask(range(4))
+    assert called == counted.saturates == []
+    with pytest.raises(BudgetExceededError) as handed_over:
+        over(mask([0, 1]), 2)
+    assert str(handed_over.value) == str(refused.value)
     assert counted.saturates == [((0, 1), (2,))]
 
 

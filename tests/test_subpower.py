@@ -351,18 +351,21 @@ _HULL_SEEDS = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]
 
 
 def test_closure_budget_on_proper_closure(xor3):
+    # Round 0 applies xor3 to the 3**3 = 27 seed triples.  xor3 ignores the
+    # order of its arguments, so round 1 runs one grid, the new tuple
+    # against all four twice: 1 * 4**2 = 16 cells, 43 in all.
     seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
-    assert len(closure(xor3, seeds, limits=Limits(steps=64))) == 4
+    assert len(closure(xor3, seeds, limits=Limits(steps=43))) == 4
     with pytest.raises(BudgetExceededError):
-        closure(xor3, seeds, limits=Limits(steps=63))
+        closure(xor3, seeds, limits=Limits(steps=42))
 
 
 def test_closure_budget_error_reports_progress(xor3):
     seeds = TupleSet.from_tuples(2, 4, _HULL_SEEDS)
     with pytest.raises(BudgetExceededError) as info:
-        closure(xor3, seeds, limits=Limits(steps=50))
-    # The third grid of round 1 would take 48 applied steps to 64.
-    assert "rounds completed: 1, tuples: 4 of 16, steps applied: 48" in str(info.value)
+        closure(xor3, seeds, limits=Limits(steps=42))
+    # The one grid of round 1 would take 27 applied steps to 43.
+    assert "rounds completed: 1, tuples: 4 of 16, steps applied: 27" in str(info.value)
 
 
 def test_closure_does_not_mutate_seeds(xor3):
