@@ -494,6 +494,9 @@ class _ExactSearch:
         self.room = limits.space // (self.space + _MEMO_ENTRY_BITS)
         # Under this bound no closure is refused by steps: a round charges
         # at most |union|**s - |old|**s per operation, which telescopes.
+        # After round 0 a lone binary associative operation is charged
+        # |U| * |new|, U the union at round 0, and that is at most
+        # |union|**2 - |old|**2.
         affordable = sum(self.space**op.arity for op in algebra.operations) <= limits.steps
         self.forced = _forced_mask(algebra, n) if affordable else 0
 

@@ -4,8 +4,9 @@ Tuples are encoded as row-major base-k integers with the first coordinate
 most significant; a TupleSet keeps either a dense membership array over
 the whole space or a sparse set of encodings.  The closure engine is a
 semi-naive worklist: each round combines the newly discovered tuples with
-everything known, in vectorized batches.  The result is the unique least
-fixed point, independent of batching.
+everything known, in vectorized batches; under a lone associative binary
+operation, after the first round, with the tuples it started from only.
+The result is the unique least fixed point, independent of batching.
 """
 
 from __future__ import annotations
@@ -274,8 +275,8 @@ class TupleSet:
             self._refuse(arr.tolist())
         if self._dense is not None:
             return self._dense[arr]
-        sparse = self._sparse
-        return np.fromiter((e in sparse for e in arr.tolist()), dtype=bool, count=arr.size)
+        member = self._sparse.__contains__
+        return np.fromiter(map(member, arr.tolist()), dtype=bool, count=arr.size)
 
     def add_encodings_array(self, arr: np.ndarray) -> np.ndarray:
         """Insert encodings in bulk; return the ones that were actually new,
@@ -510,14 +511,25 @@ def _is_symmetric(op: OperationTable) -> bool:
     )
 
 
+def _is_semigroup(op: OperationTable) -> bool:
+    """True iff op is binary and associative: (x*y)*z = x*(y*z) on every
+    triple, one gather of the table by itself on each side."""
+    if op.arity != 2:
+        return False
+    table = np.array(op.table).reshape(op.k, op.k)
+    return np.array_equal(table[table], table[:, table])
+
+
 @lru_cache(maxsize=64)
 def _layouts(
     operations: tuple[OperationTable, ...], n: int, chunk_cells: int
-) -> tuple[tuple[int, list[tuple[np.ndarray, int]], bool], ...]:
+) -> tuple[tuple[int, list[tuple[np.ndarray, int]], bool, bool], ...]:
     """_block_columns of each operation on A^n, with whether the operation
-    is symmetric.  Keyed on the batch size too, because the block width
-    depends on it."""
-    return tuple((*_block_columns(op, n), _is_symmetric(op)) for op in operations)
+    is symmetric and whether it is binary and associative.  Keyed on the
+    batch size too, because the block width depends on it."""
+    return tuple(
+        (*_block_columns(op, n), _is_symmetric(op), _is_semigroup(op)) for op in operations
+    )
 
 
 # -- the symmetry of the designated pairs ----------------------------------
@@ -595,10 +607,16 @@ def _round_grids(
     old: np.ndarray,
     new: np.ndarray,
     union: np.ndarray,
+    generators: Optional[np.ndarray],
 ) -> Iterator[list[np.ndarray]]:
     """The argument groups of each grid a _saturate round runs for an
     s-ary operation, from the blocks of old, of the frontier's drawn
     tuples and of union.
+
+    `generators`, the blocks of U, the union at round 0, are given after
+    round 0 for the one operation of an algebra when it is binary and
+    associative (see _saturate).  The round is then the one grid with
+    argument 0 from U and argument 1 from the frontier.  Otherwise:
 
     Grid i of s grids, from s - 1 down to 0, draws argument i from the
     frontier, the earlier ones from `old` and the later ones from `union`:
@@ -612,7 +630,9 @@ def _round_grids(
     others range over all of `union`, since moving argument 0 to its orbit
     representative does not keep the prefix.
     """
-    if not symmetric:
+    if generators is not None:
+        yield [generators, new]
+    elif not symmetric:
         for i in range(s - 1, -1, -1):
             yield [old] * i + [new] + [union] * (s - 1 - i)
     elif pairs or s == 1:
@@ -657,12 +677,28 @@ def _saturate(
     themselves.  So grid i draws argument i from the frontier's orbit
     representatives alone, only those cells are charged, and each batch's
     fresh images are inserted with their whole orbits.
+
+    When the algebra's one operation is binary and associative (see
+    _is_semigroup), every round after round 0 runs the one grid U x the
+    frontier, U the union at round 0, and is charged |U| * |new| cells.
+    That is the enumeration of a semigroup by left multiplication
+    (Froidure and Pin, 1997), and it is exact.  Let T be the closure of U
+    under w -> u*w for u in U.  Every member of T is a product
+    u1*(u2*(...*uL)), so t*v = u1*(...*(uL*v)) lies in T for t, v in T, by
+    induction on L, and T is the closure of U.  Round 0 already makes u*w
+    for w in U: a pair inside `old` lands in `old`, which is closed.  With
+    pair symmetry U is G-invariant, so drawing argument 1 from the
+    frontier's orbit representatives and inserting whole orbits stays
+    exact.  In every later round |U| * |new| is at most the cells of the
+    round's semi-naive grids, since U is part of `old`.
     """
     k, n = result.k, result.n
     layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
     old, new = np.asarray(old, np.int64), np.asarray(new, np.int64)
-    widths = {b for b, _, _ in layouts}
+    widths = {b for b, *_ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
+    semigroup = len(layouts) == 1 and layouts[0][3]
+    generators = None  # U's blocks after round 0, for a semigroup
     steps = rounds = 0
     while new.size:
         union = np.concatenate([old, new])
@@ -671,9 +707,10 @@ def _saturate(
         new_blocks = {b: _split_blocks(drawn, k, b, n) for b in widths}
         union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
         produced: list[np.ndarray] = []
-        for op, (b, columns, symmetric) in zip(algebra.operations, layouts):
+        for op, (b, columns, symmetric, _) in zip(algebra.operations, layouts):
             grids = _round_grids(
-                op.arity, symmetric, pairs, old_blocks[b], new_blocks[b], union_blocks[b]
+                op.arity, symmetric, pairs,
+                old_blocks[b], new_blocks[b], union_blocks[b], generators,
             )
             for groups in grids:
                 for batch, cells in _grid_batches(groups):
@@ -690,6 +727,8 @@ def _saturate(
         new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
         rounds += 1
         old, old_blocks = union, union_blocks
+        if semigroup and generators is None:
+            (generators,) = union_blocks.values()
     return result
 
 
@@ -759,7 +798,12 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     rounds run while the sum of their cells fits the step budget, where
     _saturate could not have refused any of their batches: a round's cells
     are _saturate's, or for a symmetric operation |new| * |union|**(s-1),
-    at least the cells of its runs.  When the next round would not fit, or
+    at least the cells of its runs.  A lone binary associative operation
+    keeps these semi-naive charges too, although _saturate charges only
+    |U| * |new| after round 0, U = `closed` with e: round 0 is charged as
+    above, and every later round at least |new| * |old|, with `old` a
+    superset of U.  So each sum of mask rounds is at least the charges of
+    the same rounds in _saturate.  When the next round would not fit, or
     on a multi-block layout, handover closes `closed` and e in _saturate
     from round 0, replaying any mask rounds at charges no larger, so
     results and refusals are closure_extend's.
@@ -774,7 +818,7 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
         return sum(map((1).__lshift__, result.encodings().tolist()))
 
     layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
-    if not all(b == n for b, _, _ in layouts):
+    if not all(b == n for b, *_ in layouts):
         return handover
 
     # The grids of a _saturate round, as (table, chunked, head, rest).
@@ -788,7 +832,7 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     # operation keeps grid 0 alone, with every later argument from `union`.
     # While `old` is empty only grid 0 has cells.
     grids, first_grids, charged = [], [], []
-    for op, (_, _, symmetric) in zip(algebra.operations, layouts):
+    for op, (_, _, symmetric, _) in zip(algebra.operations, layouts):
         s = op.arity
         last, first = _image_tables(op, n, symmetric)
         if s == 1:

@@ -82,6 +82,20 @@ def is_symmetric(op):
     )
 
 
+def is_associative(op):
+    """Is op binary with (x*y)*z = x*(y*z)?  Checked on every triple."""
+    if op.arity != 2:
+        return False
+
+    def mul(x, y):
+        return apply_op(op, (x, y))
+
+    return all(
+        mul(mul(x, y), z) == mul(x, mul(y, z))
+        for x, y, z in itertools.product(range(op.k), repeat=3)
+    )
+
+
 def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     """Unbudgeted semi-naive closure of `old | seeds`, `old` already closed,
     with the step-budget charges the engine's rounds make on the way.
@@ -108,6 +122,11 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     i only from the least tuple of each pair_orbit among the round's new
     tuples, and inserts every image with its whole orbit.  A symmetric
     operation then runs grid 0 alone, over the whole sequence.
+
+    When the algebra has one operation and it is_associative, every round
+    after the first runs one grid instead: argument 0 from the tuples
+    known when the first round started, ascending, and argument 1 from
+    the round's new tuples (their orbit representatives, as above).
     """
     current = set(old) | set(seeds)
     if not current:
@@ -121,6 +140,8 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
         if all(pair_orbit(t, pairs) <= current for t in current):
             group = pairs
     symmetric = [is_symmetric(op) for op in algebra.operations]
+    semigroup = len(algebra.operations) == 1 and is_associative(algebra.operations[0])
+    generators = sorted(current)
     old = set(old)
     new = current - old
     steps = rounds = 0
@@ -132,7 +153,9 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
         produced = set()
         for op, whole in zip(algebra.operations, symmetric):
             s = op.arity
-            if not whole:
+            if semigroup and rounds:
+                grids = [[generators, new_rows]]
+            elif not whole:
                 grids = [
                     [old_rows] * i + [new_rows] + [union_rows] * (s - 1 - i)
                     for i in reversed(range(s if old else 1))

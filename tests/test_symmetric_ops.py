@@ -205,8 +205,9 @@ def test_runs_budget_sweep_matches_the_reference(monkeypatch, backend):
 def test_min_closes_the_one_switch_tuples_of_length_50_in_900000_steps(min2):
     # min closes the tuples with at most one switch to those whose ones
     # form one interval, the empty one included: 50 * 51 / 2 + 1 of them.
-    # One grid per round applies 849,004 combinations; all orderings of
-    # the arguments number 1,628,176.
+    # Round 0's one grid and then the seeds times each round's new tuples
+    # apply 127,600 combinations; all orderings of the arguments number
+    # 1,628,176.
     closed = closure(min2, switch_tuples(2, 50, 1), limits=Limits(steps=900_000))
     intervals = {
         tuple(int(i <= p < j) for p in range(50)) for i in range(51) for j in range(i, 51)
@@ -217,8 +218,8 @@ def test_min_closes_the_one_switch_tuples_of_length_50_in_900000_steps(min2):
 
 def test_switchable_min2_fits_a_budget_of_100(capsys):
     # The 8 tuples of A^4 with at most one switch close to 11 under min:
-    # 8 * 8 cells in round 0, then 3 * 11, 97 in all; all orderings of
-    # the arguments take 88 + 33 = 121.
+    # 8 * 8 cells in round 0, then the 8 seeds times the 3 new tuples, 88
+    # in all; all orderings of the arguments take 88 + 33 = 121.
     code = main(["switchable", str(corpus_path("min2")), "--r", "1", "--n", "4",
                  "--closure-budget", "100"])
     out, err = capsys.readouterr()
@@ -243,13 +244,16 @@ def test_image_tables_skip_the_first_table_of_a_symmetric_operation(
     assert built == [("min", 8, 0), ("f", 9, 9)]
 
 
-def test_a_symmetric_refusal_reports_how_far_it_got(min2):
-    # A^3 from the three tuples with one zero: round 0 runs its one grid,
-    # 3 * 3 = 9 cells, and makes the three with two zeros; round 1 runs
-    # 3 * 6 = 18 and makes the all-zero tuple, and round 2, 1 * 7 = 7 cells,
+def test_a_symmetric_refusal_reports_how_far_it_got():
+    # Rock-paper-scissors, the winner of the two: symmetric but not
+    # associative, so every round keeps its runs.  A^2 from three tuples:
+    # round 0 runs its one grid, 3 * 3 = 9 cells, and makes (1, 0); round
+    # 1 runs 1 * 4 = 4 and makes (1, 1), and round 2, 1 * 5 = 5 cells,
     # makes nothing new.
-    seeds = TupleSet.from_tuples(2, 3, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    assert len(closure(min2, seeds, limits=Limits(steps=34))) == 7
+    rps = OperationTable(name="rps", arity=2, k=3, table=(0, 1, 0, 1, 1, 2, 0, 2, 2))
+    algebra = Algebra(k=3, operations=(rps,))
+    seeds = TupleSet.from_tuples(3, 2, [(0, 0), (0, 1), (1, 2)])
+    assert len(closure(algebra, seeds, limits=Limits(steps=18))) == 5
     with pytest.raises(BudgetExceededError) as info:
-        closure(min2, seeds, limits=Limits(steps=33))
-    assert "rounds completed: 2, tuples: 7 of 8, steps applied: 27)" in str(info.value)
+        closure(algebra, seeds, limits=Limits(steps=17))
+    assert "rounds completed: 2, tuples: 5 of 9, steps applied: 13)" in str(info.value)
