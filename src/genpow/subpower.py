@@ -250,16 +250,17 @@ class TupleSet:
         return self._count
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for digits in self._digit_batches():
+        for digits in self._digit_batches(1):
             yield from map(tuple, digits.tolist())
 
-    def _digit_batches(self) -> Iterator[np.ndarray]:
-        """Digit matrices of the members, ascending, in batches of at most
-        _CHUNK_CELLS digits."""
+    def _digit_batches(self, b: int) -> Iterator[np.ndarray]:
+        """The members, ascending, split into base-k**b blocks by
+        _split_blocks (digits at b = 1), in batches of at most _CHUNK_CELLS
+        coordinates."""
         members = self.encodings()
         rows = max(1, _CHUNK_CELLS // self.n)
         for start in range(0, members.size, rows):
-            yield _split_blocks(members[start : start + rows], self.k, 1, self.n)
+            yield _split_blocks(members[start : start + rows], self.k, b, self.n)
 
     def encodings(self) -> np.ndarray:
         """All member encodings, ascending, as an int64 array."""
@@ -315,18 +316,38 @@ class TupleSet:
 
         Every digit takes a cell of w + 1 bytes, w the width of k - 1: its
         symbol, zero bytes after a shorter symbol, then a space, or the
-        newline that ends its row.  A batch of rows is one gather from the
-        table of the k cells; the zero bytes are dropped at the end.
+        newline that ends its row.  Rows are split into base-k**c values,
+        c the _table_width of the n digits, and a batch of rows is one
+        gather from the _rendered_cells of the c-digit values.  The top
+        value holds the leftover digits, so the padding cells in front of
+        them are dropped.  Zero bytes occur only when k > 10, and are then
+        dropped at the end.
         """
-        w = len(str(self.k - 1))
-        symbols = "".join(str(a).ljust(w, "\0") + " " for a in range(self.k))
-        table = np.frombuffer(symbols.encode(), dtype=f"V{w + 1}")
+        k, n = self.k, self.n
+        c = _table_width(k, n)
+        cells = _rendered_cells(k, c)
+        padding = (-n % c) * (cells.itemsize // c)
         blocks = []
-        for digits in self._digit_batches():
-            cells = table[digits].view(np.uint8)  # (rows, n * (w + 1)) bytes
-            cells[:, -1] = ord("\n")
-            blocks.append(cells.tobytes())
-        return b"".join(blocks).translate(None, b"\0").decode("ascii")
+        for values in self._digit_batches(c):
+            rows = cells.take(values).view(np.uint8)[:, padding:]
+            rows[:, -1] = ord("\n")
+            blocks.append(rows.tobytes())
+        out = b"".join(blocks)
+        return (out.translate(None, b"\0") if k > 10 else out).decode("ascii")
+
+
+@lru_cache(maxsize=64)
+def _rendered_cells(k: int, c: int) -> np.ndarray:
+    """Entry v holds the text cells of the c base-k digits of v, most
+    significant first, each its symbol, zero bytes up to the width of k - 1,
+    then a space (see TupleSet.text); read-only since every caller shares
+    it."""
+    w = len(str(k - 1))
+    symbols = "".join(str(a).ljust(w, "\0") + " " for a in range(k))
+    table = np.frombuffer(symbols.encode(), dtype=f"V{w + 1}")[_block_table(k, c)]
+    table = np.ascontiguousarray(table).view(f"V{c * (w + 1)}").ravel()
+    table.flags.writeable = False
+    return table
 
 
 def _unique(arr: np.ndarray) -> np.ndarray:
@@ -481,14 +502,52 @@ def _block_columns(op: OperationTable, n: int) -> tuple[int, list[tuple[np.ndarr
 
 
 def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
-    """Shape (len(encodings), ceil(n/b)) matrix of base-k**b blocks,
+    """Shape (len(encodings), ceil(n/b)) int64 matrix of base-k**b blocks,
     most significant first: the digits at b = 1, the pair values at b = 2.
     With b = n the encoding is the only block.  The one place encodings
-    are divided into blocks."""
+    are divided into blocks.
+
+    c consecutive blocks form a wide block, c the _table_width of the
+    ceil(n/b) blocks: one divmod per wide block, then one gather from the
+    _block_table of their c sub-blocks.  The top wide block holds the
+    leftover blocks, and its value is below base**leftover, so its row of
+    the table starts with zero sub-blocks; those leading columns are
+    dropped, and nothing is padded anywhere else.
+    """
     if b == n:
         return encodings[:, None]
     base = k**b
-    return (encodings[:, None] // _weights(base, -(-n // b))[None, :]) % base
+    blocks = -(-n // b)
+    c = _table_width(base, blocks)
+    if c == 1:
+        return (encodings[:, None] // _weights(base, blocks)[None, :]) % base
+    wide = -(-blocks // c)
+    values = (encodings[:, None] // _weights(base**c, wide)[None, :]) % base**c
+    split = _block_table(base, c).take(values, axis=0).reshape(len(encodings), wide * c)
+    return split[:, wide * c - blocks :]
+
+
+def _table_width(base: int, blocks: int) -> int:
+    """Blocks per table row for splitting `blocks` base-`base` blocks.
+
+    The widest c <= blocks whose table, base**c rows of c entries, fits in
+    one grid batch (at least 1) sets the number of wide blocks; the width
+    returned is the narrowest that makes no more of them, which gathers
+    the fewest padding blocks from the smallest table.  Base 1 has one
+    block value, 0, and takes no table."""
+    c = 1
+    while 1 < base and c < blocks and base ** (c + 1) * (c + 1) <= _CHUNK_CELLS:
+        c += 1
+    return -(-blocks // -(-blocks // c))
+
+
+@lru_cache(maxsize=64)
+def _block_table(base: int, c: int) -> np.ndarray:
+    """Row v holds the c base-`base` digits of v, most significant first:
+    a (base**c, c) int64 table, read-only since every caller shares it."""
+    table = np.ascontiguousarray(np.indices((base,) * c).reshape(c, -1).T, np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _grid_images(op: OperationTable, members: np.ndarray, n: int) -> Iterator[np.ndarray]:

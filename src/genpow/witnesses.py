@@ -94,9 +94,12 @@ class NiceRelation:
         return self.expand(t) in self.base
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Row mask of a (rows, m) digit matrix: which rows are members."""
-        wide = np.repeat(digits, self.block_lengths, axis=1)
-        return self.base.contains_encodings(wide @ _weights(self.k, self.base.n))
+        """Row mask of a (rows, m) digit matrix: which rows are members.
+        A row's block expansion has the encoding digits @ places, where
+        places[i] is the sum of the place values of block i."""
+        starts = np.cumsum((0,) + self.block_lengths[:-1])
+        places = np.add.reduceat(_weights(self.k, self.base.n), starts)
+        return self.base.contains_encodings(digits @ places)
 
     def materialize(self, *, limits: Limits = LIMITS) -> TupleSet:
         """Flatten to an explicit TupleSet of arity m."""

@@ -473,6 +473,16 @@ def brute_counterexample(op, alpha, beta, sigma):
     return rows, image, all(c in sigma for c in columns), image in sigma
 
 
+def brute_blocks(encoding, k, b, n):
+    """The ceil(n/b) base-k**b blocks of an encoding of A^n, most
+    significant first, by repeated divmod."""
+    blocks = []
+    for _ in range(-(-n // b)):
+        encoding, block = divmod(encoding, k**b)
+        blocks.append(block)
+    return blocks[::-1]
+
+
 def brute_block_members(k, block_lengths, base_members):
     """Tuples c of A^m whose block expansion (c_i repeated block_lengths[i]
     times) lies in base_members."""

@@ -7,7 +7,8 @@ Across these, b ranges from 1 (one gather per coordinate) to n (the
 encoding is the only block).  The sizes include n that are not multiples
 of b, where the top block has its own narrower table.  The random tables
 have f(0, ..., 0) != 0, so a top block padded with zero coordinates would
-give wrong images.
+give wrong images.  The split of encodings into blocks, at every width the
+package uses, is checked against a divmod loop.
 """
 
 import itertools
@@ -17,9 +18,15 @@ import numpy as np
 import pytest
 
 import genpow.subpower
-from genpow import Algebra, TupleSet, closure, preserves_relation
-from genpow.subpower import _block_columns, _grid_results, _split_blocks
-from tests.oracles import apply_op, brute_closure, brute_preserves, random_op
+from genpow import Algebra, OperationTable, TupleSet, closure, preserves_relation
+from genpow.subpower import (
+    _block_columns,
+    _block_table,
+    _grid_results,
+    _split_blocks,
+    _table_width,
+)
+from tests.oracles import apply_op, brute_blocks, brute_closure, brute_preserves, random_op
 
 DEFAULT_CELLS = genpow.subpower._CHUNK_CELLS
 
@@ -107,3 +114,46 @@ def test_grid_results_apply_the_operation_coordinatewise(cells, k, arity, n):
         for args in itertools.product(rows, repeat=arity)
     ]
     assert got == want
+
+
+# (k, n) for the split: every k at small n, the largest n whose encodings
+# fit the int64 limit at k = 2 and k = 3, and k = 1 at more digits than
+# an array has dimensions.
+SPLIT_SIZES = [(k, n) for k in (1, 2, 3, 5, 11) for n in (1, 2, 5, 7, 9)] + [
+    (2, 62), (3, 39), (1, 70),
+]
+
+
+@pytest.mark.parametrize("k,n", SPLIT_SIZES)
+def test_split_blocks_matches_a_divmod_loop(cells, k, n):
+    rng = random.Random(1000 * k + n)
+    space = k**n
+    encodings = [0, space - 1] + [rng.randrange(space) for _ in range(30)]
+    # The block width depends on k, the arity and n only.
+    ops = [OperationTable(name="f", arity=arity, k=k, table=(0,) * k**arity) for arity in (2, 3)]
+    grid_widths = {_block_columns(op, n)[0] for op in ops}
+    for b in sorted({1, 2, n} & set(range(1, n + 1)) | grid_widths):
+        blocks = -(-n // b)
+        for rows in ([], encodings[:1], encodings):
+            got = _split_blocks(np.array(rows, dtype=np.int64), k, b, n)
+            assert got.dtype == np.int64
+            assert got.shape == (len(rows), blocks)
+            assert got.tolist() == [brute_blocks(e, k, b, n) for e in rows], b
+        c = _table_width(k**b, blocks)
+        if c > 1:
+            table = _block_table(k**b, c)
+            assert table.dtype == np.int64 and not table.flags.writeable
+
+
+def test_table_width_is_the_narrowest_for_the_widest_tables_divmods(cells):
+    # The widest table that fits in a batch, base**c rows of c entries,
+    # sets the number of divmods, ceil(blocks / c); the width used is the
+    # narrowest that needs no more of them.
+    for base, blocks in [(2, 62), (2, 3), (2, 15), (3, 39), (4, 8), (9, 8), (11, 5)]:
+        widest = max(c for c in range(1, blocks + 1) if c == 1 or base**c * c <= cells)
+        divmods = -(-blocks // widest)
+        c = _table_width(base, blocks)
+        assert -(-blocks // c) == divmods
+        assert c == 1 or -(-blocks // (c - 1)) > divmods
+    if cells == DEFAULT_CELLS:
+        assert [_table_width(2, 62), _table_width(2, 15), _table_width(3, 10)] == [11, 8, 5]

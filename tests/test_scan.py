@@ -24,7 +24,7 @@ from genpow import (
     subset_pair_relation,
 )
 from genpow.criteria import SubsetPair, switch_tuples
-from genpow.subpower import scan_space
+from genpow.subpower import _rendered_cells, _table_width, scan_space
 from genpow.witnesses import NiceRelation
 from tests.oracles import (
     brute_block_members,
@@ -37,6 +37,9 @@ from tests.oracles import (
     brute_subset_pair_relation,
     brute_switch_tuples,
 )
+
+
+DEFAULT_CELLS = genpow.subpower._CHUNK_CELLS
 
 
 @pytest.fixture(params=[7, 64], ids=["cells7", "cells64"], autouse=True)
@@ -68,17 +71,34 @@ def test_iteration_decodes_in_ascending_order(backend):
     assert ts.text() == "".join(" ".join(map(str, t)) + "\n" for t in sorted(members))
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("k", [1, 2, 3, 10, 11, 12])
-def test_text_matches_a_per_row_rendering(backend, k, n):
+# (k, n): every k at n <= 4, where small spaces are rendered whole, then n
+# beyond one table row of digits, with a narrower top row, sampled.
+TEXT_SIZES = [(k, n) for n in (1, 2, 4) for k in (1, 2, 3, 10, 11, 12)] + [
+    (2, 13), (2, 15), (2, 25), (3, 9), (3, 10), (11, 5), (12, 5), (12, 7), (1, 70),
+]
+
+
+@pytest.mark.parametrize("k,n", TEXT_SIZES)
+def test_text_matches_a_per_row_rendering(backend, monkeypatch, k, n):
     # From k = 11 on, symbols take one or two bytes, so rows vary in length.
-    space = list(itertools.product(range(k), repeat=n))
-    order = np.random.default_rng(100 * k + n).permutation(len(space))
-    for size in sorted({0, 1, min(len(space), 60), len(space) if len(space) <= 144 else 0}):
-        members = [space[i] for i in order[:size]]
+    # Each set is rendered at the fixture's batch size and at the default,
+    # where the table rows hold more digits.
+    rng = np.random.default_rng(100 * k + n)
+    if k**n <= 10**4:
+        space = list(itertools.product(range(k), repeat=n))
+        order = rng.permutation(len(space))
+        sizes = {0, 1, min(len(space), 60), len(space) if len(space) <= 144 else 0}
+        samples = [[space[i] for i in order[:size]] for size in sorted(sizes)]
+    else:
+        samples = [list(map(tuple, rng.integers(k, size=(60, n)).tolist()))]
+    for members in samples:
         ts = TupleSet.from_tuples(k, n, members)
-        expected = "".join(" ".join(map(str, t)) + "\n" for t in sorted(members))
+        expected = "".join(" ".join(map(str, t)) + "\n" for t in sorted(set(members)))
         assert ts.text() == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(genpow.subpower, "_CHUNK_CELLS", DEFAULT_CELLS)
+            assert ts.text() == expected
+            assert not _rendered_cells(k, _table_width(k, n)).flags.writeable
 
 
 @pytest.mark.parametrize("k,m", [(1, 2), (2, 1), (2, 3), (3, 2)])
@@ -189,6 +209,23 @@ def test_evenize_nice(backend, k, holes):
     expected, dropped = brute_evenize(k, members, rel.excluded)
     assert even.excluded == dropped
     assert list(even.base) == sorted(expected)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("block_lengths", [(2, 1, 3), (1, 4), (3,)])
+def test_contains_digits_reads_block_expansions(backend, k, block_lengths):
+    # Half of the block expansions are members, and some other tuples too.
+    rng = np.random.default_rng(10 * k + len(block_lengths))
+    m, n = len(block_lengths), sum(block_lengths)
+    expansions = {
+        tuple(a for a, width in zip(c, block_lengths) for _ in range(width))
+        for c in itertools.product(range(k), repeat=m)
+        if rng.random() < 0.5
+    }
+    members = expansions | set(map(tuple, rng.integers(k, size=(20, n)).tolist()))
+    base = TupleSet.from_tuples(k, n, members)
+    rel = NiceRelation(k=k, block_lengths=block_lengths, base=base, excluded=(0,) * m)
+    assert list(rel.materialize()) == sorted(brute_block_members(k, block_lengths, members))
 
 
 @pytest.mark.parametrize("source", ["pipeline", "punctured"])
