@@ -528,17 +528,14 @@ def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
 
 
 def _table_width(base: int, blocks: int) -> int:
-    """Blocks per table row for splitting `blocks` base-`base` blocks.
-
-    The widest c <= blocks whose table, base**c rows of c entries, fits in
-    one grid batch (at least 1) sets the number of wide blocks; the width
-    returned is the narrowest that makes no more of them, which gathers
-    the fewest padding blocks from the smallest table.  Base 1 has one
-    block value, 0, and takes no table."""
+    """Blocks per table row for splitting `blocks` base-`base` blocks: the
+    widest c <= blocks whose table, base**c rows of c entries, fits in one
+    grid batch, and at least 1.  Base 1 has one block value, 0, and takes
+    no table."""
     c = 1
     while 1 < base and c < blocks and base ** (c + 1) * (c + 1) <= _CHUNK_CELLS:
         c += 1
-    return -(-blocks // -(-blocks // c))
+    return c
 
 
 @lru_cache(maxsize=64)

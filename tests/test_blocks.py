@@ -145,15 +145,10 @@ def test_split_blocks_matches_a_divmod_loop(cells, k, n):
             assert table.dtype == np.int64 and not table.flags.writeable
 
 
-def test_table_width_is_the_narrowest_for_the_widest_tables_divmods(cells):
-    # The widest table that fits in a batch, base**c rows of c entries,
-    # sets the number of divmods, ceil(blocks / c); the width used is the
-    # narrowest that needs no more of them.
+def test_table_width_is_the_widest_that_fits_a_batch(cells):
+    # The table of c blocks, base**c rows of c entries, fits in one batch.
     for base, blocks in [(2, 62), (2, 3), (2, 15), (3, 39), (4, 8), (9, 8), (11, 5)]:
         widest = max(c for c in range(1, blocks + 1) if c == 1 or base**c * c <= cells)
-        divmods = -(-blocks // widest)
-        c = _table_width(base, blocks)
-        assert -(-blocks // c) == divmods
-        assert c == 1 or -(-blocks // (c - 1)) > divmods
+        assert _table_width(base, blocks) == widest
     if cells == DEFAULT_CELLS:
-        assert [_table_width(2, 62), _table_width(2, 15), _table_width(3, 10)] == [11, 8, 5]
+        assert [_table_width(2, 62), _table_width(2, 15), _table_width(3, 10)] == [12, 12, 8]

@@ -71,8 +71,10 @@ def test_iteration_decodes_in_ascending_order(backend):
     assert ts.text() == "".join(" ".join(map(str, t)) + "\n" for t in sorted(members))
 
 
-# (k, n): every k at n <= 4, where small spaces are rendered whole, then n
-# beyond one table row of digits, with a narrower top row, sampled.
+# (k, n): every k at n <= 4, then n beyond one table row of digits, with a
+# narrower top row.  Spaces up to 12**4 rows, every n <= 4 among them, are
+# sampled without replacement, with the empty and a one-row set; larger
+# ones take 60 random rows.
 TEXT_SIZES = [(k, n) for n in (1, 2, 4) for k in (1, 2, 3, 10, 11, 12)] + [
     (2, 13), (2, 15), (2, 25), (3, 9), (3, 10), (11, 5), (12, 5), (12, 7), (1, 70),
 ]
@@ -84,7 +86,7 @@ def test_text_matches_a_per_row_rendering(backend, monkeypatch, k, n):
     # Each set is rendered at the fixture's batch size and at the default,
     # where the table rows hold more digits.
     rng = np.random.default_rng(100 * k + n)
-    if k**n <= 10**4:
+    if k**n <= 12**4:
         space = list(itertools.product(range(k), repeat=n))
         order = rng.permutation(len(space))
         sizes = {0, 1, min(len(space), 60), len(space) if len(space) <= 144 else 0}
