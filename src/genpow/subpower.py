@@ -514,8 +514,6 @@ def _split_blocks(encodings: np.ndarray, k: int, b: int, n: int) -> np.ndarray:
     the table starts with zero sub-blocks; those leading columns are
     dropped, and nothing is padded anywhere else.
     """
-    if b == n:
-        return encodings[:, None]
     base = k**b
     blocks = -(-n // b)
     c = _table_width(base, blocks)
@@ -609,12 +607,13 @@ def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
     inside pairs 1 .. m-1."""
     weights = _weights(k * k, m)
     values = _split_blocks(encodings, k, 2, 2 * m)
-    shift = _pair_swap(k)[values] - values
-    yield encodings + shift[:, 0] * weights[0]
+    swap = _pair_swap(k)
+    # Pair j's swapped values are gathered only when its generator is reached.
+    swaps = (encodings + (swap[v] - v) * w for v, w in zip(values.T, weights))
+    yield next(swaps)
     for j in range(1, m):
         yield encodings + (values[:, j] - values[:, 0]) * (weights[0] - weights[j])
-    for j in range(1, m):
-        yield encodings + shift[:, j] * weights[j]
+    yield from swaps
 
 
 def _pair_symmetry(seeds: TupleSet, members: np.ndarray) -> int:
@@ -657,48 +656,41 @@ def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:
 
 
 def _round_grids(
-    s: int,
-    symmetric: bool,
-    pairs: int,
-    old: np.ndarray,
-    new: np.ndarray,
-    union: np.ndarray,
-    generators: Optional[np.ndarray],
-) -> Iterator[list[np.ndarray]]:
-    """The argument groups of each grid a _saturate round runs for an
-    s-ary operation, from the blocks of old, of the frontier's drawn
-    tuples and of union.
+    s: int, symmetric: bool, runs: bool, old, new, union, generators
+) -> Iterator[list]:
+    """The argument groups of each grid a semi-naive round runs for an
+    s-ary operation, from old, the frontier (`new`) and union: the one
+    statement of a round's grids, which _saturate reads with block
+    matrices and _extender with role tokens.
 
-    `generators`, the blocks of U, the union at round 0, are given after
-    round 0 for the one operation of an algebra when it is binary and
-    associative (see _saturate).  The round is then the one grid with
-    argument 0 from U and argument 1 from the frontier.  Otherwise:
+    `generators`, U, the union at round 0, are given after round 0 for the
+    one operation of an algebra when it is binary and associative (see
+    _saturate).  The round is then the one grid with argument 0 from U and
+    argument 1 from the frontier.  Otherwise:
 
     Grid i of s grids, from s - 1 down to 0, draws argument i from the
     frontier, the earlier ones from `old` and the later ones from `union`:
     together every combination that touches the frontier, each once.  A
-    symmetric operation runs one grid.  Read `old` followed by the frontier
-    as one sequence; every multiset of arguments that touches the frontier
-    has a frontier member at its latest position, and that member goes
-    first.  So the frontier is cut into runs of R = max(1, _CHUNK_CELLS //
-    |union|**(s-1)) rows, each run is argument 0, and the others range
-    over the sequence up to the end of the run.  With pair symmetry the
-    others range over all of `union`, since moving argument 0 to its orbit
-    representative does not keep the prefix.
+    symmetric operation runs grid 0 alone, which holds every multiset of
+    arguments that touches the frontier.  With `runs` it is cut into
+    prefix runs instead, which hold them in fewer cells: read `old`
+    followed by the frontier as one sequence; every such multiset has a
+    frontier member at its latest position, and that member goes first.
+    So the frontier is cut into runs of R = max(1, _CHUNK_CELLS //
+    |sequence|**(s-1)) rows, each run is argument 0, and the others range
+    over the sequence up to the end of the run.
     """
     if generators is not None:
         yield [generators, new]
-    elif not symmetric:
-        for i in range(s - 1, -1, -1):
-            yield [old] * i + [new] + [union] * (s - 1 - i)
-    elif pairs or s == 1:
-        yield [new] + [union] * (s - 1)
-    else:
+    elif symmetric and runs:
         sequence = np.concatenate([old, new])
         rows = max(1, _CHUNK_CELLS // len(sequence) ** (s - 1))
         for start in range(0, len(new), rows):
             prefix = sequence[: len(old) + start + rows]
             yield [new[start : start + rows]] + [prefix] * (s - 1)
+    else:
+        for i in range(0 if symmetric else s - 1, -1, -1):
+            yield [old] * i + [new] + [union] * (s - 1 - i)
 
 
 def _saturate(
@@ -720,10 +712,10 @@ def _saturate(
     that superset, and final; the check comes before each charge.
 
     A round runs, for each operation in order, its _round_grids: the s
-    grids of an s-ary one, or one grid cut into runs of frontier rows
-    when the operation is symmetric (see _is_symmetric).  Each grid goes
-    in _grid_batches batches, and each batch is charged and inserted on
-    its own, so a refusal says how far the round got.
+    grids of an s-ary one, or one grid cut into prefix runs of frontier
+    rows when the operation is symmetric (see _is_symmetric).  Each grid
+    goes in _grid_batches batches, and each batch is charged and inserted
+    on its own, so a refusal says how far the round got.
 
     `pairs` = m > 0 says that n = 2m and that `old` and `new` are
     G-invariant (see _pair_symmetry).  Then every set a round starts from
@@ -732,7 +724,9 @@ def _saturate(
     representative, while g maps old, the frontier and union to
     themselves.  So grid i draws argument i from the frontier's orbit
     representatives alone, only those cells are charged, and each batch's
-    fresh images are inserted with their whole orbits.
+    fresh images are inserted with their whole orbits.  A symmetric
+    operation's grid is not cut into prefix runs then, since moving
+    argument 0 to its orbit representative does not keep the prefix.
 
     When the algebra's one operation is binary and associative (see
     _is_semigroup), every round after round 0 runs the one grid U x the
@@ -765,7 +759,7 @@ def _saturate(
         produced: list[np.ndarray] = []
         for op, (b, columns, symmetric, _) in zip(algebra.operations, layouts):
             grids = _round_grids(
-                op.arity, symmetric, pairs,
+                op.arity, symmetric, not pairs,
                 old_blocks[b], new_blocks[b], union_blocks[b], generators,
             )
             for groups in grids:
@@ -847,14 +841,15 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     Both sets are bit masks: bit x is set iff tuple x is a member.
 
     When every operation is tabulated on A^n itself (one block), every
-    round runs on masks: it ORs the images of _saturate's grids from the
-    operations' _image_tables, built here once per search and freed with
-    it, at most 2 * (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS
-    entries for an s-ary operation, half that for a symmetric one.  Mask
-    rounds run while the sum of their cells fits the step budget, where
-    _saturate could not have refused any of their batches: a round's cells
-    are _saturate's, or for a symmetric operation |new| * |union|**(s-1),
-    at least the cells of its runs.  A lone binary associative operation
+    round runs on masks: it ORs the images of each operation's
+    _round_grids, not cut into prefix runs, through its _image_tables,
+    built here once per search and freed with it, at most 2 *
+    (k**n)**(s-1) * ceil(k**n / _MASK_BITS) * 2**_MASK_BITS entries for an
+    s-ary operation, half that for a symmetric one.  Mask rounds run
+    while the sum of their cells fits the step budget, where _saturate
+    could not have refused any of their batches: a round's cells are
+    _saturate's, or for a symmetric operation |new| * |union|**(s-1), at
+    least the cells of its runs.  A lone binary associative operation
     keeps these semi-naive charges too, although _saturate charges only
     |U| * |new| after round 0, U = `closed` with e: round 0 is charged as
     above, and every later round at least |new| * |old|, with `old` a
@@ -877,32 +872,24 @@ def _extender(algebra: Algebra, n: int, limits: Limits) -> Callable[[int, int], 
     if not all(b == n for b, *_ in layouts):
         return handover
 
-    # The grids of a _saturate round, as (table, chunked, head, rest).
-    # Grid i of an s-ary operation draws argument i from the frontier, the
-    # earlier ones from `old` and the later ones from `union`.  It lists
-    # every argument but one, in order, and ORs the chunks of that one
-    # through its image table: the last argument, or the first in grid
-    # s - 1, whose last is the small frontier.  Sets are 0 = old,
-    # 1 = the frontier, 2 = union and 3 = [0], the row of a unary table;
-    # head is the first set listed and rest the others.  A symmetric
-    # operation keeps grid 0 alone, with every later argument from `union`.
-    # While `old` is empty only grid 0 has cells.
+    # Each operation's _round_grids on role tokens 0 = old, 1 = the
+    # frontier and 2 = union, as (table, chunked, head, rest): the grid ORs
+    # the chunks of one argument through its image table, the last one, or
+    # the first when the last is the small frontier, and lists the others,
+    # head first; 3 = [0] is the one row of a unary table.  While `old` is
+    # empty only the grids without role 0 have cells.
     grids, first_grids, charged = [], [], []
     for op, (_, _, symmetric, _) in zip(algebra.operations, layouts):
         s = op.arity
         last, first = _image_tables(op, n, symmetric)
-        if s == 1:
-            op_grids = [(last, 1, 3, ())]
-        else:
-            op_grids = []
-            for i in range(1 if symmetric else s - 1):
-                ids = (0,) * i + (1,) + (2,) * (s - 2 - i)
-                op_grids.append((last, 2, ids[0], ids[1:]))
-        if first:
-            ids = (0,) * (s - 2) + (1,)
-            op_grids.append((first, 0, ids[0], ids[1:]))
-        grids += op_grids
-        first_grids.append(op_grids[0])
+        for roles in _round_grids(s, symmetric, False, 0, 1, 2, None):
+            if s > 1 and roles[-1] == 1:
+                table, chunked, others = first, roles[0], roles[1:]
+            else:
+                table, chunked, others = last, roles[-1], roles[:-1] or [3]
+            grids.append((table, chunked, others[0], others[1:]))
+            if 0 not in roles:
+                first_grids.append(grids[-1])
         charged.append((s, symmetric))
     arities = [op.arity for op in algebra.operations]
     listed = max(arities) > 2  # a grid lists members of `old` and `union`

@@ -14,7 +14,9 @@ gives.
 
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import genpow.subpower
@@ -31,7 +33,7 @@ from genpow import (
     encode_tuple,
     equal_pair_evidence,
 )
-from genpow.subpower import _block_columns, _extender
+from genpow.subpower import _block_columns, _extender, _round_grids
 from tests.oracles import (
     apply_op,
     brute_closure,
@@ -168,6 +170,52 @@ def test_per_grid_reference_charges_each_frontier_combination_once(arity):
         assert round_cells(charges) == cells, case
         rounds.append(len(cells))
     assert len(rounds) >= 15 and max(rounds) >= 2, rounds
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 12, 64, genpow.subpower._CHUNK_CELLS])
+def test_round_grids_hold_each_frontier_combination(s, batch, monkeypatch):
+    # Index arrays for old {0, 2, 5} and the frontier {1, 3, 4}, interleaved
+    # as a round's sets can be.  The uncut grids of a non-symmetric
+    # operation hold every argument tuple that touches the frontier exactly
+    # once; a symmetric operation's uncut grid holds every such multiset.
+    # Its prefix runs, whatever batch sets the run length, hold no tuple
+    # twice, no more cells, and every tuple whose argument 0 is a frontier
+    # member at the latest position of the sequence old then frontier, so
+    # every such multiset.  With runs of one row they hold just those
+    # tuples, and at s <= 2 each multiset exactly once.  On the role
+    # tokens the extend kernel passes, the same uncut grids come back.
+    monkeypatch.setattr(genpow.subpower, "_CHUNK_CELLS", batch)
+    old, new, union = np.array([0, 2, 5]), np.array([1, 3, 4]), np.arange(6)
+    touching = [t for t in itertools.product(range(6), repeat=s) if {1, 3, 4} & set(t)]
+    multisets = {tuple(sorted(t)) for t in touching}
+    position = {x: i for i, x in enumerate([0, 2, 5, 1, 3, 4])}
+    latest_first = [
+        t for t in touching
+        if t[0] in (1, 3, 4) and position[t[0]] == max(map(position.get, t))
+    ]
+
+    def cells(symmetric, runs):
+        grids = _round_grids(s, symmetric, runs, old, new, union, None)
+        return [t for groups in grids for t in itertools.product(*groups)]
+
+    def roles(symmetric):
+        grids = _round_grids(s, symmetric, False, 0, 1, 2, None)
+        sets = (old, new, union)
+        return [t for groups in grids for t in itertools.product(*(sets[g] for g in groups))]
+
+    assert Counter(cells(False, False)) == Counter(touching)
+    assert Counter(cells(False, True)) == Counter(touching)
+    assert {tuple(sorted(t)) for t in cells(True, False)} == multisets
+    runs = cells(True, True)
+    assert len(set(runs)) == len(runs) <= len(cells(True, False))
+    assert set(latest_first) <= set(runs) <= {t for t in touching if t[0] in (1, 3, 4)}
+    if batch // 6 ** (s - 1) <= 1:
+        assert Counter(runs) == Counter(latest_first)
+        if s <= 2:
+            assert Counter(tuple(sorted(t)) for t in runs) == Counter(multisets)
+    for symmetric in (False, True):
+        assert roles(symmetric) == cells(symmetric, False)
 
 
 def mask(encodings):

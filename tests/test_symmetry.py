@@ -13,10 +13,11 @@ reference, which applies the same rule by brute force.
 
 import random
 
+import numpy as np
 import pytest
 
 from genpow import Limits, TupleSet, closure, decode_tuple, encode_tuple
-from genpow.subpower import _orbit_representatives, _pair_symmetry
+from genpow.subpower import _orbit_representatives, _pair_images, _pair_symmetry
 from tests.oracles import (
     brute_covering_pairs,
     brute_equal_pair_tuples,
@@ -83,6 +84,34 @@ def test_detection_and_representatives_match_brute_force():
                 least = sorted({encode_tuple(min(pair_orbit(t, group)), k) for t in seeds})
                 assert _orbit_representatives(ts.encodings(), k, n // 2).tolist() == least
     assert min(checked.values()) >= 20, checked
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pair_images_match_the_generator_permutations(k, m):
+    # The 2m - 1 generators of G as permutations of the coordinates: the
+    # swap inside pair 0, the transpositions of pair 0 with pair j, then
+    # the swaps inside pairs 1 .. m-1; each image is taken tuple by tuple.
+    n = 2 * m
+
+    def permutation(swaps):
+        perm = list(range(n))
+        for a, b in swaps:
+            perm[a], perm[b] = perm[b], perm[a]
+        return perm
+
+    generators = (
+        [permutation([(0, 1)])]
+        + [permutation([(0, 2 * j), (1, 2 * j + 1)]) for j in range(1, m)]
+        + [permutation([(2 * j, 2 * j + 1)]) for j in range(1, m)]
+    )
+    tuples = [decode_tuple(e, k, n) for e in range(k**n)]
+    images = list(_pair_images(np.arange(k**n, dtype=np.int64), k, m))
+    assert len(images) == len(generators) == 2 * m - 1
+    for perm, image in zip(generators, images):
+        assert image.tolist() == [encode_tuple([t[c] for c in perm], k) for t in tuples]
+    empty = list(_pair_images(np.empty(0, dtype=np.int64), k, m))
+    assert [image.size for image in empty] == [0] * (2 * m - 1)
 
 
 def check_closures(name, algebra, rng, sparse):
