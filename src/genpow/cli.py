@@ -327,6 +327,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"genpow: budget exceeded: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"genpow: budget exceeded: out of memory{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

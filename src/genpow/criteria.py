@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -397,8 +398,8 @@ class GeneratingSet:
     mode: str
     # Ascending generator encodings; a range when every tuple is needed.
     encodings: Sequence[int] = field(repr=False)
-    # Why a row of an exact growth profile is greedy: the exact search's
-    # refusal, by space or by search-tree size.  Not part of the CSV.
+    # Why mode "auto" fell back to greedy: the exact search's refusal, by
+    # space, by search-tree size or by a closure's steps.  Not in the CSV.
     reason: Optional[str] = None
 
     @property
@@ -417,10 +418,11 @@ def _forced_mask(algebra: Algebra, n: int) -> int:
 
     An s-ary f makes x from arguments that all differ from x iff each
     coordinate i has a row a of f's table with f(a) = x_i whose slot mask
-    {j : a_j != x_i} joins the others' to 2**s - 1.  So per operation the
-    tuples' prefixes carry the set of slot unions they can reach, bit u
-    set iff union u is, one coordinate at a time; a prefix that reaches
-    the full union keeps it, but every coordinate is still visited.
+    {j : a_j != x_i} joins the others' to 2**s - 1.  So per operation,
+    with the coordinates read last to first (a union does not depend on
+    the order), each reach state (bit u set iff slot union u is reached)
+    keeps the mask of the suffixes that reach it; prepending digit v at
+    position i shifts a mask by v * k**i.
     """
     k, unmade = algebra.k, 0
     for op in algebra.operations:
@@ -434,11 +436,14 @@ def _forced_mask(algebra: Algebra, n: int) -> int:
             unions = {u | m for u in _mask_members(reach, states) for m in masks[v]}
             return sum(1 << u for u in unions)
 
-        layer = [1]  # the empty prefix reaches the empty union
-        for _ in range(n):
-            layer = [step(reach, v) for reach in layer for v in range(k)]
+        layer = {1: 1}  # the empty suffix reaches the empty union
+        for i in range(n):
+            grown: defaultdict[int, int] = defaultdict(int)
+            for (reach, suffixes), v in itertools.product(layer.items(), range(k)):
+                grown[step(reach, v)] |= suffixes << v * k**i
+            layer = grown
         full = 1 << states - 1
-        unmade |= sum(1 << x for x, reach in enumerate(layer) if reach & full)
+        unmade |= reduce(or_, (mask for reach, mask in layer.items() if reach & full), 0)
     return ((1 << k**n) - 1) ^ unmade
 
 
@@ -468,7 +473,7 @@ class _ExactSearch:
     would succeed again: visit order, node counts, answers and refusals
     are those of a search without the memo.  It stores at most `room`
     closures, and past that nothing more; it is freed with the search
-    object when _exact_minimum returns or raises.
+    object when minimum returns or raises.
 
     Every generating set holds the forced tuples (_forced_mask).  So at
     the last pick of an iteration, a node whose closed set and pick leave
@@ -487,6 +492,7 @@ class _ExactSearch:
     def __init__(self, algebra: Algebra, n: int, limits: Limits):
         self.limits = limits
         self.space = algebra.k**n
+        limits.check_exact(self.space)
         self.full = (1 << self.space) - 1
         self.close = _extender(algebra, n, limits)
         self.nodes = 0
@@ -499,6 +505,15 @@ class _ExactSearch:
         # |union|**2 - |old|**2.
         affordable = sum(self.space**op.arity for op in algebra.operations) <= limits.steps
         self.forced = _forced_mask(algebra, n) if affordable else 0
+
+    def minimum(self) -> tuple[int, ...]:
+        """The lexicographically least minimum generating set, by
+        iterative deepening."""
+        for target in range(1, self.space + 1):
+            found = self.extend([], 0, target)
+            if found is not None:
+                return tuple(found)
+        raise AssertionError("the full space generates itself")
 
     def extend(self, chosen: list[int], closed: int, target: int) -> Optional[list[int]]:
         """A generating set of at most `target` picks that extends `chosen`,
@@ -539,15 +554,6 @@ class _ExactSearch:
         return None
 
 
-def _exact_minimum(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
-    search = _ExactSearch(algebra, n, limits)
-    for target in range(1, search.space + 1):
-        found = search.extend([], 0, target)
-        if found is not None:
-            return tuple(found)
-    raise AssertionError("the full space generates itself")
-
-
 def _greedy_upper_bound(algebra: Algebra, n: int, limits: Limits) -> tuple[int, ...]:
     space = algebra.k**n
     closed = TupleSet(algebra.k, n)
@@ -574,25 +580,28 @@ def min_generating_size(
     returns the lexicographically least minimum set; it refuses spaces
     larger than limits.exact and searches larger than limits.nodes (deep
     minimum sets make the tree explode well before the space cap does).
-    Mode "auto" picks exact when affordable.
+    Mode "exact" raises a refusal; mode "auto" returns the greedy set
+    instead, with the refusal (a closure's by steps too) as its reason.
     """
     if n < 1:
         raise PreconditionError(f"power must be >= 1, got {n}")
     if mode not in ("auto", "exact", "greedy"):
         raise PreconditionError(f"unknown search mode {mode!r}")
     limits.check_space(algebra.k, n)
-    space = algebra.k**n
     if not algebra.operations:
         # Closure is the identity, so every tuple must be a generator.
-        return GeneratingSet(k=algebra.k, n=n, mode="exact", encodings=range(space))
-    if mode == "auto":
-        mode = "exact" if space <= limits.exact else "greedy"
-    if mode == "exact":
-        limits.check_exact(space)
-        encodings = _exact_minimum(algebra, n, limits)
-    else:
-        encodings = _greedy_upper_bound(algebra, n, limits)
-    return GeneratingSet(k=algebra.k, n=n, mode=mode, encodings=encodings)
+        return GeneratingSet(k=algebra.k, n=n, mode="exact", encodings=range(algebra.k**n))
+    reason = None
+    if mode != "greedy":
+        try:
+            encodings = _ExactSearch(algebra, n, limits).minimum()
+            return GeneratingSet(k=algebra.k, n=n, mode="exact", encodings=encodings)
+        except BudgetExceededError as exc:
+            if mode == "exact":
+                raise
+            reason = str(exc)
+    encodings = _greedy_upper_bound(algebra, n, limits)
+    return GeneratingSet(k=algebra.k, n=n, mode="greedy", encodings=encodings, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -615,29 +624,22 @@ def growth_profile(
 ) -> GrowthProfile:
     """Generating-set sizes of A^1 .. A^n_max, one row per power.
 
-    mode "exact" falls back to greedy on rows where the exact search is
-    over budget, either by space or by search-tree size; the row's mode
-    says greedy and its reason gives the refusal.  Rows past the greedy
+    Each row is min_generating_size's answer, in mode "auto" for mode
+    "exact" (so a row the exact search refuses is greedy, with the refusal
+    as its reason) and in mode "greedy" otherwise.  Rows past the greedy
     budget are omitted and noted instead of raising.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("exact", "greedy"):
         raise PreconditionError(f"unknown growth mode {mode!r}")
+    search = "auto" if mode == "exact" else "greedy"
     rows = []
     note = None
     for n in range(1, n_max + 1):
-        reason = None
         try:
-            if mode == "exact":
-                try:
-                    gs = min_generating_size(algebra, n, mode="exact", limits=limits)
-                except BudgetExceededError as exc:
-                    reason = str(exc)
-            if mode == "greedy" or reason is not None:
-                gs = min_generating_size(algebra, n, mode="greedy", limits=limits)
+            rows.append(min_generating_size(algebra, n, mode=search, limits=limits))
         except BudgetExceededError as exc:
             note = f"rows from n = {n} omitted: {exc}"
             break
-        rows.append(replace(gs, reason=reason))
     return GrowthProfile(rows=tuple(rows), note=note)

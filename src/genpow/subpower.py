@@ -981,6 +981,8 @@ def closure(
     """
     _require_same_universe("algebra", algebra.k, "tuple set", seeds.k)
     ceiling = seeds.space if ceiling is None else ceiling
+    if len(seeds) == ceiling:
+        return seeds.copy()
     members = seeds.encodings()
     pairs = _pair_symmetry(seeds, members)
     return _saturate(algebra, seeds.copy(), [], members, limits, ceiling, pairs)

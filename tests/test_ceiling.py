@@ -10,11 +10,13 @@ and that stopping there changes no closure.
 import itertools
 import random
 
+import genpow.subpower
 from genpow import (
     Algebra,
     Limits,
     OperationTable,
     SubsetPair,
+    TupleSet,
     closure,
     equal_pair_evidence,
     equal_pair_tuples,
@@ -110,6 +112,22 @@ def test_closure_stops_at_the_ceiling_before_any_batch():
     assert SubsetPair(2, 1, 2).relation_size(2) == len(seeds) == 12
     stopped = closure(Algebra(k=2, operations=ops), seeds, ceiling=12, limits=Limits(steps=0))
     assert stopped == seeds
+
+
+def test_seeds_that_fill_the_ceiling_are_returned_unclosed(monkeypatch, xor3):
+    # Neither the pair-symmetry test nor the rounds run: the full power,
+    # and the 12 seeds of the test above told that 12 is the ceiling.
+    calls = []
+    for name in ("_pair_symmetry", "_saturate"):
+        monkeypatch.setattr(genpow.subpower, name, lambda *a, name=name: calls.append(name))
+    ops = (planted_op(2, 2, {0}, {1}, 1, random.Random(0), name="p"),)
+    for algebra, seeds, ceiling in (
+        (xor3, TupleSet.full(2, 6), None),
+        (Algebra(k=2, operations=ops), equal_pair_tuples(2, 2), 12),
+    ):
+        closed = closure(algebra, seeds, ceiling=ceiling)
+        assert closed == seeds and closed is not seeds
+    assert calls == []
 
 
 def test_d_check_skips_the_ceiling_past_the_choice_budget():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,8 @@ from genpow import (
     switch_generation_evidence,
     switch_tuples,
 )
-from genpow.criteria import SubsetPair
+import genpow.subpower
+from genpow.criteria import SubsetPair, _ExactSearch
 from tests.oracles import brute_switch_count, brute_switch_tuples
 
 
@@ -345,6 +347,30 @@ def test_min_generating_size_rejections(xor3):
 def test_exact_search_node_budget(egp3):
     with pytest.raises(BudgetExceededError):
         min_generating_size(egp3, 2, mode="exact", limits=Limits(nodes=5))
+
+
+def test_auto_falls_back_to_greedy_with_the_node_refusal(egp3):
+    gs = min_generating_size(egp3, 3)
+    refusal = "exact search exceeded 20000 nodes at k**n = 27"
+    assert (gs.mode, gs.size, gs.reason) == ("greedy", 11, refusal)
+    with pytest.raises(BudgetExceededError, match=re.escape(refusal)):
+        min_generating_size(egp3, 3, mode="exact")
+
+
+def test_auto_falls_back_to_greedy_with_the_space_refusal(xor3):
+    gs = min_generating_size(xor3, 9)
+    assert (gs.mode, gs.reason) == ("greedy", "k**n = 512 exceeds the exact-search budget 256")
+    assert is_full(closure(xor3, TupleSet.from_tuples(2, 9, gs.generators)))
+
+
+def test_exact_search_refuses_its_space_before_building_image_tables(xor3, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("image tables built for a refused space")
+
+    monkeypatch.setattr(genpow.subpower, "_image_tables", unexpected)
+    refusal = "k**n = 8 exceeds the exact-search budget 4"
+    with pytest.raises(BudgetExceededError, match=re.escape(refusal)):
+        _ExactSearch(xor3, 3, Limits(exact=4))
 
 
 # -- growth profiles ----------------------------------------------------
