@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import or_
@@ -418,11 +417,10 @@ def _forced_mask(algebra: Algebra, n: int) -> int:
 
     An s-ary f makes x from arguments that all differ from x iff each
     coordinate i has a row a of f's table with f(a) = x_i whose slot mask
-    {j : a_j != x_i} joins the others' to 2**s - 1.  So per operation,
-    with the coordinates read last to first (a union does not depend on
-    the order), each reach state (bit u set iff slot union u is reached)
-    keeps the mask of the suffixes that reach it; prepending digit v at
-    position i shifts a mask by v * k**i.
+    {j : a_j != x_i} joins the others' to 2**s - 1.  So per operation the
+    tuples' prefixes carry the set of slot unions they can reach, bit u
+    set iff union u is, one coordinate at a time; a prefix that reaches
+    the full union keeps it, but every coordinate is still visited.
     """
     k, unmade = algebra.k, 0
     for op in algebra.operations:
@@ -436,14 +434,11 @@ def _forced_mask(algebra: Algebra, n: int) -> int:
             unions = {u | m for u in _mask_members(reach, states) for m in masks[v]}
             return sum(1 << u for u in unions)
 
-        layer = {1: 1}  # the empty suffix reaches the empty union
-        for i in range(n):
-            grown: defaultdict[int, int] = defaultdict(int)
-            for (reach, suffixes), v in itertools.product(layer.items(), range(k)):
-                grown[step(reach, v)] |= suffixes << v * k**i
-            layer = grown
+        layer = [1]  # the empty prefix reaches the empty union
+        for _ in range(n):
+            layer = [step(reach, v) for reach in layer for v in range(k)]
         full = 1 << states - 1
-        unmade |= reduce(or_, (mask for reach, mask in layer.items() if reach & full), 0)
+        unmade |= sum(1 << x for x, reach in enumerate(layer) if reach & full)
     return ((1 << k**n) - 1) ^ unmade
 
 

@@ -10,13 +10,17 @@ gigabytes of text.
 """
 
 import os
-import resource
 import subprocess
 import sys
 
 import pytest
 
 from tests.conftest import corpus_path
+
+# Elsewhere RLIMIT_AS is missing (Windows) or not enforced on allocations
+# (macOS), so the children would really try the multi-GiB requests.
+pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced only on Linux")
+resource = pytest.importorskip("resource")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ADDRESS_SPACE = 2 << 30
