@@ -267,15 +267,19 @@ def count_switch_tuples(k: int, n: int, r: int) -> int:
 def switch_tuples(k: int, n: int, r: int, *, limits: Limits = LIMITS) -> TupleSet:
     """All tuples of A^n with at most r switches.
 
-    Prefixes grow one coordinate at a time as encodings; a prefix with
-    more than r switches is dropped as soon as it has them.  Appending
-    digits in ascending order keeps the prefixes ascending.
+    A tuple has at most n - 1 switches, so r >= n - 1 gives all of A^n,
+    inserted a batch of encodings at a time.  Otherwise prefixes grow one
+    coordinate at a time as encodings; a prefix with more than r switches
+    is dropped as soon as it has them.  Appending digits in ascending
+    order keeps the prefixes ascending.
     """
     if k < 1 or n < 1 or r < 0:
         raise PreconditionError(
             f"need k >= 1, n >= 1, r >= 0, got k = {k}, n = {n}, r = {r}"
         )
     limits.check_switch_tuples(count_switch_tuples(k, n, r))
+    if r >= n - 1:
+        return TupleSet.full(k, n, limits=limits)
     ts = TupleSet(k, n)
     prefixes = values = np.arange(k, dtype=np.int64)
     switches = np.zeros(k, dtype=np.int64)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice
 from operator import add, itemgetter, or_
-from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -586,13 +586,38 @@ def _layouts(
     )
 
 
-# -- the symmetry of the designated pairs ----------------------------------
+# -- symmetries of the seeds -----------------------------------------------
 #
-# In A^(2m) the group G of order 2**m * m! permutes the m designated pairs
-# (2j, 2j+1) and swaps the two coordinates inside each pair.  An encoding
-# is read as m base-k**2 pair values, pair 0 most significant.  Operations
-# act coordinatewise, so they commute with G, and the closure of G-invariant
-# seeds is G-invariant.
+# A permutation of the n coordinates commutes with every operation, since
+# operations act coordinatewise; so a group H of such permutations that
+# maps the seeds onto themselves maps their closure onto itself too, and
+# every round's sets stay H-invariant (see _saturate).  closure detects two
+# groups.  In A^(2m) the pair group of order 2**m * m! permutes the m
+# designated pairs (2j, 2j+1) and swaps the two coordinates inside each
+# pair; an encoding is read as m base-k**2 pair values, pair 0 most
+# significant.  In any A^n the reversal maps t_1 .. t_n to t_n .. t_1; at
+# n = 2m it lies in the pair group.
+
+
+class _Symmetry(NamedTuple):
+    """A group H of coordinate permutations of A^n, acting on int64
+    encodings.  images(e) yields the images of e under H's generators, one
+    generator at a time, the first `generating` of which generate H;
+    canonical(e) maps each encoding to the least member of its orbit.
+    `runs` says whether a symmetric operation keeps its prefix runs over
+    the whole frontier (see _round_grids) instead of running one grid that
+    draws from orbit representatives."""
+
+    images: Callable[[np.ndarray], Iterable[np.ndarray]]
+    generating: int
+    canonical: Callable[[np.ndarray], np.ndarray]
+    runs: bool
+
+
+def _batches(encodings: np.ndarray) -> Iterator[np.ndarray]:
+    """The encodings in slices of _CHUNK_CELLS rows, at least one slice."""
+    for start in range(0, max(1, encodings.size), _CHUNK_CELLS):
+        yield encodings[start : start + _CHUNK_CELLS]
 
 
 def _pair_swap(k: int) -> np.ndarray:
@@ -601,10 +626,10 @@ def _pair_swap(k: int) -> np.ndarray:
 
 
 def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
-    """Images of encodings in A^(2m) under the 2m - 1 generators of G, one
-    generator at a time: the swap inside pair 0, the transpositions of pair
-    0 with pair j for j = 1 .. m-1 (these m generate G), then the swaps
-    inside pairs 1 .. m-1."""
+    """Images of encodings in A^(2m) under the 2m - 1 generators of the pair
+    group, one generator at a time: the swap inside pair 0, the
+    transpositions of pair 0 with pair j for j = 1 .. m-1 (these m generate
+    the group), then the swaps inside pairs 1 .. m-1."""
     weights = _weights(k * k, m)
     values = _split_blocks(encodings, k, 2, 2 * m)
     swap = _pair_swap(k)
@@ -616,41 +641,76 @@ def _pair_images(encodings: np.ndarray, k: int, m: int) -> Iterator[np.ndarray]:
     yield from swaps
 
 
-def _pair_symmetry(seeds: TupleSet, members: np.ndarray) -> int:
-    """m when the seeds, with encodings `members`, lie in A^(2m) and are
-    G-invariant, else 0.  The seeds are invariant iff each of m generators
-    of G maps them into themselves.  With m > 0, _saturate draws each
-    grid's frontier argument from orbit representatives, and a symmetric
-    operation's one grid is not cut into prefix runs (see _round_grids)."""
-    if seeds.n % 2:
-        return 0
-    m = seeds.n // 2
-    images = _pair_images(members, seeds.k, m)
-    for image in islice(images, m):
-        if not seeds.contains_encodings(image).all():
-            return 0
-    return m
-
-
-def _orbit_representatives(encodings: np.ndarray, k: int, m: int) -> np.ndarray:
-    """The least member of the orbit under G of each encoding in A^(2m),
-    each once, ascending: each pair's smaller coordinate goes first, then
-    the pairs are sorted."""
+def _pair_canonical(encodings: np.ndarray, k: int, m: int) -> np.ndarray:
+    """The least member of each encoding's pair-group orbit: each pair's
+    smaller coordinate goes first, then the pairs are sorted."""
     values = _split_blocks(encodings, k, 2, 2 * m)
     values = np.minimum(values, _pair_swap(k)[values])
     values.sort(axis=1)
-    return _unique(values @ _weights(k * k, m))
+    return values @ _weights(k * k, m)
 
 
-def _insert_orbits(result: TupleSet, fresh: np.ndarray, m: int) -> np.ndarray:
-    """Insert the orbits under G of the fresh encodings of A^(2m), which
-    `result` already holds, by closing them under the generators; return
+def _reversed(encodings: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The encodings of the tuples with their n coordinates reversed."""
+    return _split_blocks(encodings, k, 1, n) @ _weights(k, n)[::-1]
+
+
+def _symmetry(algebra: Algebra, seeds: TupleSet, members: np.ndarray) -> Optional[_Symmetry]:
+    """The group _saturate closes the seeds, with encodings `members`, by,
+    or None (always None without operations).  The pair group is tried
+    when n = 2m.  The reversal is tried next when n > 2 (at n = 2 it is the
+    pair group) and some grid draws from orbit representatives: one of an
+    operation that is not symmetric, or the rounds after round 0 of a lone
+    binary associative operation.  A symmetric operation keeps its prefix
+    runs under the reversal, which hold each multiset about once already.
+
+    A group is picked when each of its first `generating` generators maps
+    the seeds into themselves, tested batch by batch up to the first
+    batch that fails."""
+    k, n = seeds.k, seeds.n
+    layouts = _layouts(algebra.operations, n, _CHUNK_CELLS)
+    groups = []
+    if layouts and n % 2 == 0:
+        m = n // 2
+        groups.append(_Symmetry(
+            partial(_pair_images, k=k, m=m), m, partial(_pair_canonical, k=k, m=m), False
+        ))
+    semigroup = len(layouts) == 1 and layouts[0][3]
+    if n > 2 and (semigroup or any(not symmetric for _, _, symmetric, _ in layouts)):
+        reverse = partial(_reversed, k=k, n=n)
+        groups.append(_Symmetry(
+            lambda e: (reverse(e),), 1, lambda e: np.minimum(e, reverse(e)), True
+        ))
+    for group in groups:
+        if all(
+            seeds.contains_encodings(image).all()
+            for batch in _batches(members)
+            for image in islice(group.images(batch), group.generating)
+        ):
+            return group
+    return None
+
+
+def _orbit_representatives(encodings: np.ndarray, symmetry: _Symmetry) -> np.ndarray:
+    """The least member of the orbit of each encoding, each once,
+    ascending, computed batch by batch."""
+    return _unique(np.concatenate(
+        [_unique(symmetry.canonical(batch)) for batch in _batches(encodings)]
+    ))
+
+
+def _insert_orbits(result: TupleSet, fresh: np.ndarray, symmetry: _Symmetry) -> np.ndarray:
+    """Insert the orbits of the fresh encodings, which `result` already
+    holds, by closing them under the generators batch by batch; return
     every encoding added, fresh included.  Outside `fresh`, `result` must
     hold whole orbits."""
     added = [fresh]
     while fresh.size:
-        images = _pair_images(fresh, result.k, m)
-        fresh = np.concatenate([result.add_encodings_array(image) for image in images])
+        fresh = np.concatenate([
+            result.add_encodings_array(image)
+            for batch in _batches(fresh)
+            for image in symmetry.images(batch)
+        ])
         added.append(fresh)
     return np.concatenate(added)
 
@@ -700,7 +760,7 @@ def _saturate(
     new: np.ndarray | list[int],
     limits: Limits,
     ceiling: int,
-    pairs: int = 0,
+    symmetry: Optional[_Symmetry] = None,
 ) -> TupleSet:
     """Drive (old | new) to the closure fixed point inside `result`.
 
@@ -717,16 +777,18 @@ def _saturate(
     goes in _grid_batches batches, and each batch is charged and inserted
     on its own, so a refusal says how far the round got.
 
-    `pairs` = m > 0 says that n = 2m and that `old` and `new` are
-    G-invariant (see _pair_symmetry).  Then every set a round starts from
-    stays G-invariant, and an image with argument i in the frontier is
-    moved by some g in G to one with argument i the frontier's orbit
-    representative, while g maps old, the frontier and union to
+    `symmetry`, a group H of coordinate permutations (see _symmetry),
+    says that `old` and `new` are H-invariant.  Then every set a round
+    starts from stays H-invariant, and an image with argument i in the
+    frontier is moved by some g in H to one with argument i the frontier's
+    orbit representative, while g maps old, the frontier and union to
     themselves.  So grid i draws argument i from the frontier's orbit
     representatives alone, only those cells are charged, and each batch's
     fresh images are inserted with their whole orbits.  A symmetric
-    operation's grid is not cut into prefix runs then, since moving
-    argument 0 to its orbit representative does not keep the prefix.
+    operation keeps its prefix runs over the whole frontier when H's
+    `runs` says so (the reversal), and otherwise runs its one grid on the
+    representatives (the pair group), since moving argument 0 to its
+    orbit representative does not keep the prefix.
 
     When the algebra's one operation is binary and associative (see
     _is_semigroup), every round after round 0 runs the one grid U x the
@@ -737,7 +799,7 @@ def _saturate(
     u1*(u2*(...*uL)), so t*v = u1*(...*(uL*v)) lies in T for t, v in T, by
     induction on L, and T is the closure of U.  Round 0 already makes u*w
     for w in U: a pair inside `old` lands in `old`, which is closed.  With
-    pair symmetry U is G-invariant, so drawing argument 1 from the
+    a symmetry U is H-invariant, so drawing argument 1 from the
     frontier's orbit representatives and inserting whole orbits stays
     exact.  In every later round |U| * |new| is at most the cells of the
     round's semi-naive grids, since U is part of `old`.
@@ -748,19 +810,25 @@ def _saturate(
     widths = {b for b, *_ in layouts}
     old_blocks = {b: _split_blocks(old, k, b, n) for b in widths}
     semigroup = len(layouts) == 1 and layouts[0][3]
+    runs = symmetry is None or symmetry.runs
+    # Prefix runs read the whole frontier, every other grid `drawn`.
+    whole = symmetry is not None and runs and any(sym for _, _, sym, _ in layouts)
     generators = None  # U's blocks after round 0, for a semigroup
     steps = rounds = 0
     while new.size:
         union = np.concatenate([old, new])
         union.sort()
-        drawn = _orbit_representatives(new, k, pairs) if pairs else new
-        new_blocks = {b: _split_blocks(drawn, k, b, n) for b in widths}
+        drawn = new if symmetry is None else _orbit_representatives(new, symmetry)
+        drawn_blocks = {b: _split_blocks(drawn, k, b, n) for b in widths}
+        new_blocks = drawn_blocks
+        if whole and generators is None:
+            new_blocks = {b: _split_blocks(new, k, b, n) for b in widths}
         union_blocks = {b: _split_blocks(union, k, b, n) for b in widths}
         produced: list[np.ndarray] = []
         for op, (b, columns, symmetric, _) in zip(algebra.operations, layouts):
+            frontier = new_blocks if symmetric and runs else drawn_blocks
             grids = _round_grids(
-                op.arity, symmetric, not pairs,
-                old_blocks[b], new_blocks[b], union_blocks[b], generators,
+                op.arity, symmetric, runs, old_blocks[b], frontier[b], union_blocks[b], generators
             )
             for groups in grids:
                 for batch, cells in _grid_batches(groups):
@@ -770,8 +838,8 @@ def _saturate(
                         steps, cells, rounds, (len(result), result.space)
                     )
                     fresh = result.add_encodings_array(_grid_results(columns, batch))
-                    if pairs and fresh.size:
-                        fresh = _insert_orbits(result, fresh, pairs)
+                    if symmetry is not None and fresh.size:
+                        fresh = _insert_orbits(result, fresh, symmetry)
                     if fresh.size:
                         produced.append(fresh)
         new = np.sort(np.concatenate(produced)) if produced else np.empty(0, np.int64)
@@ -974,18 +1042,23 @@ def closure(
 
     `ceiling` is the size of a closed superset of the seeds known in
     advance, k**n by default; the closure stops as soon as it holds that
-    many tuples.  Seeds in A^(2m) that are invariant under permuting the
-    designated pairs (2j, 2j+1) and swapping inside them are closed by
-    orbit representatives (see _saturate), and only their cells are
-    charged to the step budget.
+    many tuples, and seeds that already fill it are returned unclosed.
+    Otherwise, when the algebra has operations, the seeds are tested for
+    two symmetries (see _symmetry): seeds in A^(2m) invariant under
+    permuting the designated pairs (2j, 2j+1) and swapping inside them,
+    and else, for n > 2, seeds invariant under reversing the coordinates,
+    when some operation is not symmetric or the algebra's one operation is
+    binary and associative.  Symmetric seeds are closed by orbit
+    representatives (see _saturate), and only their cells are charged to
+    the step budget.
     """
     _require_same_universe("algebra", algebra.k, "tuple set", seeds.k)
     ceiling = seeds.space if ceiling is None else ceiling
     if len(seeds) == ceiling:
         return seeds.copy()
     members = seeds.encodings()
-    pairs = _pair_symmetry(seeds, members)
-    return _saturate(algebra, seeds.copy(), [], members, limits, ceiling, pairs)
+    symmetry = _symmetry(algebra, seeds, members)
+    return _saturate(algebra, seeds.copy(), [], members, limits, ceiling, symmetry)
 
 
 def closure_extend(

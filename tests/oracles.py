@@ -117,11 +117,16 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     tuples; a run's new tuples are argument 0, and the others range over
     the sequence up to the end of the run.
 
-    A closure from scratch (`old` empty) of seeds of even width 2m that
-    every permutation of pair_group(m) maps into themselves draws argument
-    i only from the least tuple of each pair_orbit among the round's new
-    tuples, and inserts every image with its whole orbit.  A symmetric
-    operation then runs grid 0 alone, over the whole sequence.
+    A closure from scratch (`old` empty) by an algebra with operations
+    may pick a group of coordinate permutations: pair_group(m) when the
+    width is 2m and every permutation of it maps the seeds into
+    themselves; else the reversal when the width is above 2, reversing
+    every seed gives a seed, and some operation is not is_symmetric or the
+    algebra's one operation is_associative.  It then draws argument i only
+    from the least tuple of each orbit among the round's new tuples, and
+    inserts every image with its whole orbit.  Under the pair group a
+    symmetric operation runs grid 0 alone, over those least tuples; under
+    the reversal it keeps its runs over all the new tuples.
 
     When the algebra has one operation and it is_associative, every round
     after the first runs one grid instead: argument 0 from the tuples
@@ -134,13 +139,21 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     width = len(next(iter(current)))
     if stop is None:
         stop = algebra.k**width
-    group = [tuple(range(width))]
-    if not old and width % 2 == 0:
-        pairs = pair_group(width // 2)
-        if all(pair_orbit(t, pairs) <= current for t in current):
-            group = pairs
     symmetric = [is_symmetric(op) for op in algebra.operations]
     semigroup = len(algebra.operations) == 1 and is_associative(algebra.operations[0])
+    identity = tuple(range(width))
+    pairs = pair_group(width // 2) if width % 2 == 0 else []
+    reversal = [identity, identity[::-1]]
+    group, runs = [identity], True
+    if not old and algebra.operations:
+        if pairs and all(pair_orbit(t, pairs) <= current for t in current):
+            group, runs = pairs, False
+        elif (
+            width > 2
+            and (not all(symmetric) or semigroup)
+            and all(pair_orbit(t, reversal) <= current for t in current)
+        ):
+            group = reversal
     generators = sorted(current)
     old = set(old)
     new = current - old
@@ -148,8 +161,8 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
     charges = []
     while new:
         new_rows = sorted({min(pair_orbit(t, group)) for t in new})
-        old_rows, union_rows = sorted(old), sorted(old | new)
-        sequence = old_rows + new_rows
+        old_rows, union_rows, all_new = sorted(old), sorted(old | new), sorted(new)
+        sequence = old_rows + all_new
         produced = set()
         for op, whole in zip(algebra.operations, symmetric):
             s = op.arity
@@ -160,13 +173,13 @@ def per_grid_charges(algebra, seeds, old=(), stop=None, batch=1 << 16):
                     [old_rows] * i + [new_rows] + [union_rows] * (s - 1 - i)
                     for i in reversed(range(s if old else 1))
                 ]
-            elif len(group) > 1:
+            elif not runs:
                 grids = [[new_rows] + [union_rows] * (s - 1)]
             else:
                 per = max(1, batch // len(sequence) ** (s - 1))
                 grids = [
-                    [new_rows[a : a + per]] + [sequence[: len(old_rows) + a + per]] * (s - 1)
-                    for a in range(0, len(new_rows), per)
+                    [all_new[a : a + per]] + [sequence[: len(old_rows) + a + per]] * (s - 1)
+                    for a in range(0, len(all_new), per)
                 ]
             for groups in grids:
                 combos = itertools.product(*groups)

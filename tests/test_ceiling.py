@@ -115,10 +115,10 @@ def test_closure_stops_at_the_ceiling_before_any_batch():
 
 
 def test_seeds_that_fill_the_ceiling_are_returned_unclosed(monkeypatch, xor3):
-    # Neither the pair-symmetry test nor the rounds run: the full power,
+    # Neither the symmetry test nor the rounds run: the full power,
     # and the 12 seeds of the test above told that 12 is the ceiling.
     calls = []
-    for name in ("_pair_symmetry", "_saturate"):
+    for name in ("_symmetry", "_saturate"):
         monkeypatch.setattr(genpow.subpower, name, lambda *a, name=name: calls.append(name))
     ops = (planted_op(2, 2, {0}, {1}, 1, random.Random(0), name="p"),)
     for algebra, seeds, ceiling in (

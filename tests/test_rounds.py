@@ -39,6 +39,7 @@ from tests.oracles import (
     brute_closure,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
+    brute_switch_tuples,
     is_symmetric,
     per_grid_charges,
     random_op,
@@ -85,15 +86,20 @@ def assert_sweep(run, charges, members, space, case, budgets=None):
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"], indirect=True)
 def test_budget_sweep_matches_per_pattern_reference(corpus, non_idem, backend):
+    # Besides 1-3 random seeds, the tuples with at most r switches at n = 3
+    # (r = 0, 1): reversing the coordinates maps them onto themselves.
     rng = random.Random(11)
     algebras = {**corpus, "non_idempotent": non_idem, **SEEDED}
     for name, alg in algebras.items():
         k = alg.k
         for n in (1, 2, 3):
             space = k**n
-            for count in (1, 2, 3):
-                encodings = rng.sample(range(space), min(count, space))
-                seeds = [decode_tuple(e, k, n) for e in encodings]
+            for count in (1, 2, 3) + (("r0", "r1") if n == 3 else ()):
+                if isinstance(count, int):
+                    encodings = rng.sample(range(space), min(count, space))
+                    seeds = [decode_tuple(e, k, n) for e in encodings]
+                else:
+                    seeds = sorted(brute_switch_tuples(k, n, int(count[1])))
                 ts = TupleSet.from_tuples(k, n, seeds)
                 members, charges = per_grid_charges(alg, seeds)
                 closed = closure(alg, ts)

@@ -312,15 +312,21 @@ def test_semigroup_budget_sweep_matches_the_reference(monkeypatch, backend):
 
 
 def test_a_semigroup_refusal_reports_how_far_it_got(min2):
-    # A^3 from the three tuples with one zero: round 0 runs its one grid,
-    # 3 * 3 = 9 cells, and makes the three with two zeros; round 1 runs the
-    # 3 seeds times those 3, 9 cells, and makes the all-zero tuple, and
+    # A^3 from the three tuples with one zero.  Reversing the coordinates
+    # maps them onto themselves, so later rounds draw the frontier's
+    # reversal orbit representatives.  Round 0 runs min's prefix run over
+    # all 3 seeds, 3 * 3 = 9 cells, and makes the three with two zeros;
+    # round 1 runs the 3 seeds times the representatives 001 and 010 of
+    # those 3 (100 reverses 001), 6 cells, and makes the all-zero tuple;
     # round 2, 3 * 1 = 3 cells, makes nothing new.
     seeds = TupleSet.from_tuples(2, 3, [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    assert len(closure(min2, seeds, limits=Limits(steps=21))) == 7
+    assert len(closure(min2, seeds, limits=Limits(steps=18))) == 7
     with pytest.raises(BudgetExceededError) as info:
-        closure(min2, seeds, limits=Limits(steps=20))
-    assert "rounds completed: 2, tuples: 7 of 8, steps applied: 18)" in str(info.value)
+        closure(min2, seeds, limits=Limits(steps=17))
+    assert str(info.value) == (
+        "closure exceeded the step budget of 17 combination applications "
+        "(rounds completed: 2, tuples: 7 of 8, steps applied: 15)"
+    )
 
 
 def test_min_closes_the_two_switch_tuples_of_length_12_in_600000_steps(min2):

@@ -1,31 +1,39 @@
-"""Closures of seeds invariant under the symmetry of the designated pairs.
+"""Closures of seeds invariant under a symmetry of the coordinates.
 
-In A^(2m) the group G of order 2**m * m! permutes the designated pairs
-(2j, 2j+1) and swaps the coordinates inside each.  `closure` finds when
-its seeds are G-invariant, and then draws each round's frontier argument
-from the frontier's orbit representatives alone and inserts every image
-with its whole orbit.  These tests check the detection and the
-representatives against brute force over G, the closures against the
-genpow-free full-rescan oracles, on the corpus and on seeded algebras, with
-dense and with sparse membership, and the charges against the per-grid
-reference, which applies the same rule by brute force.
+In A^(2m) the pair group G of order 2**m * m! permutes the designated
+pairs (2j, 2j+1) and swaps the coordinates inside each; in any A^n the
+reversal maps t_1 .. t_n to t_n .. t_1.  `closure` finds when its seeds
+are invariant under one of them, and then draws each round's frontier
+argument from the frontier's orbit representatives alone and inserts
+every image with its whole orbit.  These tests check the detection and
+the representatives against brute force over the groups, the closures
+against the genpow-free full-rescan oracles, on the corpus and on seeded
+algebras, with dense and with sparse membership, and the charges against
+the per-grid reference, which applies the same rule by brute force.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from genpow import Limits, TupleSet, closure, decode_tuple, encode_tuple
-from genpow.subpower import _orbit_representatives, _pair_images, _pair_symmetry
+import genpow.subpower
+from genpow import Algebra, Limits, OperationTable, TupleSet, closure, decode_tuple, encode_tuple
+from genpow.subpower import _orbit_representatives, _pair_images, _symmetry
 from tests.oracles import (
+    brute_closure,
     brute_covering_pairs,
     brute_equal_pair_tuples,
     brute_subset_pair_relation,
+    brute_switch_tuples,
     elements,
+    numpy_closure,
     pair_group,
     pair_orbit,
     per_grid_charges,
+    random_symmetric_op,
+    random_table_op,
 )
 from tests.test_differential import draw, oracle
 from tests.test_rounds import assert_sweep, charge_edges
@@ -58,32 +66,71 @@ def sizes(algebra):
     return [n for n in (2, 4, 6) if (algebra.k**n) ** arity <= 3**12]
 
 
+def table_op(name, arity, k, f):
+    """The operation of arity `arity` on k elements that f computes."""
+    table = tuple(f(*args) for args in itertools.product(range(k), repeat=arity))
+    return OperationTable(name, arity, k, table)
+
+
+def detection_algebras(k):
+    """One algebra per detection case: a non-symmetric operation (the
+    first projection), a symmetric one that is not binary (ternary
+    median-like), and a symmetric binary associative one (min)."""
+    return {
+        "projection": Algebra(k=k, operations=(table_op("p", 2, k, lambda x, y: x),)),
+        "symmetric": Algebra(k=k, operations=(
+            table_op("s", 3, k, lambda x, y, z: sorted((x, y, z))[1]),
+        )),
+        "semigroup": Algebra(k=k, operations=(table_op("m", 2, k, min),)),
+    }
+
+
+def picked(symmetry):
+    """The group _symmetry picked: the pair group keeps no prefix runs,
+    the reversal does."""
+    return None if symmetry is None else "reversal" if symmetry.runs else "pairs"
+
+
 def test_detection_and_representatives_match_brute_force():
     rng = random.Random(7)
-    checked = {0: 0, 1: 0}
+    checked = {None: 0, "pairs": 0, "reversal": 0}
     for k in (2, 3):
+        algebras = detection_algebras(k)
         for n in range(1, 7):
             if k**n > 729:
                 continue
             group = pair_group(n // 2) if n % 2 == 0 else None
+            reversal = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
             for _ in range(10):
                 picks = rng.sample(range(k**n), min(3, k**n))
                 seeds = {decode_tuple(e, k, n) for e in picks}
-                if group is not None and rng.random() < 0.5:
+                draw_kind = rng.random()
+                if group is not None and draw_kind < 0.4:
                     seeds = orbit_union(k, n, 2, rng)
+                elif draw_kind < 0.7:
+                    seeds |= {t[::-1] for t in seeds}
                 ts = TupleSet.from_tuples(k, n, seeds)
-                invariant = group is not None and all(
-                    pair_orbit(t, group) <= seeds for t in seeds
-                )
-                assert _pair_symmetry(ts, ts.encodings()) == (n // 2 if invariant else 0), (
-                    k, n, seeds,
-                )
-                checked[invariant] += 1
-                if group is None:
-                    continue
-                least = sorted({encode_tuple(min(pair_orbit(t, group)), k) for t in seeds})
-                assert _orbit_representatives(ts.encodings(), k, n // 2).tolist() == least
+                by_pairs = group is not None and all(pair_orbit(t, group) <= seeds for t in seeds)
+                by_reversal = n > 2 and all(t[::-1] in seeds for t in seeds)
+                for name, algebra in algebras.items():
+                    found = _symmetry(algebra, ts, ts.encodings())
+                    want = "pairs" if by_pairs else (
+                        "reversal" if by_reversal and name != "symmetric" else None
+                    )
+                    assert picked(found) == want, (k, n, name, seeds)
+                    checked[want] += 1
+                    if found is None:
+                        continue
+                    orbits = group if want == "pairs" else reversal
+                    least = sorted({encode_tuple(min(pair_orbit(t, orbits)), k) for t in seeds})
+                    assert _orbit_representatives(ts.encodings(), found).tolist() == least
     assert min(checked.values()) >= 20, checked
+
+
+def test_detection_skips_an_algebra_without_operations():
+    ts = TupleSet.from_tuples(2, 4, [(0, 0, 0, 0)])
+    assert _symmetry(Algebra(k=2, operations=()), ts, ts.encodings()) is None
+    assert picked(_symmetry(detection_algebras(2)["projection"], ts, ts.encodings())) == "pairs"
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -123,7 +170,8 @@ def check_closures(name, algebra, rng, sparse):
             for backend in ("dense", "sparse"):
                 with sparse(backend == "sparse"):
                     ts = TupleSet.from_tuples(k, n, seeds)
-                assert _pair_symmetry(ts, ts.encodings()) == n // 2, (name, n, kind)
+                found = _symmetry(algebra, ts, ts.encodings())
+                assert found is not None and not found.runs, (name, n, kind)
                 closed = closure(algebra, ts)
                 assert set(closed) == members, (name, n, kind, backend)
 
@@ -162,3 +210,110 @@ def test_symmetric_budget_sweep_matches_the_reference(backend):
             )
             swept += len(charges) > 0
     assert swept >= SEEDED, swept
+
+
+# -- the reversal, differentially -------------------------------------------
+
+REVERSAL_ALGEBRAS = 300
+DRAW_KINDS = ("symmetric", "non-symmetric", "semigroup", "mixed")
+BRUTE_COMBINATIONS = 2_000
+
+
+def reference_closure(algebra, seeds, n):
+    """brute_closure while one of its passes is at most (k**n)**arity <=
+    BRUTE_COMBINATIONS combinations, the vectorized numpy_closure above."""
+    space = algebra.k**n
+    if all(space**op.arity <= BRUTE_COMBINATIONS for op in algebra.operations):
+        return set(brute_closure(algebra, seeds))
+    return {decode_tuple(e, algebra.k, n) for e in numpy_closure(algebra, seeds).tolist()}
+
+
+def random_semigroup_op(k, rng, name="f"):
+    """A random binary associative table, drawn until one is."""
+    while True:
+        table = tuple(rng.randrange(k) for _ in range(k * k))
+        if all(
+            table[table[x * k + y] * k + z] == table[x * k + table[y * k + z]]
+            for x, y, z in itertools.product(range(k), repeat=3)
+        ):
+            return OperationTable(name=name, arity=2, k=k, table=table)
+
+
+def reversal_draw(seed):
+    """The seed's algebra, with k in {2, 3} and one or two operations of
+    arity <= 3: all symmetric, all drawn at random (non-symmetric, in
+    practice), one random associative binary operation, or one operation
+    of either earlier kind beside a random associative or symmetric one,
+    by seed modulo 4."""
+    rng = random.Random(seed)
+    k = rng.choice((2, 3))
+    kind_ = DRAW_KINDS[seed % 4]
+
+    def symmetric(j):
+        return random_symmetric_op(k, rng.randint(1, 3), rng, name=f"s{j}")
+
+    def drawn(j):
+        return random_table_op(k, rng.randint(1, 3), rng, rng.random() < 0.5, name=f"g{j}")
+
+    if kind_ == "symmetric":
+        operations = [symmetric(j) for j in range(rng.choice((1, 2)))]
+    elif kind_ == "non-symmetric":
+        operations = [drawn(j) for j in range(rng.choice((1, 2)))]
+    elif kind_ == "semigroup":
+        operations = [random_semigroup_op(k, rng)]
+    else:
+        first = random_semigroup_op(k, rng, name="a") if rng.random() < 0.5 else symmetric(0)
+        operations = [first, drawn(1)]
+    return Algebra(k=k, operations=tuple(operations))
+
+
+def reversal_seeds(k, n, rng):
+    """Seed sets of A^n that reversing the coordinates maps onto
+    themselves: the tuples with at most r switches for r = 0 and 1, and
+    1 to 3 random tuples with their reverses."""
+    seeds = {f"switch r={r}": brute_switch_tuples(k, n, r) for r in (0, 1)}
+    picks = [decode_tuple(e, k, n) for e in rng.sample(range(k**n), rng.randint(1, 3))]
+    seeds["random"] = set(picks) | {t[::-1] for t in picks}
+    return seeds
+
+
+@pytest.mark.parametrize("seed", range(REVERSAL_ALGEBRAS))
+def test_reversal_closures_match_the_undetected_closure_and_the_oracle(
+    seed, sparse, monkeypatch
+):
+    algebra = reversal_draw(seed)
+    k = algebra.k
+    rng = random.Random(-seed)
+    for n in (n for n in range(3, 7) if k**n <= 81):
+        for name, seeds in reversal_seeds(k, n, rng).items():
+            members = reference_closure(algebra, seeds, n)
+            for backend in ("dense", "sparse"):
+                with sparse(backend == "sparse"):
+                    ts = TupleSet.from_tuples(k, n, seeds)
+                detected = closure(algebra, ts)
+                with monkeypatch.context() as patch:
+                    patch.setattr(genpow.subpower, "_symmetry", lambda *args: None)
+                    undetected = closure(algebra, ts)
+                case = (seed, n, name, backend)
+                assert set(detected) == set(undetected) == members, case
+
+
+def test_the_reversal_draw_takes_each_path():
+    """Across the draw, the reversal is picked for every kind but the
+    all-symmetric one, where only a binary associative operation takes
+    it, and seed sets at even n that the pair group also maps onto
+    themselves take the pair group."""
+    picked_by_kind = {kind_: {None: 0, "pairs": 0, "reversal": 0} for kind_ in DRAW_KINDS}
+    for seed in range(REVERSAL_ALGEBRAS):
+        algebra = reversal_draw(seed)
+        k = algebra.k
+        rng = random.Random(-seed)
+        for n in (n for n in range(3, 7) if k**n <= 81):
+            for seeds in reversal_seeds(k, n, rng).values():
+                ts = TupleSet.from_tuples(k, n, seeds)
+                found = picked(_symmetry(algebra, ts, ts.encodings()))
+                picked_by_kind[DRAW_KINDS[seed % 4]][found] += 1
+    for kind_ in ("non-symmetric", "semigroup", "mixed"):
+        assert picked_by_kind[kind_]["reversal"] >= 100, picked_by_kind
+    assert picked_by_kind["symmetric"][None] >= 100, picked_by_kind
+    assert sum(counts["pairs"] for counts in picked_by_kind.values()) >= 20, picked_by_kind
