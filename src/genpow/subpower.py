@@ -694,9 +694,7 @@ def _symmetry(algebra: Algebra, seeds: TupleSet, members: np.ndarray) -> Optiona
 def _orbit_representatives(encodings: np.ndarray, symmetry: _Symmetry) -> np.ndarray:
     """The least member of the orbit of each encoding, each once,
     ascending, computed batch by batch."""
-    return _unique(np.concatenate(
-        [_unique(symmetry.canonical(batch)) for batch in _batches(encodings)]
-    ))
+    return _unique(np.concatenate([symmetry.canonical(batch) for batch in _batches(encodings)]))
 
 
 def _insert_orbits(result: TupleSet, fresh: np.ndarray, symmetry: _Symmetry) -> np.ndarray:

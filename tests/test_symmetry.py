@@ -215,13 +215,14 @@ def test_symmetric_budget_sweep_matches_the_reference(backend):
 # -- the reversal, differentially -------------------------------------------
 
 REVERSAL_ALGEBRAS = 300
-DRAW_KINDS = ("symmetric", "non-symmetric", "semigroup", "mixed")
+FAMILIES = ("symmetric", "non-symmetric", "semigroup", "mixed")
 BRUTE_COMBINATIONS = 2_000
 
 
 def reference_closure(algebra, seeds, n):
-    """brute_closure while one of its passes is at most (k**n)**arity <=
-    BRUTE_COMBINATIONS combinations, the vectorized numpy_closure above."""
+    """brute_closure when a pass of each operation over all of A^n is at
+    most BRUTE_COMBINATIONS combinations, else numpy_closure, the same
+    full-rescan fixed point vectorized."""
     space = algebra.k**n
     if all(space**op.arity <= BRUTE_COMBINATIONS for op in algebra.operations):
         return set(brute_closure(algebra, seeds))
@@ -241,13 +242,13 @@ def random_semigroup_op(k, rng, name="f"):
 
 def reversal_draw(seed):
     """The seed's algebra, with k in {2, 3} and one or two operations of
-    arity <= 3: all symmetric, all drawn at random (non-symmetric, in
-    practice), one random associative binary operation, or one operation
-    of either earlier kind beside a random associative or symmetric one,
-    by seed modulo 4."""
+    arity <= 3, by seed modulo 4: all symmetric, all drawn at random
+    (non-symmetric, in practice), one random associative binary
+    operation, or a random associative or symmetric operation beside one
+    drawn at random."""
     rng = random.Random(seed)
     k = rng.choice((2, 3))
-    kind_ = DRAW_KINDS[seed % 4]
+    family = FAMILIES[seed % 4]
 
     def symmetric(j):
         return random_symmetric_op(k, rng.randint(1, 3), rng, name=f"s{j}")
@@ -255,11 +256,11 @@ def reversal_draw(seed):
     def drawn(j):
         return random_table_op(k, rng.randint(1, 3), rng, rng.random() < 0.5, name=f"g{j}")
 
-    if kind_ == "symmetric":
+    if family == "symmetric":
         operations = [symmetric(j) for j in range(rng.choice((1, 2)))]
-    elif kind_ == "non-symmetric":
+    elif family == "non-symmetric":
         operations = [drawn(j) for j in range(rng.choice((1, 2)))]
-    elif kind_ == "semigroup":
+    elif family == "semigroup":
         operations = [random_semigroup_op(k, rng)]
     else:
         first = random_semigroup_op(k, rng, name="a") if rng.random() < 0.5 else symmetric(0)
@@ -303,7 +304,7 @@ def test_the_reversal_draw_takes_each_path():
     all-symmetric one, where only a binary associative operation takes
     it, and seed sets at even n that the pair group also maps onto
     themselves take the pair group."""
-    picked_by_kind = {kind_: {None: 0, "pairs": 0, "reversal": 0} for kind_ in DRAW_KINDS}
+    picked_by_family = {family: {None: 0, "pairs": 0, "reversal": 0} for family in FAMILIES}
     for seed in range(REVERSAL_ALGEBRAS):
         algebra = reversal_draw(seed)
         k = algebra.k
@@ -312,8 +313,8 @@ def test_the_reversal_draw_takes_each_path():
             for seeds in reversal_seeds(k, n, rng).values():
                 ts = TupleSet.from_tuples(k, n, seeds)
                 found = picked(_symmetry(algebra, ts, ts.encodings()))
-                picked_by_kind[DRAW_KINDS[seed % 4]][found] += 1
-    for kind_ in ("non-symmetric", "semigroup", "mixed"):
-        assert picked_by_kind[kind_]["reversal"] >= 100, picked_by_kind
-    assert picked_by_kind["symmetric"][None] >= 100, picked_by_kind
-    assert sum(counts["pairs"] for counts in picked_by_kind.values()) >= 20, picked_by_kind
+                picked_by_family[FAMILIES[seed % 4]][found] += 1
+    for family in ("non-symmetric", "semigroup", "mixed"):
+        assert picked_by_family[family]["reversal"] >= 100, picked_by_family
+    assert picked_by_family["symmetric"][None] >= 100, picked_by_family
+    assert sum(counts["pairs"] for counts in picked_by_family.values()) >= 20, picked_by_family
