@@ -656,9 +656,9 @@ def _reversed(encodings: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def _symmetry(algebra: Algebra, seeds: TupleSet, members: np.ndarray) -> Optional[_Symmetry]:
-    """The group _saturate closes the seeds, with encodings `members`, by,
-    or None (always None without operations).  The pair group is tried
-    when n = 2m.  The reversal is tried next when n > 2 (at n = 2 it is the
+    """The group of coordinate permutations that _saturate closes the
+    seeds (encodings `members`) by, or None; always None without
+    operations.  The pair group is tried when n = 2m.  The reversal is tried next when n > 2 (at n = 2 it is the
     pair group) and some grid draws from orbit representatives: one of an
     operation that is not symmetric, or the rounds after round 0 of a lone
     binary associative operation.  A symmetric operation keeps its prefix
